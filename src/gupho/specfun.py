@@ -7,6 +7,7 @@ is a pure function of its arguments; rules are immutable after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -216,32 +217,8 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
     return total
 
 
-# Lanczos coefficients, g = 7, 9 terms
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_2PI = 0.9189385332046727  # log(2 pi) / 2
-
-
 def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, Lanczos approximation (relative error < 1e-13)."""
+    """log Gamma(x) for x > 0."""
     if not x > 0:
         raise ValueError("ln_gamma requires x > 0")
-    if x < 0.5:
-        # reflection keeps the approximation in its accurate range
-        return np.log(np.pi / np.sin(np.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, coef in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += coef / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return float(_HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(acc))
+    return math.lgamma(x)

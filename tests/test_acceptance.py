@@ -4,6 +4,7 @@ Criteria 3-12 are also what the `verify` CLI command executes; the final test
 confirms that and the cumulative runtime budget.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from gupho import checks
 from gupho.fm import fm_exponents, fm_quantization_residual
 from gupho.gup import (
     DeformedAlgebra,
@@ -81,11 +83,11 @@ def test_criterion_03_solver_agreement():
     for eta in _ETA_GRID:
         system = _system(eta=eta)
         for n in range(9):
-            fp = energy_relativistic(system, n, method="fixed_point")
+            nt = energy_relativistic(system, n, method="newton")
             bi = energy_relativistic(system, n, method="bisection")
-            assert abs(fp.energy - bi.energy) <= 1e-10 * abs(fp.energy)
-            assert abs(rel_residual(system, n, fp.energy)) <= 1e-10
-    elapsed = _verdict(3, "fixed-point vs bisection", started)
+            assert abs(nt.energy - bi.energy) <= 1e-10 * abs(nt.energy)
+            assert abs(rel_residual(system, n, nt.energy)) <= 1e-10
+    elapsed = _verdict(3, "Newton vs bisection", started)
     assert elapsed < 100e-3
 
 
@@ -102,15 +104,21 @@ def test_criterion_04_nr_limit():
 def test_criterion_05_gamma_invariance():
     started = time.perf_counter()
     for eta in _ETA_GRID:
-        reference = [
-            energy_relativistic(_system(eta=eta, gamma=0.0), n).energy for n in range(9)
-        ]
-        for gamma in (eta / 2.0, eta, 2.0 * eta):
-            system = _system(eta=eta, gamma=gamma)
-            for n in range(9):
-                energy = energy_relativistic(system, n).energy
-                assert abs(energy - reference[n]) <= 1e-10 * abs(reference[n])
-    _verdict(5, "gamma invariance", started)
+        result = checks._check_gamma_invariance(1.0, 1.0, 1.0, eta, 8)
+        assert result.passed, result
+    _verdict(5, "gamma invariance through the standard form", started)
+
+
+def test_criterion_05_fails_on_a_wrong_energy(monkeypatch):
+    # a 1e-8 relative energy error leaves a standard-form residual of ~8e-8 here
+    def off_by_1e8(system, n):
+        level = energy_relativistic(system, n)
+        return dataclasses.replace(level, energy=level.energy * (1.0 + 1e-8))
+
+    monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
+    result = checks._check_gamma_invariance(1.0, 1.0, 1.0, 0.1, 8)
+    assert not result.passed
+    assert result.max_deviation > 1e-8
 
 
 def test_criterion_06_fm_pipeline_equivalence():

@@ -34,7 +34,7 @@ class TestSpectrumCommand:
         _, rows = data_rows(result.stdout)
         for row in rows:
             assert abs(float(row[2])) <= 1e-10
-            assert row[4] in ("fixed_point", "bisection")
+            assert row[4] == "newton"
 
     def test_malformed_flag_exits_64_writes_nothing(self, tmp_path):
         out = tmp_path / "never.csv"

@@ -4,6 +4,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gupho.fm import fm_quantization_residual
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of
@@ -97,7 +99,7 @@ class TestEnergyRelativistic:
     def test_result_fields(self):
         res = energy_relativistic(system(eta=0.1), 3)
         assert res.n == 3
-        assert res.method in ("fixed_point", "bisection")
+        assert res.method == "newton"
         assert res.iterations >= 1
         assert abs(res.residual) <= 1e-10 * max(1.0, abs(res.energy))
 
@@ -106,19 +108,36 @@ class TestEnergyRelativistic:
     def test_methods_agree(self, eta, omega):
         sys = system(omega=omega, eta=eta)
         for n in (0, 1, 3, 5, 8):
-            fp = energy_relativistic(sys, n, method="fixed_point")
+            nt = energy_relativistic(sys, n, method="newton")
             bi = energy_relativistic(sys, n, method="bisection")
-            assert fp.method == "fixed_point"
+            assert nt.method == "newton"
             assert bi.method == "bisection"
-            assert abs(fp.energy - bi.energy) <= 1e-10 * abs(fp.energy)
+            assert abs(nt.energy - bi.energy) <= 1e-10 * abs(nt.energy)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            energy_relativistic(system(), 0, method="newton")
+            energy_relativistic(system(), 0, method="secant")
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             energy_relativistic(system(), -1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eta=st.one_of(st.just(0.0), st.floats(-12.0, 3.0).map(lambda e: 10.0**e)),
+        mass=st.floats(0.0, 6.0).map(lambda e: 10.0**e),
+        omega=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        n=st.integers(0, 100),
+    )
+    def test_solver_domain(self, eta, mass, omega, n):
+        sys = system(mass=mass, omega=omega, eta=eta)
+        res = energy_relativistic(sys, n)
+        delta = res.energy - mass
+        assert math.isfinite(res.energy) and res.energy > mass
+        assert res.iterations <= 8
+        assert abs(res.residual) <= 1e-12 * max(1.0, delta)
+        reference = energy_relativistic(sys, n, method="bisection").energy
+        assert abs(res.energy - reference) <= 1e-10 * reference
 
 
 class TestEnergyNonrel:
