@@ -32,9 +32,9 @@ from .states import (
     eval_state,
     ladder_coeffs,
     make_state,
-    reference_norm,
     su11_check,
     weighted_overlap,
+    _overlap,
 )
 
 __all__ = ["CheckResult", "run_suite"]
@@ -127,29 +127,36 @@ def _check_fm_quantization_zero(mass, omega, hbar, gamma, n_top) -> CheckResult:
     return CheckResult("fm_quantization_zero", dev, 1e-9)
 
 
-def _check_orthonormality(states, order) -> CheckResult:
+def _check_orthonormality(states) -> CheckResult:
     dev = 0.0
     for i, a in enumerate(states):
         for b in states[: i + 1]:
-            entry = weighted_overlap(a, b, order)
+            entry = weighted_overlap(a, b)
             target = 1.0 if a.n == b.n else 0.0
             dev = max(dev, abs(entry - target))
     return CheckResult("orthonormality", dev, 1e-10)
 
 
-def _check_quadrature_doubling(states, order) -> CheckResult:
+def _check_quadrature_node_count(states) -> CheckResult:
+    """Every Gram entry must stay put when its rule gains a node.
+
+    The overlap integrand is the weight (1 - rho^2)^(mu - 1/2) times a
+    polynomial of degree n_a + n_b, so (n_a + n_b + 2) // 2 nodes are exact;
+    this recomputes each entry with one node more, odd pairs included, whose
+    exact 0.0 rests on parity.  On the relativistic branch v changes with n,
+    so every pair has its own mu.
+    """
     dev = 0.0
     for i, a in enumerate(states):
         for b in states[: i + 1]:
-            coarse = weighted_overlap(a, b, order)
-            fine = weighted_overlap(a, b, 2 * order)
-            dev = max(dev, abs(fine - coarse))
-    return CheckResult("quadrature_doubling", dev, 1e-11)
+            extra = _overlap(a, b, (a.n + b.n + 2) // 2 + 1)
+            dev = max(dev, abs(extra - weighted_overlap(a, b)))
+    return CheckResult("quadrature_node_count", dev, 1e-11)
 
 
 def _check_normalization_reference(states) -> CheckResult:
-    ratios = [s.norm / reference_norm(s) for s in states]
-    dev = max(abs(r / ratios[0] - 1.0) for r in ratios)
+    """Closed-form norms against the quadrature diagonal, where v changes with n."""
+    dev = max(abs(weighted_overlap(s, s) - 1.0) for s in states)
     return CheckResult("normalization_reference", dev, 1e-9)
 
 
@@ -183,12 +190,12 @@ def _check_su11_algebra() -> list[CheckResult]:
     ]
 
 
-def _check_ode_residual(mass, omega, hbar, eta, gamma, n_top, order) -> CheckResult:
-    system = _system(mass, omega, hbar, eta, gamma)
+def _check_ode_residual(states) -> CheckResult:
+    system = states[0].system
+    eta = system.algebra.eta
     p_grid = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
     dev = 0.0
-    for n in range(n_top + 1):
-        state = make_state(system, n, RELATIVISTIC, order=order)
+    for state in states:
 
         def evaluator(rho, _state=state):
             return eval_state(_state, rho)
@@ -220,14 +227,14 @@ def _ode_scale(system, state, p) -> float:
     )
 
 
-def _check_weight_orthogonality(order) -> CheckResult:
-    nodes, weights, omx2 = specfun.sine_mapped_rule(order)
+def _check_weight_orthogonality() -> CheckResult:
     dev = 0.0
     for t in (0.75, 1.0, 2.5):
+        nodes, weights = specfun.gegenbauer_rule(t, 9)
         polys = [specfun.gegenbauer(n, t, nodes) for n in range(9)]
         for n in range(9):
             for m in range(n + 1):
-                got = specfun.symmetric_dot(weights, omx2 ** (t - 0.5) * polys[n] * polys[m])
+                got = float(np.dot(weights, polys[n] * polys[m]))
                 if n == m:
                     target = math.exp(
                         math.log(math.pi)
@@ -268,7 +275,6 @@ def run_suite(
     eta: float = 0.1,
     gamma: float = 0.0,
     n_max: int = 8,
-    order: int = 200,
     literal_raise: bool = False,
 ) -> list[CheckResult]:
     """Run the invariant suite at the given parameters; returns one result per check."""
@@ -282,14 +288,15 @@ def run_suite(
         results.append(_check_fm_exponent_consistency(mass, omega, hbar))
         results.append(_check_fm_quantization_zero(mass, omega, hbar, gamma, n_top))
         system = _system(mass, omega, hbar, eta, gamma)
-        nr_states = [make_state(system, n, NONRELATIVISTIC, order=order) for n in range(n_top + 1)]
-        results.append(_check_orthonormality(nr_states, order))
-        results.append(_check_quadrature_doubling(nr_states, order))
-        results.append(_check_normalization_reference(nr_states))
+        nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(n_top + 1)]
+        rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_top + 1)]
+        results.append(_check_orthonormality(nr_states))
+        results.append(_check_quadrature_node_count(rel_states))
+        results.append(_check_normalization_reference(rel_states))
         results.append(_check_ladder_identity(nr_states, literal_raise))
         results.extend(_check_su11_algebra())
-        results.append(_check_ode_residual(mass, omega, hbar, eta, gamma, n_top, order))
-        results.append(_check_weight_orthogonality(order))
+        results.append(_check_ode_residual(rel_states))
+        results.append(_check_weight_orthogonality())
         results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))
     else:
         results.append(_check_solver_cross_validation(mass, omega, hbar, gamma, (0.0,), n_top))

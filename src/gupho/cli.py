@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -63,7 +62,6 @@ class RunConfig:
     branch: str
     output_format: str
     output_path: str | None
-    quad_order: int
     literal_raise: bool = False
 
     def validate(self) -> None:
@@ -81,8 +79,6 @@ class RunConfig:
             raise UsageError(f"branch must be one of {sorted(_BRANCHES)}")
         if self.output_format not in ("csv", "json"):
             raise UsageError("format must be csv or json")
-        if self.quad_order < 1:
-            raise UsageError("quadrature order must be >= 1")
 
     def system(self) -> OscillatorSystem:
         return OscillatorSystem(
@@ -141,11 +137,6 @@ def _build_config(args) -> RunConfig:
             merged[key] = _coerce(key, file_values[key])
         else:
             merged[key] = default
-    order_text = os.environ.get("GUP_QUAD_ORDER", "200")
-    try:
-        quad_order = int(order_text)
-    except ValueError as exc:
-        raise UsageError(f"GUP_QUAD_ORDER must be an integer, got {order_text!r}") from exc
     config = RunConfig(
         mass=merged["mass"],
         omega=merged["omega"],
@@ -156,7 +147,6 @@ def _build_config(args) -> RunConfig:
         branch=merged["branch"],
         output_format=merged["format"],
         output_path=args.out,
-        quad_order=quad_order,
         literal_raise=getattr(args, "literal_raise", False),
     )
     config.validate()
@@ -247,7 +237,7 @@ def _cmd_state(config: RunConfig, args) -> int:
     if args.n < 0:
         raise UsageError("n must be >= 0")
     system = config.system()
-    state = make_state(system, args.n, _BRANCHES[config.branch], order=config.quad_order)
+    state = make_state(system, args.n, _BRANCHES[config.branch])
     rows = []
     for i in range(args.samples):
         rho = -0.99 + 1.98 * i / (args.samples - 1)
@@ -267,7 +257,6 @@ def _cmd_verify(config: RunConfig, args) -> int:
         eta=config.eta,
         gamma=config.gamma,
         n_max=config.n_max,
-        order=config.quad_order,
         literal_raise=config.literal_raise,
     )
     rows = [

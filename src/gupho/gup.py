@@ -202,8 +202,9 @@ def nr_parameters(system: OscillatorSystem) -> tuple[float, float]:
     """
     alg = system.algebra
     alg._require_deformed()
-    rad = 0.25 + 1.0 / (system.mass * system.omega * alg.eta * alg.hbar) ** 2
-    v = 0.25 + alg.gamma / (2.0 * alg.eta) + 0.5 * math.sqrt(rad)
+    # hypot(1/2, 1/x) = sqrt(1/4 + 1/x^2) without squaring x, which overflows for x >~ 1e154
+    root = math.hypot(0.5, 1.0 / (system.mass * system.omega * alg.eta * alg.hbar))
+    v = 0.25 + alg.gamma / (2.0 * alg.eta) + 0.5 * root
     lam = 2.0 * v - alg.gamma / alg.eta
     if lam <= 0.0:
         raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")

@@ -1,23 +1,19 @@
 """Special-function and quadrature kernel.
 
-Gegenbauer polynomials and their derivative, the terminating Gauss
-hypergeometric series, log-gamma, and Gauss-Legendre rules.  Everything here
-is a pure function of its arguments; rules are immutable after construction.
+Gegenbauer polynomials and their derivative, Gauss-Gegenbauer rules, the
+terminating Gauss hypergeometric series and log-gamma.  Everything here is a
+pure function of its arguments; rules are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "QuadratureRule",
-    "gauss_legendre",
-    "sine_mapped_rule",
-    "symmetric_dot",
+    "gegenbauer_rule",
     "gegenbauer",
     "gegenbauer_derivative",
     "hyp2f1_terminating",
@@ -25,132 +21,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration over (-1, 1)."""
+@lru_cache(maxsize=256)
+def gegenbauer_rule(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Gegenbauer rule with ``count`` nodes for the weight (1 - x^2)^(mu - 1/2).
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    Integrates the weight times any polynomial of degree <= 2 count - 1
+    exactly.  Nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    monic Gegenbauer recurrence, beta_k = k (k + 2mu - 1) / (4 (k + mu) (k + mu - 1))
+    (Golub & Welsch 1969).  Weights come from the Christoffel function,
+    mass / sum_j p_j(x)^2 over the orthonormal polynomials, which stays
+    accurate where squared eigenvector components lose digits; the mass is
+    the integral of the weight, sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1).
 
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if nodes.size > 1 and not np.all(np.diff(nodes) > 0):
-            raise ValueError("nodes must be strictly increasing")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def __len__(self) -> int:
-        return self.nodes.size
-
-
-def _legendre_pair(order: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Legendre P_order and its derivative at x, by upward recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, order + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    # (x^2 - 1) P' = order (x P - P_{order-1})
-    dp = order * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
-@lru_cache(maxsize=64)
-def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1] by Newton iteration on the nodes.
-
-    Only the nonnegative half is solved; the rest is mirrored, so the rule is
-    exactly symmetric.  Node accuracy is at the 1e-15 level; the rule
-    integrates polynomials up to degree 2*order - 1 exactly.  Rules are
-    immutable, so repeated requests share one cached instance.
+    Returns read-only ``(nodes, weights)``, shared between callers.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if order == 1:
-        return QuadratureRule(np.array([0.0]), np.array([2.0]))
-
-    m = (order + 1) // 2
-    k = np.arange(m, dtype=np.float64)
-    # classical first guess, descending from the largest root
-    x = np.cos(np.pi * (k + 0.75) / (order + 0.5))
-    for _ in range(100):
-        p, dp = _legendre_pair(order, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    if order % 2:
-        x[-1] = 0.0  # center node is exactly zero by symmetry
-    _, dp = _legendre_pair(order, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-
-    if order % 2:
-        nodes = np.concatenate([-x, x[-2::-1]]) + 0.0  # normalize -0.0
-        weights = np.concatenate([w, w[-2::-1]])
-    else:
-        nodes = np.concatenate([-x, x[::-1]])
-        weights = np.concatenate([w, w[::-1]])
-    return QuadratureRule(nodes, weights)
-
-
-@lru_cache(maxsize=64)
-def sine_mapped_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule pushed through u -> sin(pi/2 sin(pi/2 u)).
-
-    Intended for integrands on (-1, 1) that decay like a fractional power of
-    1 - x^2 at the endpoints, where the raw rule converges only algebraically;
-    the repeated sine map flattens the endpoint behaviour and restores fast
-    convergence.
-
-    Returns ``(nodes, weights, one_minus_sq)``.  ``one_minus_sq`` holds
-    1 - nodes**2 evaluated as cos^2 of the inner angle, which remains accurate
-    (and positive) even where ``1 - nodes**2`` would round to zero in double
-    precision.  Arrays are exactly symmetric: built from the nonnegative half
-    and mirrored.
-    """
-    base = gauss_legendre(order)
-    half = order // 2
-    u = base.nodes[order - half:]
-    w = base.weights[order - half:]
-    th1 = 0.5 * np.pi * u
-    y = np.sin(th1)
-    dy = 0.5 * np.pi * np.cos(th1)
-    th2 = 0.5 * np.pi * y
-    xpos = np.sin(th2)
-    cpos = np.cos(th2)
-    wpos = w * 0.5 * np.pi * cpos * dy
-    opos = cpos * cpos
-    if order % 2:
-        wc = base.weights[half] * (0.5 * np.pi) ** 2
-        nodes = np.concatenate([-xpos[::-1], [0.0], xpos])
-        weights = np.concatenate([wpos[::-1], [wc], wpos])
-        one_minus_sq = np.concatenate([opos[::-1], [1.0], opos])
-    else:
-        nodes = np.concatenate([-xpos[::-1], xpos])
-        weights = np.concatenate([wpos[::-1], wpos])
-        one_minus_sq = np.concatenate([opos[::-1], opos])
-    for a in (nodes, weights, one_minus_sq):
-        a.setflags(write=False)
-    return nodes, weights, one_minus_sq
-
-
-def symmetric_dot(weights: np.ndarray, values: np.ndarray) -> float:
-    """Weighted sum that folds symmetric index pairs before accumulating.
-
-    On a symmetric rule an odd integrand then cancels pairwise to exactly
-    0.0 instead of leaving float summation residue.
-    """
-    n = len(weights)
-    half = n // 2
-    pair = weights[:half] * (values[:half] + values[::-1][:half])
-    total = float(np.sum(pair))
-    if n % 2:
-        total += float(weights[half] * values[half])
-    return total
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if not mu > 0.0:
+        raise ValueError("mu must be positive")
+    k = np.arange(1, count, dtype=np.float64)
+    off = np.sqrt(k * (k + 2.0 * mu - 1.0) / (4.0 * (k + mu) * (k + mu - 1.0)))
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p, b_prev = np.zeros_like(nodes), np.ones_like(nodes), 0.0
+    total = np.ones_like(nodes)
+    for b in off:
+        p_prev, p, b_prev = p, (nodes * p - b_prev * p_prev) / b, b
+        total += p * p
+    mass = math.exp(0.5 * math.log(math.pi) + math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
+    weights = mass / total
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def gegenbauer(n: int, lam: float, x):

@@ -43,7 +43,10 @@ _GATE = 1e-12
 
 
 class SolverError(RuntimeError):
-    """Energy solve failed to converge; message carries bracket diagnostics."""
+    """Energy solve failed to converge, or a level is not a finite double.
+
+    The message carries bracket diagnostics.
+    """
 
 
 @dataclass(frozen=True)
@@ -209,8 +212,10 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
     alg = system.algebra
     half = 0.5 * alg.hbar * alg.eta * system.mass * system.omega
     energy = alg.hbar * system.omega * (
-        (0.5 + n + n * n) * half + (n + 0.5) * math.sqrt(half * half + 1.0)
+        (0.5 + n + n * n) * half + (n + 0.5) * math.hypot(half, 1.0)
     )
+    if not math.isfinite(energy):
+        raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
     return SpectrumResult(n=n, energy=energy, residual=0.0, iterations=0, method="closed_form")
 
 

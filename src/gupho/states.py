@@ -1,10 +1,12 @@
 """Normalized momentum-space eigenstates and their su(1,1) ladder structure.
 
 A state is phi_n(rho) = N ((1 - rho^2)/4)^v C_n^lam(rho) with lam = 2v -
-gamma/eta.  The norm N is fixed numerically so that the weighted momentum
-integral of |phi_n|^2 equals one; the closed-form constant `reference_norm`
-is kept for comparison only, since it differs from the weighted integral by
-a global (n-independent) factor.
+gamma/eta.  In rho the weighted momentum overlap of two states is
+4^(-v_a - v_b) eta^(-1/2) times the integral of C_na C_nb against the
+Gegenbauer weight (1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, so a
+Gauss-Gegenbauer rule with (n_a + n_b + 2) // 2 nodes evaluates it exactly.
+On the diagonal mu = lam, and the norm N follows from the closed-form
+Gegenbauer norm `reference_norm`.
 
 First-order ladder operators shift n by one with coefficients
 l- = sqrt(n (2 lam + n - 1)) and l+ = sqrt((n+1) (2 lam + n)); together with
@@ -14,7 +16,9 @@ coefficient level by `su11_check`.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +35,6 @@ from .spectrum import energy_nonrel, energy_relativistic
 __all__ = [
     "RELATIVISTIC",
     "NONRELATIVISTIC",
-    "DEFAULT_QUAD_ORDER",
     "OscillatorState",
     "LadderCoefficients",
     "Su11Report",
@@ -50,11 +53,9 @@ __all__ = [
 RELATIVISTIC = "relativistic"
 NONRELATIVISTIC = "nonrelativistic"
 
-DEFAULT_QUAD_ORDER = 200
-
 
 class QuadratureAccuracyError(RuntimeError):
-    """Order-doubling changed an inner product by more than the accuracy gate."""
+    """A norm integral or overlap is not a finite normal double, chiefly where 4^(-2v) underflows."""
 
 
 @dataclass(frozen=True)
@@ -79,18 +80,16 @@ class LadderCoefficients:
     l_zero: float
 
 
-def make_state(
-    system: OscillatorSystem,
-    n: int,
-    branch: str,
-    order: int = DEFAULT_QUAD_ORDER,
-) -> OscillatorState:
+def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState:
     """Build the normalized state for quantum number n on the chosen branch.
 
     The relativistic branch solves the implicit spectrum first and derives
     the exponent from the converged energy; the nonrelativistic branch uses
-    the closed-form parameters.  The norm comes from quadrature of the
-    weighted momentum integral, not from the closed-form constant.
+    the closed-form parameters.  The raw norm integral is
+    4^(-2v) eta^(-1/2) / reference_norm^2, formed in double precision; where
+    4^(-2v) or the integral is not a normal double (first at eta m omega hbar
+    below about 2e-3, where 4^(-2v) underflows) `QuadratureAccuracyError` is
+    raised.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
@@ -109,13 +108,16 @@ def make_state(
         raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")
     if v <= 0.0:
         raise DegenerateModelError(f"prefactor exponent v = {v!r} must be positive")
-    raw = _raw_overlap(system, n, v, lam, n, v, lam, order)
-    if not raw > 0.0:
-        raise QuadratureAccuracyError(f"raw norm integral is not positive: {raw!r}")
-    return OscillatorState(
-        system=system, branch=branch, n=n, v=v, lam=lam,
-        norm=1.0 / math.sqrt(raw), energy=energy,
+    state = OscillatorState(
+        system=system, branch=branch, n=n, v=v, lam=lam, norm=math.nan, energy=energy,
     )
+    weight = 4.0 ** (-2.0 * v)
+    # a subnormal 4^(-2v) has lost digits; far below it, reference_norm's lgamma terms cancel to noise
+    ref = reference_norm(state) if weight >= sys.float_info.min else math.inf
+    raw = weight / math.sqrt(alg.eta) / ref / ref if ref > 0.0 else math.inf
+    if not sys.float_info.min <= raw < math.inf:
+        raise QuadratureAccuracyError(f"raw norm integral is not a normal double: {raw!r}")
+    return dataclasses.replace(state, norm=1.0 / math.sqrt(raw))
 
 
 def eval_state(state: OscillatorState, rho):
@@ -149,20 +151,20 @@ def eval_state_derivative(state: OscillatorState, rho):
     return out[()] if arr.ndim == 0 else out
 
 
-def _raw_overlap(system, n_a, v_a, lam_a, n_b, v_b, lam_b, order):
-    """Weighted momentum overlap with unit norms, mapped to rho quadrature.
+def _overlap(a: OscillatorState, b: OscillatorState, count: int) -> float:
+    """<a|b> by a ``count``-node Gauss-Gegenbauer rule.
 
     The measure weight (1 + eta p^2)^(alpha - 1) becomes (1 - rho^2)^(1 - alpha)
-    and the exact Jacobian is dp = d rho / (sqrt(eta) (1 - rho^2)^(3/2)); all
-    powers of 1 - rho^2 are aggregated before exponentiation so the endpoint
-    nodes of the mapped rule neither overflow nor produce 0 * inf.
+    and the Jacobian is dp = d rho / (sqrt(eta) (1 - rho^2)^(3/2)), so the
+    integrand is 4^(-v_a - v_b) eta^(-1/2) (1 - rho^2)^(mu - 1/2) C_na C_nb
+    with mu = v_a + v_b - alpha.  Each norm is paired with its own 4^(-v), so
+    no intermediate product leaves the double range.
     """
-    alg = system.algebra
-    nodes, weights, omx2 = specfun.sine_mapped_rule(order)
-    expo = v_a + v_b + (1.0 - alg.alpha) - 1.5
-    vals = omx2**expo * specfun.gegenbauer(n_a, lam_a, nodes) * specfun.gegenbauer(n_b, lam_b, nodes)
-    scale = 4.0 ** (-(v_a + v_b)) / math.sqrt(alg.eta)
-    return scale * specfun.symmetric_dot(weights, vals)
+    alg = a.system.algebra
+    nodes, weights = specfun.gegenbauer_rule(a.v + b.v - alg.alpha, count)
+    vals = specfun.gegenbauer(a.n, a.lam, nodes) * specfun.gegenbauer(b.n, b.lam, nodes)
+    scale = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(alg.eta)
+    return scale * float(np.dot(weights, vals))
 
 
 def _require_compatible(a: OscillatorState, b: OscillatorState) -> None:
@@ -170,38 +172,35 @@ def _require_compatible(a: OscillatorState, b: OscillatorState) -> None:
         raise ValueError("states must share the same system and branch")
 
 
-def weighted_overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """<a|b> under the weighted momentum measure, at a single quadrature order."""
+def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
+    """<a|b> under the weighted momentum measure, exact up to rounding.
+
+    The integrand is a polynomial of degree n_a + n_b times the Gegenbauer
+    weight, so (n_a + n_b + 2) // 2 nodes are exact; C_n has parity (-1)^n,
+    so an odd n_a + n_b gives exactly 0.0.
+    """
     _require_compatible(a, b)
+    if (a.n + b.n) % 2:
+        return 0.0
     if (b.n, b.v) < (a.n, a.v):
         a, b = b, a  # canonical order makes symmetry in (a, b) exact
-    return a.norm * b.norm * _raw_overlap(
-        a.system, a.n, a.v, a.lam, b.n, b.v, b.lam, order
-    )
+    value = _overlap(a, b, (a.n + b.n + 2) // 2)
+    if not math.isfinite(value):
+        raise QuadratureAccuracyError(f"overlap of n={a.n} and n={b.n} is not finite: {value!r}")
+    return value
 
 
-def inner_product(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_QUAD_ORDER) -> float:
-    """<a|b> with an order-doubling convergence check.
-
-    Evaluates the overlap at ``order`` and ``2 * order`` and raises
-    `QuadratureAccuracyError` if they differ by more than 1e-9; returns the
-    doubled-order value.
-    """
-    coarse = weighted_overlap(a, b, order)
-    fine = weighted_overlap(a, b, 2 * order)
-    if abs(fine - coarse) > 1e-9:
-        raise QuadratureAccuracyError(
-            f"overlap changed by {abs(fine - coarse):.3e} on order doubling"
-        )
-    return fine
+# the overlap is exact, so the checked inner product needs no second evaluation
+inner_product = weighted_overlap
 
 
 def reference_norm(state: OscillatorState) -> float:
-    """Closed-form normalization constant of the unit-weight polynomial integral.
+    """Closed-form Gegenbauer normalization constant (Kempf, Mangano and Mann 1995).
 
-    sqrt(n! (n + lam) Gamma(lam)^2 / (2^(1 - 2 lam) pi Gamma(2 lam + n))).
-    Kept for comparison: the measured norm differs from this by a factor that
-    is constant in n for a fixed system.
+    sqrt(n! (n + lam) Gamma(lam)^2 / (2^(1 - 2 lam) pi Gamma(2 lam + n))), the
+    inverse square root of the integral of (1 - x^2)^(lam - 1/2) C_n^lam(x)^2
+    over (-1, 1).  `make_state` takes its norm from it; the state's own norm
+    differs from it by the factor 4^v eta^(1/4).
     """
     n, lam = state.n, state.lam
     log_val = (

@@ -9,21 +9,20 @@ import math
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
 
-from gupho import checks
+from gupho import checks, specfun, states
 from gupho.fm import fm_exponents, fm_quantization_residual
 from gupho.gup import (
     DeformedAlgebra,
     OscillatorSystem,
     fm_problem_of,
-    ode_residual,
     v_exponent,
 )
 from gupho.spectrum import energy_nonrel, energy_relativistic, ratio_sweep, rel_residual
-from gupho.specfun import gegenbauer, ln_gamma, sine_mapped_rule, symmetric_dot
 from gupho.states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
@@ -31,9 +30,7 @@ from gupho.states import (
     eval_state,
     ladder_coeffs,
     make_state,
-    reference_norm,
     su11_check,
-    weighted_overlap,
 )
 
 _TIMES: dict[int, float] = {}
@@ -142,23 +139,51 @@ def nr_states():
     return [make_state(system, n, NONRELATIVISTIC) for n in range(10)]
 
 
-def test_criterion_07_orthonormality(nr_states):
-    started = time.perf_counter()
-    for i, a in enumerate(nr_states[:9]):
-        for b in nr_states[: i + 1]:
-            entry = weighted_overlap(a, b, order=200)
-            target = 1.0 if a.n == b.n else 0.0
-            assert abs(entry - target) <= 1e-10
-            assert abs(weighted_overlap(a, b, order=400) - entry) <= 1e-11
-    _verdict(7, "orthonormality and quadrature stability", started)
+@pytest.fixture(scope="module")
+def rel_states():
+    system = _system(eta=1.0, gamma=0.0)
+    return [make_state(system, n, RELATIVISTIC) for n in range(9)]
 
 
-def test_criterion_08_normalization_reference(nr_states):
+def _short_rule(mu, count):
+    """A Gauss-Gegenbauer rule with one node too few: exact only to degree 2 count - 3."""
+    return specfun.gegenbauer_rule(mu, max(1, count - 1))
+
+
+def _with_short_rule():
+    return types.SimpleNamespace(**dict(vars(specfun), gegenbauer_rule=_short_rule))
+
+
+def test_criterion_07_orthonormality(nr_states, rel_states):
     started = time.perf_counter()
-    ratios = [state.norm / reference_norm(state) for state in nr_states[:9]]
-    for ratio in ratios[1:]:
-        assert abs(ratio / ratios[0] - 1.0) <= 1e-9
-    _verdict(8, "single global normalization factor", started)
+    for result in (
+        checks._check_orthonormality(nr_states[:9]),
+        checks._check_quadrature_node_count(rel_states),
+    ):
+        assert result.passed, result
+    _verdict(7, "orthonormality and exact node count", started)
+
+
+def test_criterion_07_fails_on_a_missing_node(monkeypatch, rel_states):
+    monkeypatch.setattr(states, "specfun", _with_short_rule())
+    result = checks._check_quadrature_node_count(rel_states)
+    assert not result.passed
+
+
+def test_criterion_08_normalization_reference(rel_states):
+    started = time.perf_counter()
+    result = checks._check_normalization_reference(rel_states)
+    assert result.passed, result
+    _verdict(8, "closed-form norms against the quadrature diagonal", started)
+
+
+def test_criterion_08_fails_on_a_wrong_norm(monkeypatch):
+    exact = states.reference_norm
+    monkeypatch.setattr(states, "reference_norm", lambda state: exact(state) * (1.0 + 1e-8 * state.n))
+    system = _system(eta=1.0, gamma=0.0)
+    result = checks._check_normalization_reference([make_state(system, n, RELATIVISTIC) for n in range(9)])
+    assert not result.passed
+    assert result.max_deviation > 1e-8
 
 
 def test_criterion_09_ladder_identity(nr_states):
@@ -196,54 +221,22 @@ def test_criterion_11_ode_residual():
     started = time.perf_counter()
     for eta in _ETA_GRID:
         system = _system(eta=eta)
-        p_grid = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
-        for n in range(3):
-            state = make_state(system, n, RELATIVISTIC)
-
-            def evaluator(rho, _s=state):
-                return eval_state(_s, rho)
-
-            for p in p_grid:
-                residual = ode_residual(system, state.energy, evaluator, p)
-                scale = _term_scale(system, state, p)
-                if scale > 0.0:
-                    assert abs(residual) <= 1e-5 * scale
+        result = checks._check_ode_residual([make_state(system, n, RELATIVISTIC) for n in range(3)])
+        assert result.passed, result
     _verdict(11, "wave-equation residual", started)
-
-
-def _term_scale(system, state, p):
-    from gupho.gup import rho_of_p, tilde_params
-
-    alg = system.algebra
-    h = 1e-5 * max(1.0, abs(p))
-
-    def f(q):
-        return eval_state(state, rho_of_p(alg, q))
-
-    d1 = (f(p + h) - f(p - h)) / (2.0 * h)
-    d2 = (f(p + h) - 2.0 * f(p) + f(p - h)) / (h * h)
-    a_tilde, b_tilde = tilde_params(system, state.energy)
-    w = 1.0 + alg.eta * p * p
-    return abs(d2) + abs(2.0 * (alg.gamma + alg.eta) * p / w * d1) + abs(
-        (b_tilde + p * p * a_tilde) / (w * w) * f(p)
-    )
 
 
 def test_criterion_12_weight_integral_oracle():
     started = time.perf_counter()
-    nodes, weights, omx2 = sine_mapped_rule(200)
-    for t in (0.75, 1.0, 2.5):
-        for n in range(9):
-            got = symmetric_dot(weights, omx2 ** (t - 0.5) * gegenbauer(n, t, nodes) ** 2)
-            target = math.exp(
-                math.log(math.pi)
-                + (1.0 - 2.0 * t) * math.log(2.0)
-                + ln_gamma(2.0 * t + n)
-                - ln_gamma(n + 1.0)
-                - 2.0 * ln_gamma(t)
-            ) / (n + t)
-            assert abs(got - target) <= 1e-10
+    result = checks._check_weight_orthogonality()
+    assert result.passed, result
     _verdict(12, "weighted polynomial integral", started)
+
+
+def test_criterion_12_fails_on_a_short_rule(monkeypatch):
+    monkeypatch.setattr(checks, "specfun", _with_short_rule())
+    result = checks._check_weight_orthogonality()
+    assert not result.passed
 
 
 def test_zz_total_budget_and_verify_command():

@@ -23,7 +23,7 @@ from gupho.gup import (
     v_exponent,
 )
 from gupho.spectrum import energy_relativistic
-from gupho.specfun import gegenbauer, sine_mapped_rule, symmetric_dot
+from gupho.specfun import gegenbauer, gegenbauer_rule
 
 
 def algebra(eta, gamma=0.0, hbar=1.0):
@@ -364,7 +364,7 @@ class TestWeightedNormEquivalence:
         p_side, err = quad(p_integrand, -np.inf, np.inf, limit=400)
         assert err < 1e-7 * abs(p_side)
 
-        nodes, weights, omx2 = sine_mapped_rule(200)
-        gpart = symmetric_dot(weights, omx2 ** (lam - 0.5) * gegenbauer(n, lam, nodes) ** 2)
+        nodes, weights = gegenbauer_rule(lam, n + 1)
+        gpart = float(np.dot(weights, gegenbauer(n, lam, nodes) ** 2))
         rho_side = 4.0 ** (-2 * v) * gpart / math.sqrt(eta)
         assert p_side == pytest.approx(rho_side, rel=1e-7)

@@ -6,14 +6,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_gegenbauer, hyp2f1
 
 from gupho.specfun import (
-    QuadratureRule,
-    gauss_legendre,
     gegenbauer,
     gegenbauer_derivative,
+    gegenbauer_rule,
     hyp2f1_terminating,
     ln_gamma,
-    sine_mapped_rule,
-    symmetric_dot,
 )
 
 
@@ -149,114 +146,100 @@ class TestLnGamma:
 
 
 class TestGaussLegendre:
+    """The mu = 1/2 member of the Gauss-Gegenbauer family is the Gauss-Legendre rule."""
+
     def test_order_one(self):
-        rule = gauss_legendre(1)
-        assert list(rule.nodes) == [0.0]
-        assert list(rule.weights) == [2.0]
+        nodes, weights = gegenbauer_rule(0.5, 1)
+        assert list(nodes) == [0.0]
+        assert weights[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_order_two(self):
-        rule = gauss_legendre(2)
-        assert rule.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
-        assert rule.weights == pytest.approx([1.0, 1.0], abs=1e-15)
+        nodes, weights = gegenbauer_rule(0.5, 2)
+        assert nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
+        assert weights == pytest.approx([1.0, 1.0], abs=1e-15)
 
     def test_quartic_integral(self):
-        rule = gauss_legendre(3)
-        got = float(np.dot(rule.weights, rule.nodes**4))
+        nodes, weights = gegenbauer_rule(0.5, 3)
+        got = float(np.dot(weights, nodes**4))
         assert got == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 16, 50, 200, 400])
     def test_rule_invariants(self, order):
-        rule = gauss_legendre(order)
-        assert len(rule) == order
-        assert abs(float(np.sum(rule.weights)) - 2.0) <= 1e-13
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert np.all(rule.weights > 0)
-        assert np.all(np.abs(rule.nodes) < 1)
-        # exact mirror symmetry
-        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
-        assert np.array_equal(rule.weights, rule.weights[::-1])
+        nodes, weights = gegenbauer_rule(0.5, order)
+        assert len(nodes) == len(weights) == order
+        assert abs(float(np.sum(weights)) - 2.0) <= 1e-13
+        assert np.all(np.diff(nodes) > 0)
+        assert np.all(weights > 0)
+        assert np.all(np.abs(nodes) < 1)
+        # mirror symmetry up to rounding
+        assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-14
+        assert np.max(np.abs(weights - weights[::-1])) <= 1e-14
 
     def test_polynomial_exactness(self):
         # degree <= 2*order - 1 integrates exactly
-        rule = gauss_legendre(5)
+        nodes, weights = gegenbauer_rule(0.5, 5)
         for k in range(10):
             exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            got = float(np.dot(rule.weights, rule.nodes**k))
+            got = float(np.dot(weights, nodes**k))
             assert got == pytest.approx(exact, abs=1e-14)
 
     @pytest.mark.parametrize("order", [8, 64, 200])
     def test_nodes_against_reference(self, order):
-        rule = gauss_legendre(order)
+        nodes, weights = gegenbauer_rule(0.5, order)
         ref_nodes, ref_weights = leggauss(order)
-        assert np.max(np.abs(rule.nodes - ref_nodes)) <= 1e-14
-        assert np.max(np.abs(rule.weights - ref_weights)) <= 1e-14
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-14
+        assert np.max(np.abs(weights - ref_weights)) <= 1e-14
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            gauss_legendre(0)
+            gegenbauer_rule(0.5, 0)
 
     def test_rule_is_immutable(self):
-        rule = gauss_legendre(4)
+        nodes, weights = gegenbauer_rule(0.5, 4)
         with pytest.raises(ValueError):
-            rule.nodes[0] = 0.0
-
-
-class TestSineMappedRule:
-    def test_weights_integrate_constant(self):
-        _, weights, _ = sine_mapped_rule(60)
-        assert float(np.sum(weights)) == pytest.approx(2.0, abs=1e-14)
-
-    def test_one_minus_sq_consistent(self):
-        nodes, _, omx2 = sine_mapped_rule(40)
-        inner = np.abs(nodes) < 0.9
-        assert np.max(np.abs(omx2[inner] - (1.0 - nodes[inner] ** 2))) < 1e-15
-        assert np.all(omx2 > 0)
-
-    def test_exact_symmetry(self):
-        nodes, weights, omx2 = sine_mapped_rule(33)
-        assert np.array_equal(nodes, -nodes[::-1])
-        assert np.array_equal(weights, weights[::-1])
-        assert np.array_equal(omx2, omx2[::-1])
-
-    def test_fractional_weight_integral(self):
-        # integral of (1-x^2)^s over (-1,1) = sqrt(pi) Gamma(s+1) / Gamma(s+3/2)
-        s = 0.25
-        exact = math.sqrt(math.pi) * math.exp(math.lgamma(s + 1.0) - math.lgamma(s + 1.5))
-        _, weights, omx2 = sine_mapped_rule(200)
-        got = symmetric_dot(weights, omx2**s)
-        assert got == pytest.approx(exact, abs=1e-12)
-
-
-class TestSymmetricDot:
-    def test_odd_integrand_is_exactly_zero(self):
-        nodes, weights, omx2 = sine_mapped_rule(200)
-        vals = omx2**1.3 * gegenbauer(3, 1.618, nodes) * gegenbauer(2, 1.618, nodes)
-        assert symmetric_dot(weights, vals) == 0.0
-
-    def test_matches_plain_dot_for_even(self):
-        nodes, weights, _ = sine_mapped_rule(50)
-        vals = nodes**2
-        assert symmetric_dot(weights, vals) == pytest.approx(float(np.dot(weights, vals)), rel=1e-15)
-
-
-class TestQuadratureRuleType:
-    def test_shape_mismatch_rejected(self):
+            nodes[0] = 0.0
         with pytest.raises(ValueError):
-            QuadratureRule(np.array([0.0, 0.5]), np.array([1.0]))
+            weights[0] = 0.0
 
-    def test_unsorted_rejected(self):
+
+class TestGegenbauerRule:
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 1.618, 7.5, 120.0])
+    @pytest.mark.parametrize("count", [1, 4, 9, 51])
+    def test_exact_moments(self, mu, count):
+        # int x^2k (1 - x^2)^(mu - 1/2) dx = B(k + 1/2, mu + 1/2) for 2k <= 2 count - 1
+        nodes, weights = gegenbauer_rule(mu, count)
+        for k in range(count):
+            exact = math.exp(math.lgamma(k + 0.5) + math.lgamma(mu + 0.5) - math.lgamma(k + mu + 1.0))
+            assert float(np.dot(weights, nodes ** (2 * k))) == pytest.approx(exact, rel=1e-12)
+            odd = weights * nodes ** (2 * k + 1)
+            assert abs(float(np.sum(odd))) <= 1e-13 * float(np.sum(np.abs(odd)))
+
+    @pytest.mark.parametrize("mu", [0.3, 2.5, 300.0])
+    def test_symmetry(self, mu):
+        nodes, weights = gegenbauer_rule(mu, 17)
+        assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-15
+        assert np.max(np.abs(weights - weights[::-1]) / weights) <= 1e-13
+        assert nodes[8] == pytest.approx(0.0, abs=1e-15)
+
+    def test_one_node_too_few_is_not_exact(self):
+        # 3 nodes stop at degree 5, so the degree-6 moment misses
+        nodes, weights = gegenbauer_rule(1.5, 3)
+        exact = math.exp(math.lgamma(3.5) + math.lgamma(2.0) - math.lgamma(5.5))
+        assert abs(float(np.dot(weights, nodes**6)) - exact) > 1e-6 * exact
+
+    def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
-            QuadratureRule(np.array([0.5, 0.0]), np.array([1.0, 1.0]))
+            gegenbauer_rule(0.0, 3)
 
 
 class TestOrthogonality:
     @pytest.mark.parametrize("lam", [0.75, 1.0, 2.5])
     def test_weighted_orthogonality(self, lam):
-        nodes, weights, omx2 = sine_mapped_rule(200)
+        nodes, weights = gegenbauer_rule(lam, 9)
         polys = [gegenbauer(n, lam, nodes) for n in range(9)]
         for n in range(9):
             for m in range(9):
-                got = symmetric_dot(weights, omx2 ** (lam - 0.5) * polys[n] * polys[m])
+                got = float(np.dot(weights, polys[n] * polys[m]))
                 expected = weight_integral_closed_form(n, lam) if n == m else 0.0
                 assert abs(got - expected) <= 1e-10
 
