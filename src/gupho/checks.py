@@ -8,6 +8,7 @@ run instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -168,13 +169,11 @@ def _check_ladder_identity(states, literal_raise) -> CheckResult:
         coeffs = ladder_coeffs(n, state.lam)
         if n + 1 < len(states):
             target = coeffs.l_plus * eval_state(states[n + 1], rho_grid)
-            got = np.array(
-                [apply_ladder(state, "raise", r, literal_raise=literal_raise) for r in rho_grid]
-            )
+            got = apply_ladder(state, "raise", rho_grid, literal_raise=literal_raise)
             dev = max(dev, np.max(np.abs(got - target)) / np.max(np.abs(target)))
         if n >= 1:
             target = coeffs.l_minus * eval_state(states[n - 1], rho_grid)
-            got = np.array([apply_ladder(state, "lower", r) for r in rho_grid])
+            got = apply_ladder(state, "lower", rho_grid)
             dev = max(dev, np.max(np.abs(got - target)) / np.max(np.abs(target)))
     return CheckResult("ladder_identity", dev, 1e-8)
 
@@ -196,22 +195,17 @@ def _check_ode_residual(states) -> CheckResult:
     p_grid = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
     dev = 0.0
     for state in states:
-
-        def evaluator(rho, _state=state):
-            return eval_state(_state, rho)
-
-        for p in p_grid:
-            res = ode_residual(system, state.energy, evaluator, p)
-            scale = _ode_scale(system, state, p)
-            if scale > 0.0:
-                dev = max(dev, abs(res) / scale)
+        res = ode_residual(system, state.energy, functools.partial(eval_state, state), p_grid)
+        scale = _ode_scale(system, state, p_grid)
+        live = scale > 0.0
+        dev = max(dev, float(np.max(np.abs(res[live]) / scale[live], initial=0.0)))
     return CheckResult("ode_residual", dev, 1e-5)
 
 
-def _ode_scale(system, state, p) -> float:
-    """Sum of the magnitudes of the three equation terms at p."""
+def _ode_scale(system, state, p):
+    """Sum of the magnitudes of the three equation terms at p (a scalar or an ndarray)."""
     alg = system.algebra
-    h = 1e-5 * max(1.0, abs(p))
+    h = 1e-5 * np.maximum(1.0, np.abs(p))
 
     def f(q):
         return eval_state(state, rho_of_p(alg, q))
@@ -221,9 +215,9 @@ def _ode_scale(system, state, p) -> float:
     a_tilde, b_tilde = tilde_params(system, state.energy)
     w = 1.0 + alg.eta * p * p
     return (
-        abs(d2)
-        + abs(2.0 * (alg.gamma + alg.eta) * p / w * d1)
-        + abs((b_tilde + p * p * a_tilde) / (w * w) * f(p))
+        np.abs(d2)
+        + np.abs(2.0 * (alg.gamma + alg.eta) * p / w * d1)
+        + np.abs((b_tilde + p * p * a_tilde) / (w * w) * f(p))
     )
 
 

@@ -118,11 +118,14 @@ def scalar_weight(algebra: DeformedAlgebra, p: float) -> float:
     return (1.0 + algebra.eta * p * p) ** (algebra.alpha - 1.0)
 
 
-def rho_of_p(algebra: DeformedAlgebra, p: float) -> float:
-    """Compact momentum coordinate rho = p sqrt(eta) / sqrt(1 + eta p^2) in (-1, 1)."""
+def rho_of_p(algebra: DeformedAlgebra, p):
+    """Compact momentum coordinate rho = p sqrt(eta) / sqrt(1 + eta p^2) in (-1, 1).
+
+    Accepts a scalar or an ndarray.
+    """
     algebra._require_deformed()
     t = p * math.sqrt(algebra.eta)
-    return t / math.sqrt(1.0 + t * t)
+    return t / np.sqrt(1.0 + t * t)
 
 
 def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:
@@ -214,9 +217,9 @@ def nr_parameters(system: OscillatorSystem) -> tuple[float, float]:
 def ode_residual(
     system: OscillatorSystem,
     energy_rel: float,
-    state_eval: Callable[[float], float],
-    p: float,
-) -> float:
+    state_eval: Callable,
+    p,
+):
     """Residual of the reduced wave equation at momentum p for a trial state.
 
     phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi'
@@ -226,13 +229,15 @@ def ode_residual(
     taken by symmetric differences at relative step 1e-5.  Stencil points are
     prepared in extended precision; dtype-preserving evaluators (such as
     `states.eval_state`) then keep the rounding noise of the second
-    difference well below the verification thresholds.
+    difference well below the verification thresholds.  ``p`` may be a
+    scalar (a float is returned) or an ndarray (one residual per point, as
+    float64), provided ``state_eval`` accepts arrays.
     """
     alg = system.algebra
     alg._require_deformed()
     ld = np.longdouble
-    pl = ld(p)
-    h = ld(1e-5) * max(ld(1.0), abs(pl))
+    pl = np.asarray(p, dtype=ld)
+    h = ld(1e-5) * np.maximum(ld(1.0), np.abs(pl))
     root_eta = np.sqrt(ld(alg.eta))
 
     def phi(q):
@@ -253,4 +258,4 @@ def ode_residual(
     weight = 1.0 + ld(alg.eta) * pl * pl
     res = d2 + 2.0 * (ld(alg.gamma) + ld(alg.eta)) * pl / weight * d1 \
         - (ld(b_tilde) + pl * pl * ld(a_tilde)) / (weight * weight) * f0
-    return float(res)
+    return float(res) if pl.ndim == 0 else res.astype(np.float64)

@@ -250,13 +250,17 @@ def ratio_sweep(
     Uses the nonrelativistic spectrum with the Bohr-radius unit a0 = 1, so
     eta = (xi a0 / hbar)^2.  Emits one row (xi, n, E_n, E_0, E_n/E_0) per
     (xi, n) pair; at xi = 0 the ratio column is exactly 2n + 1, and for large
-    xi it approaches (n + 1)^2.
+    xi it approaches (n + 1)^2.  An xi whose eta leaves the double range
+    raises `SolverError`.
     """
     rows = []
     for xi in xi_grid:
         if xi < 0.0:
             raise ValueError("xi values must be nonnegative")
-        eta = (xi * BOHR_RADIUS / hbar) ** 2
+        scaled = xi * BOHR_RADIUS / hbar
+        eta = scaled * scaled
+        if math.isinf(eta):
+            raise SolverError(f"xi = {xi!r} gives eta = (xi a0 / hbar)^2 beyond the double range")
         system = OscillatorSystem(mass, omega, DeformedAlgebra(eta=eta, gamma=gamma, hbar=hbar))
         e0 = energy_nonrel(system, 0).energy
         for n in n_values:

@@ -11,7 +11,16 @@ Gegenbauer norm `reference_norm`.
 First-order ladder operators shift n by one with coefficients
 l- = sqrt(n (2 lam + n - 1)) and l+ = sqrt((n+1) (2 lam + n)); together with
 l0 = lam + n they realize the su(1,1) commutation relations, checked on the
-coefficient level by `su11_check`.
+coefficient level by `su11_check`.  The Gegenbauer derivative and three-term
+relations (DLMF 18.9.1, 18.9.20) collapse both operator brackets, on either
+branch, to one neighbouring polynomial:
+
+    lower: (1 - rho^2) phi' + (2v + n) rho phi
+           = N ((1 - rho^2)/4)^v (n + 2 lam - 1) C_{n-1}^lam(rho)
+    raise: -(1 - rho^2) phi' + (2 lam - 2v + n) rho phi
+           = N ((1 - rho^2)/4)^v (n + 1) C_{n+1}^lam(rho)
+
+so `apply_ladder` evaluates them in closed form.
 """
 
 from __future__ import annotations
@@ -120,34 +129,37 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     return dataclasses.replace(state, norm=1.0 / math.sqrt(raw))
 
 
+def _rho_array(rho) -> np.ndarray:
+    """rho as a float ndarray (longdouble passes through), validated to lie in (-1, 1)."""
+    arr = np.asarray(rho)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(np.float64)
+    if np.any(np.abs(arr) >= 1.0):
+        raise ValueError("rho must lie in (-1, 1)")
+    return arr
+
+
+def _envelope(state: OscillatorState, arr: np.ndarray) -> np.ndarray:
+    """norm ((1 - rho^2)/4)^v, the state without its polynomial."""
+    return state.norm * ((1.0 - arr * arr) / 4.0) ** state.v
+
+
 def eval_state(state: OscillatorState, rho):
     """phi_n(rho) = norm ((1 - rho^2)/4)^v C_n^lam(rho).
 
     Accepts a scalar or ndarray; float dtypes (including longdouble) pass
     through, so finite-difference probes can evaluate in extended precision.
     """
-    arr = np.asarray(rho)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
-    if np.any(np.abs(arr) >= 1.0):
-        raise ValueError("rho must lie in (-1, 1)")
-    omr2 = 1.0 - arr * arr
-    out = state.norm * (omr2 / 4.0) ** state.v * specfun.gegenbauer(state.n, state.lam, arr)
+    arr = _rho_array(rho)
+    out = _envelope(state, arr) * specfun.gegenbauer(state.n, state.lam, arr)
     return out[()] if arr.ndim == 0 else out
 
 
 def eval_state_derivative(state: OscillatorState, rho):
     """d phi_n / d rho by the product rule on the prefactor and the polynomial."""
-    arr = np.asarray(rho)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
-    if np.any(np.abs(arr) >= 1.0):
-        raise ValueError("rho must lie in (-1, 1)")
-    omr2 = 1.0 - arr * arr
-    poly_part = state.norm * (omr2 / 4.0) ** state.v * specfun.gegenbauer_derivative(
-        state.n, state.lam, arr
-    )
-    out = poly_part - 2.0 * state.v * arr / omr2 * eval_state(state, arr)
+    arr = _rho_array(rho)
+    poly_part = _envelope(state, arr) * specfun.gegenbauer_derivative(state.n, state.lam, arr)
+    out = poly_part - 2.0 * state.v * arr / (1.0 - arr * arr) * eval_state(state, arr)
     return out[()] if arr.ndim == 0 else out
 
 
@@ -230,38 +242,46 @@ def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
 def apply_ladder(
     state: OscillatorState,
     direction: str,
-    rho: float,
+    rho,
     literal_raise: bool = False,
-) -> float:
+):
     """Evaluate the raising or lowering operator on the state at rho.
 
     lower: [ (1 - rho^2) d/drho + (2v + n) rho ] sqrt((lam + n - 1)/(n + lam))
     raise: [ -(1 - rho^2) d/drho + (2 lam - 2v + n) rho ] sqrt((lam + n + 1)/(n + lam))
 
-    Derivatives are analytic (Gegenbauer derivative plus product rule).  On
-    the nonrelativistic branch, where (v, lam) do not depend on n, the result
+    Both brackets are evaluated in closed form, on either branch:
+
+    lower: N ((1 - rho^2)/4)^v (n + 2 lam - 1) C_{n-1}^lam(rho), zero at n = 0
+    raise: N ((1 - rho^2)/4)^v (n + 1) C_{n+1}^lam(rho)
+
+    so each call runs one Gegenbauer recurrence.  ``rho`` may be a scalar or
+    an ndarray, validated and typed as in `eval_state`.  On the
+    nonrelativistic branch, where (v, lam) do not depend on n, the result
     equals l_(+/-) times the neighbouring normalized state pointwise; on the
     relativistic branch neighbouring states carry different exponents and no
     such identity holds.  With ``literal_raise`` the diagonal term of the
-    raising operator is taken as a constant instead of proportional to rho;
-    that variant fails the ladder identity and is kept only for documentation
-    of the difference.
+    raising operator is taken as a constant instead of proportional to rho,
+    which adds (2 lam - 2v + n) (1 - rho) phi to the bracket; that variant
+    fails the ladder identity and is kept only for documentation of the
+    difference.
     """
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must lie in (-1, 1)")
+    arr = _rho_array(rho)
     n, v, lam = state.n, state.v, state.lam
     if direction == "lower":
         if n == 0:
-            return 0.0  # annihilated: l-(0) = 0
-        omr2 = 1.0 - rho * rho
-        bracket = omr2 * eval_state_derivative(state, rho) + (2.0 * v + n) * rho * eval_state(state, rho)
-        return bracket * math.sqrt((lam + n - 1.0) / (n + lam))
-    if direction == "raise":
-        omr2 = 1.0 - rho * rho
-        diag = (2.0 * lam - 2.0 * v + n) * (1.0 if literal_raise else rho)
-        bracket = -omr2 * eval_state_derivative(state, rho) + diag * eval_state(state, rho)
-        return bracket * math.sqrt((lam + n + 1.0) / (n + lam))
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+            out = np.zeros_like(arr)  # annihilated: l-(0) = 0
+        else:
+            poly = (n + 2.0 * lam - 1.0) * specfun.gegenbauer(n - 1, lam, arr)
+            out = math.sqrt((lam + n - 1.0) / (n + lam)) * _envelope(state, arr) * poly
+    elif direction == "raise":
+        bracket = _envelope(state, arr) * ((n + 1.0) * specfun.gegenbauer(n + 1, lam, arr))
+        if literal_raise:
+            bracket = bracket + (2.0 * lam - 2.0 * v + n) * (1.0 - arr) * eval_state(state, arr)
+        out = math.sqrt((lam + n + 1.0) / (n + lam)) * bracket
+    else:
+        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    return out[()] if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,6 @@ from gupho.spectrum import energy_nonrel, energy_relativistic, ratio_sweep, rel_
 from gupho.states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
-    apply_ladder,
-    eval_state,
-    ladder_coeffs,
     make_state,
     su11_check,
 )
@@ -188,23 +185,20 @@ def test_criterion_08_fails_on_a_wrong_norm(monkeypatch):
 
 def test_criterion_09_ladder_identity(nr_states):
     started = time.perf_counter()
-    rhos = np.linspace(-0.95, 0.95, 39)
-    for n in range(9):
-        state = nr_states[n]
-        coeffs = ladder_coeffs(n, state.lam)
-        up = coeffs.l_plus * eval_state(nr_states[n + 1], rhos)
-        got = np.array([apply_ladder(state, "raise", r) for r in rhos])
-        assert np.max(np.abs(got - up)) <= 1e-8 * np.max(np.abs(up))
-        if n >= 1:
-            down = coeffs.l_minus * eval_state(nr_states[n - 1], rhos)
-            got = np.array([apply_ladder(state, "lower", r) for r in rhos])
-            assert np.max(np.abs(got - down)) <= 1e-8 * np.max(np.abs(down))
+    result = checks._check_ladder_identity(nr_states, False)
+    assert result.passed, result
     # the printed raising form without the rho factor must demonstrably fail
-    state = nr_states[0]
-    up = ladder_coeffs(0, state.lam).l_plus * eval_state(nr_states[1], rhos)
-    literal = np.array([apply_ladder(state, "raise", r, literal_raise=True) for r in rhos])
-    assert np.max(np.abs(literal - up)) > 1e-8 * np.max(np.abs(up))
+    assert not checks._check_ladder_identity(nr_states, True).passed
     _verdict(9, "ladder identity", started)
+
+
+def test_criterion_09_fails_on_a_wrong_norm(monkeypatch):
+    # neighbouring norms then disagree by ~1e-8 relative; the closed-form bracket must not hide it
+    exact = states.reference_norm
+    monkeypatch.setattr(states, "reference_norm", lambda state: exact(state) * (1.0 + 1e-8 * state.n))
+    system = _system(eta=0.1, gamma=0.0)
+    result = checks._check_ladder_identity([make_state(system, n, NONRELATIVISTIC) for n in range(9)], False)
+    assert not result.passed
 
 
 def test_criterion_10_su11_algebra():

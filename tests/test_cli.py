@@ -90,6 +90,13 @@ class TestFigure1Command:
         assert run_cli("figure1", "--xi-min", "5", "--xi-max", "1").returncode == 64
         assert run_cli("figure1", "--steps", "1").returncode == 64
 
+    def test_overflowing_eta_exits_2(self):
+        # eta = xi^2 leaves the double range at xi = 1e200
+        result = run_cli("figure1", "--xi-max", "1e200", "--steps", "2")
+        assert result.returncode == 2
+        assert result.stderr.count("\n") == 1
+        assert "numerical failure" in result.stderr
+
 
 class TestStateCommand:
     def test_odd_state_is_odd_rowwise(self):

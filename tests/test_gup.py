@@ -278,6 +278,17 @@ class TestOdeResidual:
             two = ode_residual(sys, 1.6, lambda rho: 2.0 * state(rho), p)
             assert two == pytest.approx(2.0 * one, rel=1e-9)
 
+    def test_array_p_matches_scalar_calls(self):
+        sys = system(eta=0.1, gamma=0.05)
+
+        def state(rho):
+            return (1.0 - rho * rho) ** 2.0 * rho
+
+        ps = np.array([-40.0, -2.5, 0.0, 0.3, 1.0, 17.0])
+        whole = ode_residual(sys, 1.6, state, ps)
+        assert whole.dtype == np.float64 and whole.shape == ps.shape
+        assert list(whole) == [ode_residual(sys, 1.6, state, p) for p in ps]
+
     def test_undeformed_rejected(self):
         with pytest.raises(UndeformedBranchError):
             ode_residual(system(eta=0.0), 1.6, lambda rho: 1.0, 0.5)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gupho.fm import fm_quantization_residual
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of
 from gupho.spectrum import (
+    SolverError,
     energy_nonrel,
     energy_relativistic,
     nr_limit_of_relativistic,
@@ -222,6 +223,13 @@ class TestRatioSweep:
     def test_negative_xi_rejected(self):
         with pytest.raises(ValueError):
             ratio_sweep(1.0, 1.0, 1.0, 0.0, [1], [-1.0])
+
+    def test_overflowing_eta_raises(self):
+        assert math.isfinite(ratio_sweep(1.0, 1.0, 1.0, 0.0, [3], [1e150])[0][4])
+        with pytest.raises(SolverError):
+            ratio_sweep(1.0, 1.0, 1.0, 0.0, [3], [0.0, 1e200])
+        with pytest.raises(SolverError):
+            ratio_sweep(1.0, 1.0, 1e-300, 0.0, [3], [1e10])  # xi / hbar overflows
 
 
 class TestCrossContracts:

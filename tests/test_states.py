@@ -205,22 +205,20 @@ class TestLadderCoefficients:
 
 class TestApplyLadder:
     def test_lower_annihilates_ground(self, nr_family):
-        for rho in np.linspace(-0.9, 0.9, 7):
-            assert apply_ladder(nr_family[0], "lower", rho) == 0.0
+        assert np.all(apply_ladder(nr_family[0], "lower", np.linspace(-0.9, 0.9, 7)) == 0.0)
+        assert apply_ladder(nr_family[0], "lower", 0.5) == 0.0
 
     def test_lower_first_excited(self, nr_family):
+        rhos = np.linspace(-0.9, 0.9, 30)
         coeff = ladder_coeffs(1, nr_family[1].lam).l_minus
-        for rho in np.linspace(-0.9, 0.9, 30):
-            got = apply_ladder(nr_family[1], "lower", rho)
-            target = coeff * eval_state(nr_family[0], rho)
-            assert got == pytest.approx(target, abs=1e-9)
+        got = apply_ladder(nr_family[1], "lower", rhos)
+        np.testing.assert_allclose(got, coeff * eval_state(nr_family[0], rhos), rtol=0, atol=1e-9)
 
     def test_raise_ground(self, nr_family):
+        rhos = np.linspace(-0.9, 0.9, 30)
         coeff = ladder_coeffs(0, nr_family[0].lam).l_plus
-        for rho in np.linspace(-0.9, 0.9, 30):
-            got = apply_ladder(nr_family[0], "raise", rho)
-            target = coeff * eval_state(nr_family[1], rho)
-            assert got == pytest.approx(target, abs=1e-9)
+        got = apply_ladder(nr_family[0], "raise", rhos)
+        np.testing.assert_allclose(got, coeff * eval_state(nr_family[1], rhos), rtol=0, atol=1e-9)
 
     def test_pointwise_identity_supnorm(self, nr_family):
         rhos = np.linspace(-0.95, 0.95, 39)
@@ -228,11 +226,11 @@ class TestApplyLadder:
             state = nr_family[n]
             coeffs = ladder_coeffs(n, state.lam)
             up_target = coeffs.l_plus * eval_state(nr_family[n + 1], rhos)
-            up_got = np.array([apply_ladder(state, "raise", r) for r in rhos])
+            up_got = apply_ladder(state, "raise", rhos)
             assert np.max(np.abs(up_got - up_target)) <= 1e-8 * np.max(np.abs(up_target))
             if n >= 1:
                 down_target = coeffs.l_minus * eval_state(nr_family[n - 1], rhos)
-                down_got = np.array([apply_ladder(state, "lower", r) for r in rhos])
+                down_got = apply_ladder(state, "lower", rhos)
                 assert np.max(np.abs(down_got - down_target)) <= 1e-8 * np.max(np.abs(down_target))
 
     def test_literal_raising_form_fails(self, nr_family):
@@ -240,8 +238,50 @@ class TestApplyLadder:
         rhos = np.linspace(-0.95, 0.95, 39)
         state = nr_family[0]
         target = ladder_coeffs(0, state.lam).l_plus * eval_state(nr_family[1], rhos)
-        got = np.array([apply_ladder(state, "raise", r, literal_raise=True) for r in rhos])
+        got = apply_ladder(state, "raise", rhos, literal_raise=True)
         assert np.max(np.abs(got - target)) > 1e-3 * np.max(np.abs(target))
+
+    @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
+    @pytest.mark.parametrize("eta,gamma", [(0.05, 0.0), (0.7, 0.2), (3.0, 1.0)])
+    def test_closed_form_matches_product_rule(self, branch, eta, gamma):
+        # the operator written out from phi' (product rule) and phi, term by term
+        rhos = np.linspace(-0.97, 0.97, 45)
+        sys = system(mass=1.3, omega=0.8, eta=eta, gamma=gamma)
+        for n in range(17):
+            state = make_state(sys, n, branch)
+            v, lam = state.v, state.lam
+            slope = (1.0 - rhos * rhos) * eval_state_derivative(state, rhos)
+            phi = eval_state(state, rhos)
+            cases = [("raise", lit, -slope, (2.0 * lam - 2.0 * v + n) * (1.0 if lit else rhos) * phi,
+                      math.sqrt((lam + n + 1.0) / (n + lam))) for lit in (False, True)]
+            if n >= 1:
+                cases += [("lower", lit, slope, (2.0 * v + n) * rhos * phi,
+                           math.sqrt((lam + n - 1.0) / (n + lam))) for lit in (False, True)]
+            for direction, lit, first, second, coeff in cases:
+                got = apply_ladder(state, direction, rhos, literal_raise=lit)
+                want = coeff * (first + second)
+                size = coeff * (np.abs(first) + np.abs(second))
+                assert np.all(np.abs(got - want) <= 1e-12 * size), (direction, lit, n)
+
+    @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
+    def test_array_matches_scalar_calls(self, branch):
+        rhos = np.linspace(-0.99, 0.99, 23)
+        sys = system(eta=0.4, gamma=0.1)
+        for n in (0, 1, 5, 16):
+            state = make_state(sys, n, branch)
+            for direction in ("raise", "lower"):
+                for lit in (False, True):
+                    whole = apply_ladder(state, direction, rhos, literal_raise=lit)
+                    each = np.array([apply_ladder(state, direction, r, literal_raise=lit) for r in rhos])
+                    assert whole.shape == rhos.shape
+                    assert np.all(np.abs(whole - each) <= 1e-14 * np.abs(each))
+
+    def test_scalar_and_dtype_handling(self, nr_family):
+        state = nr_family[3]
+        assert np.ndim(apply_ladder(state, "raise", 0.25)) == 0
+        assert np.ndim(apply_ladder(state, "lower", 0)) == 0
+        wide = apply_ladder(state, "raise", np.linspace(-0.5, 0.5, 3, dtype=np.longdouble))
+        assert wide.dtype == np.longdouble
 
     def test_number_operator_composition(self, nr_family):
         # L+ L- phi_n = n (2 lam + n - 1) phi_n on the coefficient level
@@ -256,6 +296,8 @@ class TestApplyLadder:
             apply_ladder(nr_family[0], "sideways", 0.5)
         with pytest.raises(ValueError):
             apply_ladder(nr_family[0], "raise", 1.0)
+        with pytest.raises(ValueError):
+            apply_ladder(nr_family[0], "lower", np.array([0.0, -1.0]))
 
 
 class TestSu11:
