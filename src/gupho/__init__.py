@@ -2,7 +2,14 @@
 
 Spectra (relativistic and nonrelativistic), normalized momentum-space
 eigenstates, and the su(1,1) ladder-operator algebra, plus a batch CLI.
+
+The scalar layers (`fm`, `gup`, `spectrum`) load with the package and do not
+import numpy.  The `states` exports and the `states` and `specfun` submodules
+load on first access, so a process that only needs spectra never pays
+numpy's import.
 """
+
+from importlib import import_module as _import_module
 
 from .fm import (
     FmProblem,
@@ -18,6 +25,7 @@ from .gup import (
     DeformedAlgebra,
     DegenerateModelError,
     OscillatorSystem,
+    QuadratureAccuracyError,
     UndeformedBranchError,
     fm_problem_of,
     minimal_length,
@@ -41,22 +49,45 @@ from .spectrum import (
     ratio_sweep,
     rel_residual,
 )
-from .states import (
-    NONRELATIVISTIC,
-    RELATIVISTIC,
-    LadderCoefficients,
-    OscillatorState,
-    QuadratureAccuracyError,
-    Su11Report,
-    apply_ladder,
-    eval_state,
-    eval_state_derivative,
-    inner_product,
-    ladder_coeffs,
-    make_state,
-    reference_norm,
-    su11_check,
-    weighted_overlap,
+
+# the states exports and the submodules that need numpy resolve on first
+# access (PEP 562)
+_STATES_EXPORTS = frozenset({
+    "NONRELATIVISTIC",
+    "RELATIVISTIC",
+    "LadderCoefficients",
+    "OscillatorState",
+    "Su11Report",
+    "apply_ladder",
+    "eval_state",
+    "eval_state_derivative",
+    "inner_product",
+    "ladder_coeffs",
+    "make_state",
+    "reference_norm",
+    "su11_check",
+    "weighted_overlap",
+})
+_NUMPY_SUBMODULES = frozenset({"specfun", "states"})
+
+
+def __getattr__(name):
+    if name in _NUMPY_SUBMODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _STATES_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(".states", __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(
+    {name for name in globals() if not name.startswith("_")} | _STATES_EXPORTS | _NUMPY_SUBMODULES
 )
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

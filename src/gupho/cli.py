@@ -7,6 +7,9 @@ computation has succeeded.
 
 Exit codes: 0 success, 1 verification failure, 2 numerical or solver
 failure, 64 usage error.
+
+Only `state` and `verify` need numpy; their handlers import `states` and
+`checks` when they run, so the scalar commands start without it.
 """
 
 from __future__ import annotations
@@ -16,24 +19,23 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import checks
 from .fm import FmProblem, NoBoundStateError, fm_exponents, fm_quantization_residual
-from .gup import DeformedAlgebra, DegenerateModelError, OscillatorSystem, UndeformedBranchError, p_of_rho
-from .spectrum import SolverError, energy_nonrel, energy_relativistic, ratio_sweep
-from .states import (
-    NONRELATIVISTIC,
+from .gup import (
+    DeformedAlgebra,
+    DegenerateModelError,
+    OscillatorSystem,
     QuadratureAccuracyError,
-    RELATIVISTIC,
-    eval_state,
-    make_state,
+    UndeformedBranchError,
+    p_of_rho,
 )
+from .spectrum import SolverError, energy_nonrel, energy_relativistic, ratio_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 
-_BRANCHES = {"rel": RELATIVISTIC, "nr": NONRELATIVISTIC}
+_BRANCHES = ("nr", "rel")
 
 _DEFAULTS = {
     "mass": 1.0,
@@ -232,12 +234,15 @@ def _cmd_figure1(config: RunConfig, args) -> int:
 
 
 def _cmd_state(config: RunConfig, args) -> int:
+    from .states import NONRELATIVISTIC, RELATIVISTIC, eval_state, make_state
+
     if args.samples < 2:
         raise UsageError("samples must be >= 2")
     if args.n < 0:
         raise UsageError("n must be >= 0")
     system = config.system()
-    state = make_state(system, args.n, _BRANCHES[config.branch])
+    branch = RELATIVISTIC if config.branch == "rel" else NONRELATIVISTIC
+    state = make_state(system, args.n, branch)
     rows = []
     for i in range(args.samples):
         rho = -0.99 + 1.98 * i / (args.samples - 1)
@@ -250,6 +255,8 @@ def _cmd_state(config: RunConfig, args) -> int:
 
 
 def _cmd_verify(config: RunConfig, args) -> int:
+    from . import checks
+
     results = checks.run_suite(
         mass=config.mass,
         omega=config.omega,

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .specfun import hyp2f1_terminating
-
 __all__ = [
     "FmProblem",
     "FmSolution",
@@ -26,6 +24,7 @@ __all__ = [
     "fm_quantization_residual",
     "fm_closed_condition",
     "fm_wavefunction",
+    "hyp2f1_terminating",
 ]
 
 
@@ -39,7 +38,7 @@ class NoBoundStateError(ValueError):
 
 @dataclass(frozen=True)
 class FmProblem:
-    """Coefficients of the standard form; k3 must be nonzero."""
+    """Coefficients of the standard form; all finite, and k3 nonzero."""
 
     k1: float
     k2: float
@@ -49,6 +48,9 @@ class FmProblem:
     C: float
 
     def __post_init__(self) -> None:
+        for name in ("k1", "k2", "k3", "A", "B", "C"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"standard-form coefficient {name} must be finite")
         if self.k3 == 0.0:
             raise ValueError("standard form requires k3 != 0")
 
@@ -135,6 +137,8 @@ def fm_quantization_residual(problem: FmProblem, n: int) -> float:
     Shifting n -> n + 1 raises the residual by exactly 1, so roots in the
     energy-like parameters hidden in (A, B, C) separate cleanly by n.
     """
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
     k4, k5 = fm_exponents(problem)
     return (k4 + k5) - _quantization_target(problem, n)
 
@@ -149,6 +153,25 @@ def fm_closed_condition(problem: FmProblem, n: int) -> float:
     k4, k5 = fm_exponents(problem)
     q = _quantization_target(problem, n)
     return ((k4 * k4 - k5 * k5 - q * q) / (2.0 * q)) ** 2 - k5 * k5
+
+
+def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
+    """2F1(-n, b; c; x) as the terminating degree-n polynomial.
+
+    Sum_{k=0}^{n} (-n)_k (b)_k / (c)_k x^k / k!.  Raises if c hits a
+    nonpositive integer pole within the summed terms.
+    """
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    total = 1.0
+    term = 1.0
+    for k in range(n):
+        denom = c + k
+        if denom == 0.0:
+            raise ValueError(f"2F1 parameter c = {c} hits a pole at term {k + 1}")
+        term *= (-n + k) * (b + k) / (denom * (k + 1)) * x
+        total += term
+    return total
 
 
 def _power(base: float, exponent: float) -> float:

@@ -5,6 +5,9 @@ length hbar sqrt(eta).  In momentum space the position operator carries an
 arbitrary representation parameter gamma that enters only through the weight
 of the scalar product, never the spectrum.  The oscillator problem reduces,
 through the chain p -> rho -> s, to the standard form solved by `fm`.
+
+numpy is imported only inside the array paths (`rho_of_p` on arrays,
+`ode_residual`), so the scalar commands load this module without it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .fm import FmProblem
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "OscillatorSystem",
     "UndeformedBranchError",
     "DegenerateModelError",
+    "QuadratureAccuracyError",
     "minimal_length",
     "uncertainty_bound",
     "scalar_weight",
@@ -46,7 +48,15 @@ class UndeformedBranchError(ValueError):
 
 
 class DegenerateModelError(ValueError):
-    """Derived state parameters (weight order or prefactor exponent) are not positive."""
+    """Derived model parameters are unusable.
+
+    The weight order or prefactor exponent is not positive, or a standard-form
+    coefficient overflows (chiefly where eta^2 underflows).
+    """
+
+
+class QuadratureAccuracyError(RuntimeError):
+    """A norm integral or overlap is not a finite normal double, chiefly where 4^(-2v) underflows."""
 
 
 @dataclass(frozen=True)
@@ -123,6 +133,8 @@ def rho_of_p(algebra: DeformedAlgebra, p):
 
     Accepts a scalar or an ndarray.
     """
+    import numpy as np
+
     algebra._require_deformed()
     t = p * math.sqrt(algebra.eta)
     return t / np.sqrt(1.0 + t * t)
@@ -172,14 +184,13 @@ def fm_problem_of(system: OscillatorSystem, energy_rel: float) -> FmProblem:
     a_tilde, b_tilde = tilde_params(system, energy_rel)
     k1 = 0.5 - alg.gamma / alg.eta
     a_coef = (b_tilde * alg.eta - a_tilde) / alg.eta**2
-    return FmProblem(
-        k1=k1,
-        k2=2.0 * k1,
-        k3=1.0,
-        A=a_coef,
-        B=-a_coef,
-        C=-a_tilde / (4.0 * alg.eta**2),
-    )
+    c_coef = -a_tilde / (4.0 * alg.eta**2)
+    if not all(math.isfinite(v) for v in (k1, a_coef, c_coef)):
+        raise DegenerateModelError(
+            f"standard-form coefficients overflow at eta = {alg.eta!r}: "
+            f"k1 = {k1!r}, A = {a_coef!r}, C = {c_coef!r}"
+        )
+    return FmProblem(k1=k1, k2=2.0 * k1, k3=1.0, A=a_coef, B=-a_coef, C=c_coef)
 
 
 def v_exponent(system: OscillatorSystem, energy_rel: float) -> float:
@@ -233,6 +244,8 @@ def ode_residual(
     scalar (a float is returned) or an ndarray (one residual per point, as
     float64), provided ``state_eval`` accepts arrays.
     """
+    import numpy as np
+
     alg = system.algebra
     alg._require_deformed()
     ld = np.longdouble

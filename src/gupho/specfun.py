@@ -1,8 +1,8 @@
 """Special-function and quadrature kernel.
 
-Gegenbauer polynomials and their derivative, Gauss-Gegenbauer rules, the
-terminating Gauss hypergeometric series and log-gamma.  Everything here is a
-pure function of its arguments; rules are immutable after construction.
+Gegenbauer polynomials and their derivative, Gauss-Gegenbauer rules and
+log-gamma.  Everything here is a pure function of its arguments; rules are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "gegenbauer_rule",
     "gegenbauer",
     "gegenbauer_derivative",
-    "hyp2f1_terminating",
     "ln_gamma",
 ]
 
@@ -97,25 +96,6 @@ def gegenbauer_derivative(n: int, lam: float, x):
     out = ((n + 2.0 * lam - 1.0) * gegenbauer(n - 1, lam, arr)
            - n * arr * gegenbauer(n, lam, arr)) / (1.0 - arr * arr)
     return out[()] if arr.ndim == 0 else out
-
-
-def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
-    """2F1(-n, b; c; x) as the terminating degree-n polynomial.
-
-    Sum_{k=0}^{n} (-n)_k (b)_k / (c)_k x^k / k!.  Raises if c hits a
-    nonpositive integer pole within the summed terms.
-    """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    total = 1.0
-    term = 1.0
-    for k in range(n):
-        denom = c + k
-        if denom == 0.0:
-            raise ValueError(f"2F1 parameter c = {c} hits a pole at term {k + 1}")
-        term *= (-n + k) * (b + k) / (denom * (k + 1)) * x
-        total += term
-    return total
 
 
 def ln_gamma(x: float) -> float:

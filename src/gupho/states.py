@@ -36,6 +36,7 @@ from . import specfun
 from .gup import (
     DegenerateModelError,
     OscillatorSystem,
+    QuadratureAccuracyError,
     nr_parameters,
     v_exponent,
 )
@@ -61,10 +62,6 @@ __all__ = [
 
 RELATIVISTIC = "relativistic"
 NONRELATIVISTIC = "nonrelativistic"
-
-
-class QuadratureAccuracyError(RuntimeError):
-    """A norm integral or overlap is not a finite normal double, chiefly where 4^(-2v) underflows."""
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,10 @@ class TestStateCommand:
         assert all(math.isfinite(float(v)) for r in rows for v in r)
 
     def test_underflowing_norm_exits_2(self):
-        result = run_cli("state", "--branch", "nr", "--eta", "1e-200")
-        assert result.returncode == 2
-        assert "numerical failure" in result.stderr
+        for flags in (("--branch", "nr", "--eta", "1e-200"), ("--eta", "1e-3")):
+            result = run_cli("state", *flags)
+            assert result.returncode == 2
+            assert "numerical failure" in result.stderr
 
 
 class TestVerifyCommand:
@@ -167,6 +168,12 @@ class TestVerifyCommand:
         assert "undeformed_closed_form" in names
         assert "orthonormality" not in names  # deformed-only checks skipped
 
+    def test_overflowing_eta_exits_2(self):
+        result = run_cli("verify", "--eta", "1e-160")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "numerical failure" in result.stderr
+
 
 class TestFmCommand:
     def test_exponents_and_residual(self):
@@ -185,6 +192,18 @@ class TestFmCommand:
     def test_missing_coefficient_exits_64(self):
         result = run_cli("fm", "--k1", "0")
         assert result.returncode == 64
+
+    def test_non_finite_coefficient_exits_64(self):
+        for k1 in ("nan", "inf"):
+            result = run_cli("fm", f"--k1={k1}", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2")
+            assert result.returncode == 64
+            assert result.stdout == ""
+            assert "k1 must be finite" in result.stderr
+
+    def test_negative_n_exits_64(self):
+        result = run_cli("fm", "--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2", "--n=-1")
+        assert result.returncode == 64
+        assert result.stdout == ""
 
 
 class TestOutputDiscipline:

@@ -26,6 +26,14 @@ class TestFmProblem:
         with pytest.raises(ValueError):
             FmProblem(k1=0.0, k2=0.0, k3=0.0, A=0.0, B=0.0, C=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["k1", "k2", "k3", "A", "B", "C"])
+    def test_coefficients_must_be_finite(self, name, bad):
+        coeffs = dict(k1=0.5, k2=1.0, k3=1.0, A=-3.0, B=3.0, C=-2.0)
+        coeffs[name] = bad
+        with pytest.raises(ValueError, match=name):
+            FmProblem(**coeffs)
+
     def test_from_second_order_normalizes(self):
         base = FmProblem.from_second_order((0.0, 1.0, -1.0), (0.5, -1.0), (-0.3, 0.2, 0.1))
         assert base == FmProblem(k1=0.5, k2=1.0, k3=1.0, A=0.1, B=0.2, C=-0.3)
@@ -87,6 +95,11 @@ class TestQuantizationResidual:
         problem = FmProblem(k1=0.0, k2=0.0, k3=1.0, A=10.0, B=-12.0, C=0.0)
         with pytest.raises(ValueError):
             fm_quantization_residual(problem, 0)
+
+    def test_negative_n_rejected(self):
+        problem = FmProblem(k1=0.5, k2=1.0, k3=1.0, A=-3.0, B=3.0, C=-2.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fm_quantization_residual(problem, -1)
 
     def test_closed_condition_vanishes_with_residual(self):
         # tune C so that the linear condition holds exactly at n = 1, then the

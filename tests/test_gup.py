@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from gupho.fm import fm_exponents
 from gupho.gup import (
     DeformedAlgebra,
+    DegenerateModelError,
     OscillatorSystem,
     UndeformedBranchError,
     fm_problem_of,
@@ -200,6 +201,11 @@ class TestFmMapping:
     def test_undeformed_rejected(self):
         with pytest.raises(UndeformedBranchError):
             fm_problem_of(system(eta=0.0), 1.6)
+
+    def test_overflowing_coefficients_are_a_model_failure(self):
+        # eta^2 is subnormal, so A and C overflow to -inf
+        with pytest.raises(DegenerateModelError, match="overflow"):
+            fm_problem_of(system(eta=1e-160), 1.6)
 
 
 class TestVExponent:

@@ -1,0 +1,95 @@
+"""The package namespace and which commands load numpy.
+
+The scalar layers (fm, gup, spectrum) and the `spectrum`, `figure1` and `fm`
+commands must run without importing numpy; the states exports resolve on
+first access.  Each check runs in a fresh interpreter, because this test
+process has numpy loaded already.
+"""
+
+import subprocess
+import sys
+
+# every name the package namespace held when it imported states eagerly
+EXPORTS = (
+    "DeformedAlgebra", "DegenerateModelError", "FmProblem", "FmSolution",
+    "LadderCoefficients", "NONRELATIVISTIC", "NoBoundStateError", "OscillatorState",
+    "OscillatorSystem", "QuadratureAccuracyError", "RELATIVISTIC", "SolverError",
+    "SpectrumResult", "Su11Report", "UndeformedBranchError", "apply_ladder",
+    "energy_nonrel", "energy_relativistic", "eval_state", "eval_state_derivative", "fm",
+    "fm_closed_condition", "fm_exponents", "fm_problem_of", "fm_quantization_residual",
+    "fm_solution", "fm_wavefunction", "gup", "inner_product", "ladder_coeffs",
+    "make_state", "minimal_length", "nr_limit_of_relativistic", "nr_parameters",
+    "ode_residual", "p_of_rho", "ratio_sweep", "reference_norm", "rel_residual",
+    "rho_of_p", "rho_of_s", "s_of_rho", "scalar_weight", "specfun", "spectrum", "states",
+    "su11_check", "tilde_params", "uncertainty_bound", "v_exponent", "weighted_overlap",
+)
+
+
+def run_python(code):
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_every_export_still_importable():
+    out = run_python(
+        "import gupho\n"
+        f"names = {EXPORTS!r}\n"
+        "for name in names:\n"
+        "    exec(f'from gupho import {name}')\n"
+        "print('ok')\n"
+    )
+    assert out == "ok\n"
+
+
+def test_namespace_listing_and_star_import_are_unchanged():
+    out = run_python(
+        "import sys, gupho\n"
+        "print(sorted(n for n in dir(gupho) if not n.startswith('_')))\n"
+        "print(sorted(gupho.__all__))\n"
+        "print('numpy' in sys.modules)\n"
+        "namespace = {}\n"
+        "exec('from gupho import *', namespace)\n"
+        "print(sorted(n for n in namespace if not n.startswith('_')))\n"
+    )
+    listed, all_, numpy_loaded, star = out.splitlines()
+    expected = repr(sorted(EXPORTS))
+    assert (listed, all_, numpy_loaded, star) == (expected, expected, "False", expected)
+
+
+def test_numpy_submodules_resolve_as_attributes():
+    out = run_python(
+        "import gupho\n"
+        "print(gupho.specfun.__name__, gupho.states.__name__)\n"
+        "print(gupho.states.make_state is gupho.make_state)\n"
+    )
+    assert out == "gupho.specfun gupho.states\nTrue\n"
+
+
+def test_quadrature_error_is_one_class():
+    out = run_python(
+        "import sys, gupho\n"
+        "from gupho import QuadratureAccuracyError\n"
+        "print('numpy' in sys.modules)\n"
+        "import gupho.states\n"
+        "print(gupho.QuadratureAccuracyError is gupho.states.QuadratureAccuracyError)\n"
+    )
+    assert out == "False\nTrue\n"
+
+
+def test_scalar_commands_do_not_import_numpy():
+    commands = [
+        ["spectrum", "--branch", "rel", "--nmax", "3"],
+        ["spectrum", "--branch", "nr", "--nmax", "3"],
+        ["figure1", "--steps", "3"],
+        ["fm", "--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2"],
+    ]
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from gupho.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'numpy' in sys.modules)\n"
+    )
+    assert out.splitlines() == ["spectrum 0 False", "spectrum 0 False", "figure1 0 False", "fm 0 False"]

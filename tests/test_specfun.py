@@ -5,11 +5,11 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_gegenbauer, hyp2f1
 
+from gupho.fm import hyp2f1_terminating
 from gupho.specfun import (
     gegenbauer,
     gegenbauer_derivative,
     gegenbauer_rule,
-    hyp2f1_terminating,
     ln_gamma,
 )
 
