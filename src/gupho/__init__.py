@@ -30,7 +30,6 @@ from .gup import (
     fm_problem_of,
     minimal_length,
     nr_parameters,
-    ode_residual,
     p_of_rho,
     rho_of_p,
     rho_of_s,
@@ -64,6 +63,7 @@ _STATES_EXPORTS = frozenset({
     "inner_product",
     "ladder_coeffs",
     "make_state",
+    "ode_residual",
     "reference_norm",
     "su11_check",
     "weighted_overlap",

@@ -67,14 +67,7 @@ class RunConfig:
     literal_raise: bool = False
 
     def validate(self) -> None:
-        if not self.mass > 0:
-            raise UsageError("mass must be > 0")
-        if not self.omega > 0:
-            raise UsageError("omega must be > 0")
-        if not self.hbar > 0:
-            raise UsageError("hbar must be > 0")
-        if self.eta < 0:
-            raise UsageError("eta must be >= 0")
+        self.system()  # the model types reject bad physical parameters, NaN included
         if self.n_max < 0:
             raise UsageError("nmax must be >= 0")
         if self.branch not in _BRANCHES:

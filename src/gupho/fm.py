@@ -189,7 +189,7 @@ def fm_wavefunction(problem: FmProblem, n: int, s: float) -> float:
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if s < 0.0 or problem.k3 * s > 1.0:
+    if not (s >= 0.0 and problem.k3 * s <= 1.0):  # written so that NaN fails
         raise ValueError("s must satisfy 0 <= s and k3*s <= 1")
     k4, k5 = fm_exponents(problem)
     b = n + 2.0 * (k4 + k5) + problem.k2 / problem.k3 - 1.0

@@ -5,16 +5,12 @@ length hbar sqrt(eta).  In momentum space the position operator carries an
 arbitrary representation parameter gamma that enters only through the weight
 of the scalar product, never the spectrum.  The oscillator problem reduces,
 through the chain p -> rho -> s, to the standard form solved by `fm`.
-
-numpy is imported only inside the array paths (`rho_of_p` on arrays,
-`ode_residual`), so the scalar commands load this module without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .fm import FmProblem
 
@@ -35,7 +31,6 @@ __all__ = [
     "fm_problem_of",
     "v_exponent",
     "nr_parameters",
-    "ode_residual",
 ]
 
 
@@ -125,19 +120,24 @@ def uncertainty_bound(algebra: DeformedAlgebra, delta_p: float) -> float:
 def scalar_weight(algebra: DeformedAlgebra, p: float) -> float:
     """Measure weight (1 + eta p^2)^(alpha - 1) of the scalar product."""
     algebra._require_deformed()
+    if not math.isfinite(p):
+        raise ValueError("p must be finite")
     return (1.0 + algebra.eta * p * p) ** (algebra.alpha - 1.0)
 
 
 def rho_of_p(algebra: DeformedAlgebra, p):
     """Compact momentum coordinate rho = p sqrt(eta) / sqrt(1 + eta p^2) in (-1, 1).
 
-    Accepts a scalar or an ndarray.
+    Accepts a scalar or an ndarray of finite momenta.
     """
     import numpy as np
 
     algebra._require_deformed()
+    if not np.all(np.isfinite(p)):
+        raise ValueError("p must be finite")
     t = p * math.sqrt(algebra.eta)
-    return t / np.sqrt(1.0 + t * t)
+    # hypot(1, t) = sqrt(1 + t^2) without squaring t, which overflows for |t| >~ 1e154
+    return t / np.hypot(1.0, t)
 
 
 def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:
@@ -223,52 +223,3 @@ def nr_parameters(system: OscillatorSystem) -> tuple[float, float]:
     if lam <= 0.0:
         raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")
     return v, lam
-
-
-def ode_residual(
-    system: OscillatorSystem,
-    energy_rel: float,
-    state_eval: Callable,
-    p,
-):
-    """Residual of the reduced wave equation at momentum p for a trial state.
-
-    phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi'
-          - (B~ + p^2 A~) / (1 + eta p^2)^2 phi
-
-    with ``state_eval`` mapping rho to the wavefunction value and derivatives
-    taken by symmetric differences at relative step 1e-5.  Stencil points are
-    prepared in extended precision; dtype-preserving evaluators (such as
-    `states.eval_state`) then keep the rounding noise of the second
-    difference well below the verification thresholds.  ``p`` may be a
-    scalar (a float is returned) or an ndarray (one residual per point, as
-    float64), provided ``state_eval`` accepts arrays.
-    """
-    import numpy as np
-
-    alg = system.algebra
-    alg._require_deformed()
-    ld = np.longdouble
-    pl = np.asarray(p, dtype=ld)
-    h = ld(1e-5) * np.maximum(ld(1.0), np.abs(pl))
-    root_eta = np.sqrt(ld(alg.eta))
-
-    def phi(q):
-        t = q * root_eta
-        return state_eval(t / np.sqrt(1.0 + t * t))
-
-    ph = pl + h
-    pm = pl - h
-    f0 = phi(pl)
-    fp = phi(ph)
-    fm_ = phi(pm)
-    d1 = (fp - fm_) / (ph - pm)
-    # exact three-point formulas for the (slightly) unequal rounded steps
-    d2 = 2.0 * (fm_ * (ph - pl) - f0 * (ph - pm) + fp * (pl - pm)) / (
-        (pl - pm) * (ph - pl) * (ph - pm)
-    )
-    a_tilde, b_tilde = tilde_params(system, energy_rel)
-    weight = 1.0 + ld(alg.eta) * pl * pl
-    res = d2 + 2.0 * (ld(alg.gamma) + ld(alg.eta)) * pl / weight * d1 \
-        - (ld(b_tilde) + pl * pl * ld(a_tilde)) / (weight * weight) * f0
-    return float(res) if pl.ndim == 0 else res.astype(np.float64)

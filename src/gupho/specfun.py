@@ -1,8 +1,8 @@
 """Special-function and quadrature kernel.
 
-Gegenbauer polynomials and their derivative, Gauss-Gegenbauer rules and
-log-gamma.  Everything here is a pure function of its arguments; rules are
-immutable after construction.
+Gegenbauer polynomials and their derivative, and Gauss-Gegenbauer rules.
+Everything here is a pure function of its arguments; rules are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "gegenbauer_rule",
     "gegenbauer",
     "gegenbauer_derivative",
-    "ln_gamma",
 ]
 
 
@@ -80,26 +79,12 @@ def gegenbauer(n: int, lam: float, x):
 
 
 def gegenbauer_derivative(n: int, lam: float, x):
-    """Derivative of C_n^lam at x in (-1, 1).
+    """Derivative of C_n^lam: 2 lam C_{n-1}^(lam+1)(x) (DLMF 18.9.19).
 
-    Uses (1 - x^2) dC_n/dx = (n + 2 lam - 1) C_{n-1} - n x C_n, which has a
-    pole at |x| = 1; such arguments are rejected.
+    A polynomial like `gegenbauer`, so any x is accepted and dtypes are
+    handled the same way; applied to C_{n-1}^(lam+1) it gives the second
+    derivative, 4 lam (lam + 1) C_{n-2}^(lam+2).
     """
-    arr = np.asarray(x)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
-    if np.any(np.abs(arr) >= 1.0):
-        raise ValueError("derivative relation requires |x| < 1")
     if n == 0:
-        out = np.zeros_like(arr)
-        return out[()] if arr.ndim == 0 else out
-    out = ((n + 2.0 * lam - 1.0) * gegenbauer(n - 1, lam, arr)
-           - n * arr * gegenbauer(n, lam, arr)) / (1.0 - arr * arr)
-    return out[()] if arr.ndim == 0 else out
-
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise ValueError("ln_gamma requires x > 0")
-    return math.lgamma(x)
+        return 0.0 * gegenbauer(0, lam, x)  # zeros, validated and typed as gegenbauer's
+    return 2.0 * lam * gegenbauer(n - 1, lam + 1.0, x)

@@ -21,6 +21,10 @@ branch, to one neighbouring polynomial:
            = N ((1 - rho^2)/4)^v (n + 1) C_{n+1}^lam(rho)
 
 so `apply_ladder` evaluates them in closed form.
+
+The same derivative relation gives phi' and phi'' exactly, so
+`ode_residual` evaluates the momentum-space wave equation without
+numerical differentiation.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from .gup import (
     OscillatorSystem,
     QuadratureAccuracyError,
     nr_parameters,
+    rho_of_p,
+    tilde_params,
     v_exponent,
 )
 from .spectrum import energy_nonrel, energy_relativistic
@@ -52,6 +58,7 @@ __all__ = [
     "make_state",
     "eval_state",
     "eval_state_derivative",
+    "ode_residual",
     "weighted_overlap",
     "inner_product",
     "reference_norm",
@@ -145,7 +152,7 @@ def eval_state(state: OscillatorState, rho):
     """phi_n(rho) = norm ((1 - rho^2)/4)^v C_n^lam(rho).
 
     Accepts a scalar or ndarray; float dtypes (including longdouble) pass
-    through, so finite-difference probes can evaluate in extended precision.
+    through.
     """
     arr = _rho_array(rho)
     out = _envelope(state, arr) * specfun.gegenbauer(state.n, state.lam, arr)
@@ -158,6 +165,46 @@ def eval_state_derivative(state: OscillatorState, rho):
     poly_part = _envelope(state, arr) * specfun.gegenbauer_derivative(state.n, state.lam, arr)
     out = poly_part - 2.0 * state.v * arr / (1.0 - arr * arr) * eval_state(state, arr)
     return out[()] if arr.ndim == 0 else out
+
+
+def _ode_terms(state: OscillatorState, p) -> tuple:
+    """The three terms of the reduced wave equation for the state at momentum p.
+
+    phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi
+
+    in closed form through rho(p).  With w = 1 - rho^2 = 1 / (1 + eta p^2),
+    d rho/dp = sqrt(eta) w^(3/2), d^2 rho/dp^2 = -3 eta rho w^2 and the
+    envelope's d/drho (w/4)^v = -2 v rho (w/4)^v / w, every term is
+    N (w/4)^v w times a polynomial in rho, C, C' and C'', so no pole is left.
+    Returns (phi'', the first-order term, the zeroth-order term).
+    """
+    system = state.system
+    alg = system.algebra
+    rho = rho_of_p(alg, np.asarray(p, dtype=np.float64))
+    w = 1.0 - rho * rho
+    n, v, lam = state.n, state.v, state.lam
+    c0 = specfun.gegenbauer(n, lam, rho)
+    c1 = specfun.gegenbauer_derivative(n, lam, rho)
+    # C'' = 2 lam d/drho C_{n-1}^(lam+1); at n = 0 the degree-0 derivative supplies the zero
+    c2 = 2.0 * lam * specfun.gegenbauer_derivative(max(n - 1, 0), lam + 1.0, rho)
+    a_tilde, b_tilde = tilde_params(system, state.energy)
+    common = state.norm * (w / 4.0) ** v * w
+    second = common * alg.eta * (
+        w * w * c2 - (4.0 * v + 3.0) * rho * w * c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c0
+    )
+    first = common * 2.0 * (alg.gamma + alg.eta) * rho * (w * c1 - 2.0 * v * rho * c0)
+    zeroth = -common * (b_tilde * w + a_tilde * rho * rho / alg.eta) * c0
+    return second, first, zeroth
+
+
+def ode_residual(state: OscillatorState, p):
+    """Residual of the reduced momentum-space wave equation for the state at p.
+
+    The sum of the three terms of `_ode_terms`; zero up to rounding for a
+    converged relativistic state.  ``p`` may be a finite scalar (a scalar is
+    returned) or an ndarray (one residual per point).
+    """
+    return sum(_ode_terms(state, p))
 
 
 def _overlap(a: OscillatorState, b: OscillatorState, count: int) -> float:
@@ -213,12 +260,12 @@ def reference_norm(state: OscillatorState) -> float:
     """
     n, lam = state.n, state.lam
     log_val = (
-        specfun.ln_gamma(n + 1.0)
+        math.lgamma(n + 1.0)
         + math.log(n + lam)
-        + 2.0 * specfun.ln_gamma(lam)
+        + 2.0 * math.lgamma(lam)
         - (1.0 - 2.0 * lam) * math.log(2.0)
         - math.log(math.pi)
-        - specfun.ln_gamma(2.0 * lam + n)
+        - math.lgamma(2.0 * lam + n)
     )
     return math.exp(0.5 * log_val)
 

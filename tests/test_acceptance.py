@@ -225,6 +225,18 @@ def test_criterion_11_ode_residual():
     _verdict(11, "wave-equation residual", started)
 
 
+@pytest.mark.parametrize("field, planted", [
+    ("energy", lambda state: state.energy * (1.0 + 1e-8)),
+    ("v", lambda state: state.v + 1e-8),
+])
+def test_criterion_11_fails_on_a_planted_error(field, planted):
+    for eta in _ETA_GRID:
+        exact = [make_state(_system(eta=eta), n, RELATIVISTIC) for n in range(9)]
+        wrong = [dataclasses.replace(state, **{field: planted(state)}) for state in exact]
+        result = checks._check_ode_residual(wrong)
+        assert not result.passed, (eta, result)
+
+
 def test_criterion_12_weight_integral_oracle():
     started = time.perf_counter()
     result = checks._check_weight_orthogonality()

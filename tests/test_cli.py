@@ -205,6 +205,14 @@ class TestFmCommand:
         assert result.returncode == 64
         assert result.stdout == ""
 
+    def test_nan_model_parameter_exits_64(self):
+        # fm ignores the oscillator parameters, but the shared validation still rejects them
+        for flag in ("--eta=nan", "--mass=nan", "--gamma=nan"):
+            result = run_cli("fm", "--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2", flag)
+            assert result.returncode == 64, flag
+            assert result.stdout == ""
+            assert "must be finite" in result.stderr
+
 
 class TestOutputDiscipline:
     def test_byte_identical_runs(self):

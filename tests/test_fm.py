@@ -143,6 +143,11 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             fm_wavefunction(self.problem, 0, 1.5)
 
+    def test_nan_rejected(self):
+        problem = FmProblem(0.5, 1.0, 1.0, -3.0, 3.0, -2.0)
+        with pytest.raises(ValueError):
+            fm_wavefunction(problem, 0, math.nan)
+
     def test_finite_on_unit_interval(self):
         for n in range(4):
             for s in (0.0, 0.2, 0.5, 0.9, 1.0):

@@ -13,7 +13,6 @@ from gupho.gup import (
     fm_problem_of,
     minimal_length,
     nr_parameters,
-    ode_residual,
     p_of_rho,
     rho_of_p,
     rho_of_s,
@@ -101,6 +100,11 @@ class TestScalarWeight:
         with pytest.raises(UndeformedBranchError):
             scalar_weight(algebra(0.0), 1.0)
 
+    def test_non_finite_momentum_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                scalar_weight(algebra(0.1, gamma=0.02), bad)
+
 
 class TestMomentumTransform:
     def test_fixed_points(self):
@@ -140,6 +144,18 @@ class TestMomentumTransform:
             rho_of_p(algebra(0.0), 1.0)
         with pytest.raises(ValueError):
             p_of_rho(algebra(1.0), 1.0)
+
+    def test_non_finite_momentum_rejected(self):
+        alg = algebra(0.1)
+        for bad in (math.nan, -math.inf, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="finite"):
+                rho_of_p(alg, bad)
+
+    def test_huge_momentum_reaches_the_boundary(self):
+        # t^2 overflows beyond |t| ~ 1e154; rho must still approach +-1, not collapse to 0
+        alg = algebra(1.0)
+        assert rho_of_p(alg, 1e200) == 1.0
+        assert list(rho_of_p(alg, np.array([-1e300, 1e300]))) == [-1.0, 1.0]
 
     def test_unit_interval_chain(self):
         # s = (1 - rho)/2 maps (-1, 1) onto (0, 1) and inverts exactly
@@ -258,46 +274,6 @@ class TestNrParameters:
         base = nr_parameters(system(eta=0.4, gamma=0.0))[1]
         for gamma in (0.1, 0.2, 0.4):
             assert nr_parameters(system(eta=0.4, gamma=gamma))[1] == base
-
-
-class TestOdeResidual:
-    def test_constant_state(self):
-        # phi == 1 kills both derivative terms, leaving the zeroth-order
-        # coefficient -(B~ + p^2 A~)/(1 + eta p^2)^2, which is -B~ at p = 0
-        sys = system(eta=0.1, gamma=0.0)
-        a_tilde, b_tilde = tilde_params(sys, 1.6)
-        assert b_tilde != 0.0
-        assert ode_residual(sys, 1.6, lambda rho: 1.0, 0.0) == pytest.approx(-b_tilde, rel=1e-14)
-        for p in (0.3, 2.0):
-            expected = -(b_tilde + p * p * a_tilde) / (1 + 0.1 * p * p) ** 2
-            assert ode_residual(sys, 1.6, lambda rho: 1.0, p) == pytest.approx(expected, rel=1e-9)
-            assert ode_residual(sys, 1.6, lambda rho: 1.0, p) != 0.0
-
-    def test_linearity(self):
-        sys = system(eta=0.1, gamma=0.0)
-
-        def state(rho):
-            return (1.0 - rho * rho) ** 2.0
-
-        for p in (0.1, 0.7, 3.0):
-            one = ode_residual(sys, 1.6, state, p)
-            two = ode_residual(sys, 1.6, lambda rho: 2.0 * state(rho), p)
-            assert two == pytest.approx(2.0 * one, rel=1e-9)
-
-    def test_array_p_matches_scalar_calls(self):
-        sys = system(eta=0.1, gamma=0.05)
-
-        def state(rho):
-            return (1.0 - rho * rho) ** 2.0 * rho
-
-        ps = np.array([-40.0, -2.5, 0.0, 0.3, 1.0, 17.0])
-        whole = ode_residual(sys, 1.6, state, ps)
-        assert whole.dtype == np.float64 and whole.shape == ps.shape
-        assert list(whole) == [ode_residual(sys, 1.6, state, p) for p in ps]
-
-    def test_undeformed_rejected(self):
-        with pytest.raises(UndeformedBranchError):
-            ode_residual(system(eta=0.0), 1.6, lambda rho: 1.0, 0.5)
 
 
 class TestFmBridge:

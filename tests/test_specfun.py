@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -10,7 +11,6 @@ from gupho.specfun import (
     gegenbauer,
     gegenbauer_derivative,
     gegenbauer_rule,
-    ln_gamma,
 )
 
 
@@ -79,10 +79,26 @@ class TestGegenbauerDerivative:
         # d/dx (4x^2 - 1) = 8x
         assert gegenbauer_derivative(2, 1.0, 0.5) == pytest.approx(4.0, abs=1e-14)
 
-    def test_pole_rejected(self):
-        for bad in (1.0, -1.0, 1.5):
-            with pytest.raises(ValueError):
-                gegenbauer_derivative(3, 1.0, bad)
+    def test_endpoints_have_no_pole(self):
+        # C_n^lam(1) = (2 lam)_n / n!, so dC_n/dx at 1 is 2 lam (2 lam + 2)_(n-1) / (n-1)!
+        lam = 1.25
+        for n in range(1, 9):
+            at_one = 2.0 * lam * math.gamma(2.0 * lam + n + 1.0) / (
+                math.gamma(2.0 * lam + 2.0) * math.factorial(n - 1)
+            )
+            assert gegenbauer_derivative(n, lam, 1.0) == pytest.approx(at_one, rel=1e-13)
+            assert gegenbauer_derivative(n, lam, -1.0) == pytest.approx((-1) ** (n - 1) * at_one, rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [0.75, 3.2, 40.0])
+    def test_matches_mpmath_up_to_the_endpoints(self, lam):
+        # the (1 - x^2) quotient form lost ~1e-9 relative at |x| = 1 - 1e-7
+        xs = [0.0, 0.3, -0.7, 0.99, -0.9999, 1.0 - 1e-7, -(1.0 - 1e-7)]
+        with mpmath.workdps(40):
+            for n in range(1, 13):
+                got = gegenbauer_derivative(n, lam, np.array(xs))
+                for x, value in zip(xs, got):
+                    ref = mpmath.diff(lambda t: mpmath.gegenbauer(n, lam, t), mpmath.mpf(x))
+                    assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-300, (n, x)
 
     @pytest.mark.parametrize("lam", [0.75, 1.0, 2.5])
     def test_matches_central_differences(self, lam):
@@ -121,28 +137,6 @@ class TestHyp2f1Terminating:
                         assert hyp2f1_terminating(n, b, c, x) == pytest.approx(
                             ref, rel=1e-12, abs=1e-12
                         )
-
-
-class TestLnGamma:
-    def test_unit_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-13)
-        assert ln_gamma(2.0) == pytest.approx(0.0, abs=1e-13)
-
-    def test_half(self):
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    def test_rejects_nonpositive(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                ln_gamma(bad)
-
-    def test_against_lgamma(self):
-        for x in np.concatenate([np.linspace(0.05, 3.0, 40), np.linspace(3.5, 200.0, 40)]):
-            ref = math.lgamma(x)
-            if abs(ref) > 1e-3:
-                assert ln_gamma(float(x)) == pytest.approx(ref, rel=1e-12)
-            else:
-                assert ln_gamma(float(x)) == pytest.approx(ref, abs=1e-13)
 
 
 class TestGaussLegendre:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupho.checks import _ode_scale
-from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, ode_residual
+from gupho import checks
+from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError
 from gupho.specfun import gegenbauer_rule
 from gupho.states import (
     NONRELATIVISTIC,
@@ -19,6 +19,7 @@ from gupho.states import (
     inner_product,
     ladder_coeffs,
     make_state,
+    ode_residual,
     reference_norm,
     su11_check,
     weighted_overlap,
@@ -326,17 +327,19 @@ class TestSu11:
 class TestOdeResidualOnStates:
     @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
     def test_relativistic_states_satisfy_wave_equation(self, eta):
-        sys = system(eta=eta)
-        p_grid = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
-        for n in range(4):
-            state = make_state(sys, n, RELATIVISTIC)
+        states = [make_state(system(eta=eta, gamma=eta / 2.0), n, RELATIVISTIC) for n in range(9)]
+        result = checks._check_ode_residual(states)
+        assert result.tolerance <= 1e-11
+        assert result.passed, result
 
-            def evaluator(rho, _s=state):
-                return eval_state(_s, rho)
+    def test_nonrelativistic_states_fail(self):
+        # the NR branch solves a different equation; the relative residual is of order one
+        states = [make_state(system(eta=0.1), n, NONRELATIVISTIC) for n in range(3)]
+        assert checks._check_ode_residual(states).max_deviation > 0.1
 
-            for p in p_grid:
-                res = ode_residual(sys, state.energy, evaluator, p)
-                scale = _ode_scale(sys, state, p)
-                if scale > 0:
-                    assert abs(res) <= 1e-5 * scale
-
+    def test_array_p_matches_scalar_calls(self):
+        state = make_state(system(eta=0.1, gamma=0.05), 3, RELATIVISTIC)
+        ps = np.array([-40.0, -2.5, 0.0, 0.3, 1.0, 17.0])
+        whole = ode_residual(state, ps)
+        assert whole.dtype == np.float64 and whole.shape == ps.shape
+        assert list(whole) == [ode_residual(state, p) for p in ps]
