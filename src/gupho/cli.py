@@ -239,7 +239,7 @@ def _cmd_state(config: RunConfig, args) -> int:
     rows = []
     for i in range(args.samples):
         rho = -0.99 + 1.98 * i / (args.samples - 1)
-        rows.append((p_of_rho(system.algebra, rho), rho, float(eval_state(state, rho))))
+        rows.append((p_of_rho(system.algebra, rho), rho, eval_state(state, rho)))
     meta = _config_meta(config)
     meta.update({"branch": config.branch, "n": args.n, "v": state.v,
                  "lambda": state.lam, "norm": state.norm, "energy": state.energy})

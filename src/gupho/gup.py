@@ -10,6 +10,7 @@ through the chain p -> rho -> s, to the standard form solved by `fm`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .fm import FmProblem
@@ -118,11 +119,21 @@ def uncertainty_bound(algebra: DeformedAlgebra, delta_p: float) -> float:
 
 
 def scalar_weight(algebra: DeformedAlgebra, p: float) -> float:
-    """Measure weight (1 + eta p^2)^(alpha - 1) of the scalar product."""
+    """Measure weight (1 + eta p^2)^(alpha - 1) of the scalar product.
+
+    Formed as hypot(1, sqrt(eta) p)^(2 (alpha - 1)), so p is never squared;
+    where the weight is not a normal double ``ValueError`` is raised.
+    """
     algebra._require_deformed()
     if not math.isfinite(p):
         raise ValueError("p must be finite")
-    return (1.0 + algebra.eta * p * p) ** (algebra.alpha - 1.0)
+    try:
+        weight = math.hypot(1.0, math.sqrt(algebra.eta) * p) ** (2.0 * (algebra.alpha - 1.0))
+    except OverflowError:
+        weight = math.inf
+    if not sys.float_info.min <= weight < math.inf:
+        raise ValueError(f"measure weight at p = {p!r} is not a normal double")
+    return weight
 
 
 def rho_of_p(algebra: DeformedAlgebra, p):

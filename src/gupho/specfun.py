@@ -2,7 +2,9 @@
 
 Gegenbauer polynomials and their derivative, and Gauss-Gegenbauer rules.
 Everything here is a pure function of its arguments; rules are immutable
-after construction.
+after construction.  A Python scalar argument is evaluated in Python floats,
+so the per-point path pays no numpy call overhead; arrays and numpy scalars
+are evaluated by numpy.
 """
 
 from __future__ import annotations
@@ -13,10 +15,27 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "as_float",
     "gegenbauer_rule",
     "gegenbauer",
     "gegenbauer_derivative",
 ]
+
+
+def as_float(x):
+    """x as a Python ``float`` if it is a Python ``float`` or ``int``, else as a float ndarray.
+
+    Numpy scalars and 0-d arrays take the array path, so their dtype
+    (longdouble included) is kept; non-float dtypes become float64.  This is
+    the one place that branches on the kind of the input: every formula
+    downstream is written once and runs on either kind.
+    """
+    if type(x) is float or type(x) is int:
+        return float(x)
+    arr = np.asarray(x)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(np.float64)
+    return arr
 
 
 @lru_cache(maxsize=256)
@@ -40,9 +59,10 @@ def gegenbauer_rule(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, count, dtype=np.float64)
     off = np.sqrt(k * (k + 2.0 * mu - 1.0) / (4.0 * (k + mu) * (k + mu - 1.0)))
     nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    p_prev, p, b_prev = np.zeros_like(nodes), np.ones_like(nodes), 0.0
+    p_prev, p, b_prev = 0.0, 1.0, 0.0
     total = np.ones_like(nodes)
-    for b in off:
+    # Python floats: iterating the ndarray would box every b as a numpy scalar
+    for b in off.tolist():
         p_prev, p, b_prev = p, (nodes * p - b_prev * p_prev) / b, b
         total += p * p
     mass = math.exp(0.5 * math.log(math.pi) + math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
@@ -58,24 +78,23 @@ def gegenbauer(n: int, lam: float, x):
     C_0 = 1, C_1 = 2 lam x,
     C_k = [2 x (k + lam - 1) C_{k-1} - (k + 2 lam - 2) C_{k-2}] / k.
 
-    Accepts a scalar or an ndarray; float dtypes (including longdouble) are
-    preserved.  The recurrence is stable for lam > 0 at the moderate degrees
-    used here.
+    A Python ``float`` or ``int`` x is evaluated in Python floats and gives a
+    ``float``; an ndarray or numpy scalar gives the same type back, with
+    float dtypes (including longdouble) preserved (see `as_float`).  The
+    recurrence is stable for lam > 0 at the moderate degrees used here.
     """
     if n < 0:
         raise ValueError("degree n must be a nonnegative integer")
     if lam <= 0:
         raise ValueError("Gegenbauer order lam must be positive")
-    arr = np.asarray(x)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
-    c_prev = np.ones_like(arr)
+    x = as_float(x)
     if n == 0:
-        return c_prev[()] if arr.ndim == 0 else c_prev
-    c = 2.0 * lam * arr
+        return 1.0 if type(x) is float else np.ones_like(x)[()]
+    c_prev, c = 1.0, 2.0 * lam * x
+    two_x = 2.0 * x
     for k in range(2, n + 1):
-        c_prev, c = c, (2.0 * arr * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * c_prev) / k
-    return c[()] if arr.ndim == 0 else c
+        c_prev, c = c, (two_x * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * c_prev) / k
+    return c
 
 
 def gegenbauer_derivative(n: int, lam: float, x):

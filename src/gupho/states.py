@@ -133,38 +133,44 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     return dataclasses.replace(state, norm=1.0 / math.sqrt(raw))
 
 
-def _rho_array(rho) -> np.ndarray:
-    """rho as a float ndarray (longdouble passes through), validated to lie in (-1, 1)."""
-    arr = np.asarray(rho)
-    if arr.dtype.kind != "f":
-        arr = arr.astype(np.float64)
-    if np.any(np.abs(arr) >= 1.0):
+def _rho_array(rho):
+    """rho coerced by `specfun.as_float` and validated to lie in (-1, 1).
+
+    A Python ``float`` or ``int`` comes back as a ``float``, so the formulas
+    downstream run in Python floats; anything else comes back as a float
+    ndarray (longdouble passes through).  NaN is rejected on both paths.
+    """
+    x = specfun.as_float(rho)
+    if not (abs(x) < 1.0 if type(x) is float else np.all(np.abs(x) < 1.0)):
         raise ValueError("rho must lie in (-1, 1)")
-    return arr
+    return x
 
 
-def _envelope(state: OscillatorState, arr: np.ndarray) -> np.ndarray:
+def _envelope(state: OscillatorState, x):
     """norm ((1 - rho^2)/4)^v, the state without its polynomial."""
-    return state.norm * ((1.0 - arr * arr) / 4.0) ** state.v
+    return state.norm * ((1.0 - x * x) / 4.0) ** state.v
 
 
 def eval_state(state: OscillatorState, rho):
     """phi_n(rho) = norm ((1 - rho^2)/4)^v C_n^lam(rho).
 
-    Accepts a scalar or ndarray; float dtypes (including longdouble) pass
-    through.
+    A Python ``float`` or ``int`` rho is evaluated in Python floats and
+    returns a ``float``; an ndarray or numpy scalar returns the same type,
+    with float dtypes (including longdouble) passed through.  rho must lie
+    in (-1, 1); anything else, NaN included, raises ``ValueError``.
     """
-    arr = _rho_array(rho)
-    out = _envelope(state, arr) * specfun.gegenbauer(state.n, state.lam, arr)
-    return out[()] if arr.ndim == 0 else out
+    x = _rho_array(rho)
+    return _envelope(state, x) * specfun.gegenbauer(state.n, state.lam, x)
 
 
 def eval_state_derivative(state: OscillatorState, rho):
-    """d phi_n / d rho by the product rule on the prefactor and the polynomial."""
-    arr = _rho_array(rho)
-    poly_part = _envelope(state, arr) * specfun.gegenbauer_derivative(state.n, state.lam, arr)
-    out = poly_part - 2.0 * state.v * arr / (1.0 - arr * arr) * eval_state(state, arr)
-    return out[()] if arr.ndim == 0 else out
+    """d phi_n / d rho by the product rule on the prefactor and the polynomial.
+
+    rho is validated and typed as in `eval_state`.
+    """
+    x = _rho_array(rho)
+    poly_part = _envelope(state, x) * specfun.gegenbauer_derivative(state.n, state.lam, x)
+    return poly_part - 2.0 * state.v * x / (1.0 - x * x) * eval_state(state, x)
 
 
 def _ode_terms(state: OscillatorState, p) -> tuple:
@@ -218,7 +224,10 @@ def _overlap(a: OscillatorState, b: OscillatorState, count: int) -> float:
     """
     alg = a.system.algebra
     nodes, weights = specfun.gegenbauer_rule(a.v + b.v - alg.alpha, count)
-    vals = specfun.gegenbauer(a.n, a.lam, nodes) * specfun.gegenbauer(b.n, b.lam, nodes)
+    c_a = specfun.gegenbauer(a.n, a.lam, nodes)
+    # on the Gram diagonal both factors are the same polynomial
+    c_b = c_a if (b.n, b.lam) == (a.n, a.lam) else specfun.gegenbauer(b.n, b.lam, nodes)
+    vals = c_a * c_b
     scale = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(alg.eta)
     return scale * float(np.dot(weights, vals))
 
@@ -299,8 +308,10 @@ def apply_ladder(
     lower: N ((1 - rho^2)/4)^v (n + 2 lam - 1) C_{n-1}^lam(rho), zero at n = 0
     raise: N ((1 - rho^2)/4)^v (n + 1) C_{n+1}^lam(rho)
 
-    so each call runs one Gegenbauer recurrence.  ``rho`` may be a scalar or
-    an ndarray, validated and typed as in `eval_state`.  On the
+    so each call runs one Gegenbauer recurrence.  ``rho`` is validated and
+    typed as in `eval_state`: a Python ``float`` or ``int`` is evaluated in
+    Python floats and returns a ``float``, an ndarray or numpy scalar
+    returns the same type.  On the
     nonrelativistic branch, where (v, lam) do not depend on n, the result
     equals l_(+/-) times the neighbouring normalized state pointwise; on the
     relativistic branch neighbouring states carry different exponents and no
@@ -310,22 +321,19 @@ def apply_ladder(
     fails the ladder identity and is kept only for documentation of the
     difference.
     """
-    arr = _rho_array(rho)
+    x = _rho_array(rho)
     n, v, lam = state.n, state.v, state.lam
     if direction == "lower":
         if n == 0:
-            out = np.zeros_like(arr)  # annihilated: l-(0) = 0
-        else:
-            poly = (n + 2.0 * lam - 1.0) * specfun.gegenbauer(n - 1, lam, arr)
-            out = math.sqrt((lam + n - 1.0) / (n + lam)) * _envelope(state, arr) * poly
-    elif direction == "raise":
-        bracket = _envelope(state, arr) * ((n + 1.0) * specfun.gegenbauer(n + 1, lam, arr))
+            return 0.0 * specfun.gegenbauer(0, lam, x)  # annihilated, l-(0) = 0: a zero of rho's kind
+        poly = (n + 2.0 * lam - 1.0) * specfun.gegenbauer(n - 1, lam, x)
+        return math.sqrt((lam + n - 1.0) / (n + lam)) * _envelope(state, x) * poly
+    if direction == "raise":
+        bracket = _envelope(state, x) * ((n + 1.0) * specfun.gegenbauer(n + 1, lam, x))
         if literal_raise:
-            bracket = bracket + (2.0 * lam - 2.0 * v + n) * (1.0 - arr) * eval_state(state, arr)
-        out = math.sqrt((lam + n + 1.0) / (n + lam)) * bracket
-    else:
-        raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
-    return out[()] if arr.ndim == 0 else out
+            bracket = bracket + (2.0 * lam - 2.0 * v + n) * (1.0 - x) * eval_state(state, x)
+        return math.sqrt((lam + n + 1.0) / (n + lam)) * bracket
+    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
 
 
 @dataclass(frozen=True)

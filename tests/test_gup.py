@@ -105,6 +105,17 @@ class TestScalarWeight:
             with pytest.raises(ValueError, match="finite"):
                 scalar_weight(algebra(0.1, gamma=0.02), bad)
 
+    def test_huge_momentum_keeps_a_normal_weight(self):
+        # alpha = 0.5: the weight 1/sqrt(1 + p^2) = 1e-200 is a normal double; p * p overflowed
+        assert scalar_weight(algebra(1.0, gamma=0.5), 1e200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+        assert scalar_weight(algebra(1.0, gamma=0.5), -1e200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
+
+    def test_weight_outside_double_range_rejected(self):
+        # alpha = 2 gives 1e400 and alpha = -1 gives 1e-800: no double holds either
+        for gamma in (2.0, -1.0):
+            with pytest.raises(ValueError, match="normal double"):
+                scalar_weight(algebra(1.0, gamma=gamma), 1e200)
+
 
 class TestMomentumTransform:
     def test_fixed_points(self):

@@ -66,6 +66,22 @@ class TestGegenbauer:
         val = gegenbauer(3, 1.5, np.longdouble(0.3))
         assert val.dtype == np.longdouble
 
+    def test_result_types(self):
+        # a Python scalar is evaluated in floats; numpy input keeps its type and dtype
+        for n in (0, 1, 3):
+            assert type(gegenbauer(n, 1.5, 0.3)) is float
+            assert type(gegenbauer(n, 1.5, 2)) is float
+            assert type(gegenbauer(n, 1.5, np.asarray(0.3))) is np.float64
+            assert type(gegenbauer(n, 1.5, np.longdouble(0.3))) is np.longdouble
+            assert gegenbauer(n, 1.5, np.linspace(-1, 1, 4, dtype=np.float32)).dtype == np.float32
+
+    @pytest.mark.parametrize("lam", [0.75, 1.618, 40.0])
+    def test_array_matches_scalar_calls(self, lam):
+        # one recurrence of + - * / for both kinds of input, so the results agree exactly
+        xs = np.linspace(-1.5, 1.5, 31)
+        for n in range(17):
+            assert np.array_equal(gegenbauer(n, lam, xs), [gegenbauer(n, lam, x) for x in xs.tolist()])
+
 
 class TestGegenbauerDerivative:
     def test_constant_has_zero_derivative(self):
@@ -78,6 +94,19 @@ class TestGegenbauerDerivative:
     def test_quadratic(self):
         # d/dx (4x^2 - 1) = 8x
         assert gegenbauer_derivative(2, 1.0, 0.5) == pytest.approx(4.0, abs=1e-14)
+
+    def test_result_types(self):
+        for n in (0, 2):
+            assert type(gegenbauer_derivative(n, 1.5, 0.3)) is float
+            assert type(gegenbauer_derivative(n, 1.5, np.asarray(0.3))) is np.float64
+            assert type(gegenbauer_derivative(n, 1.5, np.longdouble(0.3))) is np.longdouble
+
+    @pytest.mark.parametrize("lam", [0.75, 1.618, 40.0])
+    def test_array_matches_scalar_calls(self, lam):
+        xs = np.linspace(-1.5, 1.5, 31)
+        for n in range(17):
+            whole = gegenbauer_derivative(n, lam, xs)
+            assert np.array_equal(whole, [gegenbauer_derivative(n, lam, x) for x in xs.tolist()])
 
     def test_endpoints_have_no_pole(self):
         # C_n^lam(1) = (2 lam)_n / n!, so dC_n/dx at 1 is 2 lam (2 lam + 2)_(n-1) / (n-1)!
@@ -189,11 +218,13 @@ class TestGaussLegendre:
             gegenbauer_rule(0.5, 0)
 
     def test_rule_is_immutable(self):
-        nodes, weights = gegenbauer_rule(0.5, 4)
-        with pytest.raises(ValueError):
-            nodes[0] = 0.0
-        with pytest.raises(ValueError):
-            weights[0] = 0.0
+        # a one-node rule has no recurrence steps and must still be a pair of arrays
+        for count in (1, 4):
+            nodes, weights = gegenbauer_rule(0.5, count)
+            for arr in (nodes, weights):
+                assert type(arr) is np.ndarray and arr.shape == (count,)
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
 
 class TestGegenbauerRule:

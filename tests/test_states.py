@@ -117,6 +117,37 @@ class TestEvalState:
             with pytest.raises(ValueError):
                 eval_state(nr_family[0], bad)
 
+    def test_nan_rejected(self, nr_family):
+        for bad in (math.nan, np.float64(math.nan), np.array([0.2, math.nan])):
+            with pytest.raises(ValueError):
+                eval_state(nr_family[2], bad)
+
+    def test_derivative_nan_rejected(self, nr_family):
+        for bad in (math.nan, np.float64(math.nan), np.array([0.2, math.nan])):
+            with pytest.raises(ValueError):
+                eval_state_derivative(nr_family[2], bad)
+
+    def test_result_types(self, nr_family):
+        # a Python scalar is evaluated in floats; numpy input keeps its type and dtype
+        for f in (eval_state, eval_state_derivative):
+            for state in nr_family[:4]:
+                assert type(f(state, 0.3)) is float
+                assert type(f(state, 0)) is float
+                assert type(f(state, np.float64(0.3))) is np.float64
+                assert type(f(state, np.asarray(0.3))) is np.float64
+                assert type(f(state, np.longdouble(0.3))) is np.longdouble
+                assert f(state, np.linspace(-0.5, 0.5, 3, dtype=np.longdouble)).dtype == np.longdouble
+
+    @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
+    def test_python_floats_match_numpy_scalars(self, branch):
+        # the float path and the numpy path run one formula, so scalar results agree exactly
+        rhos = np.linspace(-0.99, 0.99, 23).tolist()
+        sys = system(eta=0.4, gamma=0.1)
+        for n in (0, 1, 5, 16):
+            state = make_state(sys, n, branch)
+            for f in (eval_state, eval_state_derivative):
+                assert [f(state, r) for r in rhos] == [f(state, np.float64(r)) for r in rhos]
+
     def test_derivative_matches_differences(self, nr_family):
         h = 1e-6
         for n in (0, 1, 4, 8):
@@ -273,16 +304,51 @@ class TestApplyLadder:
             for direction in ("raise", "lower"):
                 for lit in (False, True):
                     whole = apply_ladder(state, direction, rhos, literal_raise=lit)
-                    each = np.array([apply_ladder(state, direction, r, literal_raise=lit) for r in rhos])
+                    each = [apply_ladder(state, direction, r, literal_raise=lit) for r in rhos.tolist()]
+                    # numpy scalars take the array code path; Python floats must agree with it exactly
+                    assert each == [apply_ladder(state, direction, r, literal_raise=lit) for r in rhos]
                     assert whole.shape == rhos.shape
+                    # numpy's vectorised power may round the envelope differently from C's pow
                     assert np.all(np.abs(whole - each) <= 1e-14 * np.abs(each))
 
     def test_scalar_and_dtype_handling(self, nr_family):
-        state = nr_family[3]
-        assert np.ndim(apply_ladder(state, "raise", 0.25)) == 0
-        assert np.ndim(apply_ladder(state, "lower", 0)) == 0
-        wide = apply_ladder(state, "raise", np.linspace(-0.5, 0.5, 3, dtype=np.longdouble))
-        assert wide.dtype == np.longdouble
+        # a Python scalar is evaluated in floats; numpy input keeps its type and dtype
+        for state in (nr_family[0], nr_family[3]):  # n = 0 lowers to a zero of rho's kind
+            for direction in ("raise", "lower"):
+                assert type(apply_ladder(state, direction, 0.25)) is float
+                assert type(apply_ladder(state, direction, 0)) is float
+                assert type(apply_ladder(state, direction, np.asarray(0.25))) is np.float64
+                assert type(apply_ladder(state, direction, np.longdouble(0.25))) is np.longdouble
+                wide = apply_ladder(state, direction, np.linspace(-0.5, 0.5, 3, dtype=np.longdouble))
+                assert wide.dtype == np.longdouble
+
+    def test_nan_rejected(self, nr_family):
+        for bad in (math.nan, np.float64(math.nan), np.array([0.2, math.nan])):
+            for direction in ("raise", "lower"):
+                with pytest.raises(ValueError):
+                    apply_ladder(nr_family[2], direction, bad)
+
+    def test_scalar_calls_make_no_numpy_arrays(self, nr_family, monkeypatch):
+        # a Python float stays a float: no 0-d array is built on the per-point path
+        calls = []
+
+        def counted(name):
+            real = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("asarray", "ones_like"):
+            monkeypatch.setattr(np, name, counted(name))
+        for state in nr_family[:3]:
+            eval_state(state, 0.3)
+            for direction in ("raise", "lower"):
+                apply_ladder(state, direction, -0.7)
+        assert calls == []
+        eval_state(nr_family[0], np.array([0.3]))  # the counters do see the array path
+        assert calls
 
     def test_number_operator_composition(self, nr_family):
         # L+ L- phi_n = n (2 lam + n - 1) phi_n on the coefficient level
