@@ -8,9 +8,10 @@ written here as a fixed-point relation for the energy above rest mass,
 
 which at eta = 0 reduces smoothly to the undeformed limit, so deformed and
 undeformed systems share one solver: safeguarded Newton on delta - map(delta)
-with the analytic derivative, cross-checked by bisection on the same
-function.  Working in delta = E - m keeps the condition well conditioned even
-for rest masses of 1e6 and deformations down to 1e-12.
+with the analytic derivative.  Squared, the relation becomes a cubic in
+delta whose closed-form root cross-checks the solver in `checks`.  Working
+in delta = E - m keeps the condition well conditioned even for rest masses
+of 1e6 and deformations down to 1e-12.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class SpectrumResult:
     energy: float
     residual: float
     iterations: int
-    method: str  # "newton" | "bisection" | "closed_form"
+    method: str  # "newton" (relativistic) | "closed_form" (nonrelativistic)
 
 
 def rel_residual(system: OscillatorSystem, n: int, energy: float) -> float:
@@ -133,68 +134,20 @@ def _solve_newton(system: OscillatorSystem, n: int) -> tuple[float, float, int]:
     )
 
 
-def _solve_bisection(system: OscillatorSystem, n: int) -> tuple[float, float, int]:
-    m = system.mass
-    alg = system.algebra
-    hw = alg.hbar * system.omega
-    lo = 1e-12 * m
-    hi = 10.0 * hw * (2 * n + 1) * (1.0 + hw * alg.eta * m * (n * n + n + 1.0))
-    f_lo = _displacement(system, n, lo)[0]
-    f_hi = _displacement(system, n, hi)[0]
-    if f_lo > 0.0:
-        raise SolverError(f"bisection bracket invalid at n={n}: f({lo!r}) = {f_lo!r} > 0")
-    doublings = 0
-    while f_hi < 0.0 and doublings < 60:
-        hi *= 2.0
-        f_hi = _displacement(system, n, hi)[0]
-        doublings += 1
-    if f_hi < 0.0:
-        raise SolverError(
-            f"no sign change up to delta={hi!r} after {doublings} doublings at n={n}"
-        )
-    best = hi
-    best_disp = f_hi
-    for it in range(1, _MAX_ITER + 1):
-        mid = 0.5 * (lo + hi)
-        disp = _displacement(system, n, mid)[0]
-        if abs(disp) < abs(best_disp):
-            best, best_disp = mid, disp
-        if abs(disp) <= _RTOL * max(1.0, abs(mid)):
-            return mid, disp, it
-        if disp < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4.0 * math.ulp(hi):
-            break
-    if abs(best_disp) <= _GATE * max(1.0, abs(best)):
-        return best, best_disp, it
-    raise SolverError(
-        f"bisection failed at n={n}: bracket=({lo!r}, {hi!r}), displacement={best_disp!r}"
-    )
-
-
-_SOLVERS = {"newton": _solve_newton, "bisection": _solve_bisection}
-
-
-def energy_relativistic(system: OscillatorSystem, n: int, method: str = "newton") -> SpectrumResult:
+def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     """Relativistic level E_R > m for quantum number n.
 
-    ``method`` selects safeguarded Newton iteration on h(delta) = delta -
-    map(delta) ("newton"; at most 7 iterations at hbar = 1 for eta <= 1e3,
-    1 <= m <= 1e6, 0.1 <= omega <= 10, n <= 100) or plain bisection on the
-    same function ("bisection"), kept as the reference route for
-    cross-checks.  The two agree to 1e-10 relative; both handle eta = 0
-    through the smooth limit of the map.  Raises `SolverError` when the
-    solve stalls.
+    Safeguarded Newton iteration on h(delta) = delta - map(delta), at most 7
+    iterations at hbar = 1 for eta <= 1e3, 1 <= m <= 1e6, 0.1 <= omega <= 10,
+    n <= 100; eta = 0 goes through the smooth limit of the map.  The `verify`
+    suite checks the levels against the closed-form root of the squared
+    condition.  Raises `SolverError` when the solve stalls.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if method not in _SOLVERS:
-        raise ValueError(f"unknown method {method!r}")
-    delta, disp, iters = _SOLVERS[method](system, n)
+    delta, disp, iters = _solve_newton(system, n)
     return SpectrumResult(
-        n=n, energy=system.mass + delta, residual=disp, iterations=iters, method=method
+        n=n, energy=system.mass + delta, residual=disp, iterations=iters, method="newton"
     )
 
 

@@ -169,8 +169,10 @@ def eval_state_derivative(state: OscillatorState, rho):
     rho is validated and typed as in `eval_state`.
     """
     x = _rho_array(rho)
-    poly_part = _envelope(state, x) * specfun.gegenbauer_derivative(state.n, state.lam, x)
-    return poly_part - 2.0 * state.v * x / (1.0 - x * x) * eval_state(state, x)
+    env = _envelope(state, x)
+    poly_part = env * specfun.gegenbauer_derivative(state.n, state.lam, x)
+    phi = env * specfun.gegenbauer(state.n, state.lam, x)
+    return poly_part - 2.0 * state.v * x / (1.0 - x * x) * phi
 
 
 def _ode_terms(state: OscillatorState, p) -> tuple:

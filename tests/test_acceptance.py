@@ -14,7 +14,7 @@ import types
 import numpy as np
 import pytest
 
-from gupho import checks, specfun, states
+from gupho import checks, specfun, spectrum, states
 from gupho.fm import fm_exponents
 from gupho.gup import (
     DeformedAlgebra,
@@ -74,22 +74,23 @@ def test_criterion_03_solver_agreement():
         checks._check_relativistic_residual(1.0, 1.0, 1.0, 0.0, _ETA_GRID, 8),
     ):
         assert result.passed, result
-    elapsed = _verdict(3, "Newton vs bisection", started)
+    elapsed = _verdict(3, "Newton vs closed-form cubic", started)
     assert elapsed < 100e-3
 
 
 def test_criterion_03_fails_on_a_wrong_route(monkeypatch):
-    # a bisection route 1e-8 off in relative energy must show up as a 1e-8 disagreement
-    def bisection_off_by_1e8(system, n, method="newton"):
-        level = energy_relativistic(system, n, method=method)
-        if method == "bisection":
-            level = dataclasses.replace(level, energy=level.energy * (1.0 + 1e-8))
-        return level
+    # a solver map 1e-8 off must show up against the closed form, on both branches of run_suite
+    displacement = spectrum._displacement
 
-    monkeypatch.setattr(checks, "energy_relativistic", bisection_off_by_1e8)
-    result = checks._check_solver_cross_validation(1.0, 1.0, 1.0, 0.0, _ETA_GRID, 8)
-    assert not result.passed
-    assert result.max_deviation == pytest.approx(1e-8, rel=1e-6)
+    def map_off_by_1e8(system, n, delta):
+        disp, slope = displacement(system, n, delta)
+        return disp - 1e-8 * (delta - disp), slope
+
+    monkeypatch.setattr(spectrum, "_displacement", map_off_by_1e8)
+    for etas in (_ETA_GRID, (0.0,)):
+        result = checks._check_solver_cross_validation(1.0, 1.0, 1.0, 0.0, etas, 8)
+        assert not result.passed
+        assert result.max_deviation > 1e-9
 
 
 def test_criterion_04_nr_limit():

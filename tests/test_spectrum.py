@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gupho.checks import _closed_form_energy
 from gupho.fm import fm_quantization_residual
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of
 from gupho.spectrum import (
@@ -24,30 +25,30 @@ def system(mass=1.0, omega=1.0, eta=0.1, gamma=0.0, hbar=1.0):
 
 
 def high_precision_root(n, eta, mass=1, omega=1, hbar=1, dps=80):
-    """Root of the dimensionless quantization condition by mpmath bisection."""
+    """E = m + delta from the solver's fixed point, by mpmath bisection; any eta >= 0.
+
+    h(delta) = delta - a b c - a K sqrt(b^2/4 + 2 / (m (delta + 2m))) with
+    a = hbar omega m / 2, b = hbar eta omega, K = 2n + 1, c = n^2 + n + 1/2 is
+    increasing, negative at 0 and nonnegative at -h(0).
+    """
     with mp.workdps(dps):
-        eta_mp = mp.mpf(eta)
         m = mp.mpf(mass)
-        hw2 = mp.mpf(hbar) ** 2 * m * mp.mpf(omega) ** 2
+        hw = mp.mpf(hbar) * mp.mpf(omega)
+        a, b = hw * m / 2, hw * mp.mpf(eta)
 
-        def condition(energy):
-            root = mp.sqrt(mp.mpf(1) / 4 + 2 / (hw2 * eta_mp**2 * (energy + m)))
-            return (
-                2 * (energy - m) / (hw2 * eta_mp)
-                - (2 * n + 1) * root
-                - mp.mpf(1) / 4
-                - (mp.mpf(1) / 2 + n) ** 2
-            )
+        def h(delta):
+            s = mp.sqrt(b * b / 4 + 2 / (m * (delta + 2 * m)))
+            return delta - a * b * (n * n + n + mp.mpf(1) / 2) - a * (2 * n + 1) * s
 
-        lo, hi = m * (1 + mp.mpf(10) ** -12), m + 100 * (2 * n + 1) * (1 + eta_mp * m)
-        assert condition(lo) < 0 < condition(hi)
-        for _ in range(400):
+        lo, hi = mp.mpf(0), -h(mp.mpf(0))
+        assert h(lo) < 0 <= h(hi)
+        for _ in range(4 * dps):
             mid = (lo + hi) / 2
-            if condition(mid) < 0:
+            if h(mid) < 0:
                 lo = mid
             else:
                 hi = mid
-        return float((lo + hi) / 2)
+        return float(m + (lo + hi) / 2)
 
 
 class TestRelResidual:
@@ -109,15 +110,22 @@ class TestEnergyRelativistic:
     def test_methods_agree(self, eta, omega):
         sys = system(omega=omega, eta=eta)
         for n in (0, 1, 3, 5, 8):
-            nt = energy_relativistic(sys, n, method="newton")
-            bi = energy_relativistic(sys, n, method="bisection")
-            assert nt.method == "newton"
-            assert bi.method == "bisection"
-            assert abs(nt.energy - bi.energy) <= 1e-10 * abs(nt.energy)
+            energy = energy_relativistic(sys, n).energy
+            assert abs(energy - _closed_form_energy(sys, n)) <= 1e-10 * energy
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            energy_relativistic(system(), 0, method="secant")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        eta=st.sampled_from([0.0, 0.01, 0.1, 1.0]),
+        mass=st.floats(-2.0, 6.0).map(lambda e: 10.0**e),
+        omega=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        hbar=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        n=st.integers(0, 8),
+    )
+    def test_closed_form_matches_high_precision_root(self, eta, mass, omega, hbar, n):
+        # the verify space: user mass, omega and hbar on the check's eta grid and at eta = 0
+        sys = system(mass=mass, omega=omega, eta=eta, hbar=hbar)
+        reference = high_precision_root(n, eta, mass, omega, hbar, dps=40)
+        assert abs(_closed_form_energy(sys, n) - reference) <= 1e-13 * reference
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +145,7 @@ class TestEnergyRelativistic:
         assert math.isfinite(res.energy) and res.energy > mass
         assert res.iterations <= 8
         assert abs(res.residual) <= 1e-12 * max(1.0, delta)
-        reference = energy_relativistic(sys, n, method="bisection").energy
+        reference = _closed_form_energy(sys, n)
         assert abs(res.energy - reference) <= 1e-10 * reference
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gupho import checks
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError
-from gupho.specfun import gegenbauer_rule
+from gupho.specfun import gegenbauer_derivative, gegenbauer_rule
 from gupho.states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
@@ -23,6 +23,7 @@ from gupho.states import (
     reference_norm,
     su11_check,
     weighted_overlap,
+    _envelope,
 )
 
 
@@ -147,6 +148,20 @@ class TestEvalState:
             state = make_state(sys, n, branch)
             for f in (eval_state, eval_state_derivative):
                 assert [f(state, r) for r in rhos] == [f(state, np.float64(r)) for r in rhos]
+
+    @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
+    def test_derivative_reuses_the_state_value_exactly(self, branch):
+        # the derivative's envelope term must equal the product rule written with eval_state
+        sys = system(eta=0.4, gamma=0.1)
+        for rho in (0.37, np.linspace(-0.99, 0.99, 201)):
+            for n in (0, 1, 5, 16):
+                state = make_state(sys, n, branch)
+                expected = _envelope(state, rho) * gegenbauer_derivative(
+                    n, state.lam, rho
+                ) - 2.0 * state.v * rho / (1.0 - rho * rho) * eval_state(state, rho)
+                got = eval_state_derivative(state, rho)
+                assert type(got) is type(expected)
+                assert np.array_equal(got, expected)
 
     def test_derivative_matches_differences(self, nr_family):
         h = 1e-6
