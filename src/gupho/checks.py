@@ -21,7 +21,13 @@ from .gup import (
     v_exponent,
 )
 from .fm import fm_exponents, fm_quantization_residual
-from .spectrum import SolverError, energy_nonrel, energy_relativistic, rel_residual
+from .spectrum import (
+    SolverError,
+    energy_nonrel,
+    energy_relativistic,
+    nr_limit_of_relativistic,
+    rel_residual,
+)
 from .states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
@@ -125,7 +131,7 @@ def _check_nr_limit(omega, hbar, gamma) -> CheckResult:
     system = _system(1e6, omega, hbar, 0.0, gamma)
     dev = 0.0
     for n in range(6):
-        gap = energy_relativistic(system, n).energy - system.mass
+        gap = nr_limit_of_relativistic(system, n)
         target = hbar * omega * (n + 0.5)
         dev = max(dev, abs(gap - target) / target)
     return CheckResult("nr_limit", dev, 1e-5)
@@ -202,7 +208,7 @@ def _check_normalization_reference(states) -> CheckResult:
     return CheckResult("normalization_reference", dev, 1e-9)
 
 
-def _check_ladder_identity(states, literal_raise) -> CheckResult:
+def _check_ladder_identity(states) -> CheckResult:
     rho_grid = np.linspace(-0.95, 0.95, 39)
     dev = 0.0
     for state in states:
@@ -210,7 +216,7 @@ def _check_ladder_identity(states, literal_raise) -> CheckResult:
         coeffs = ladder_coeffs(n, state.lam)
         if n + 1 < len(states):
             target = coeffs.l_plus * eval_state(states[n + 1], rho_grid)
-            got = apply_ladder(state, "raise", rho_grid, literal_raise=literal_raise)
+            got = apply_ladder(state, "raise", rho_grid)
             dev = max(dev, np.max(np.abs(got - target)) / np.max(np.abs(target)))
         if n >= 1:
             target = coeffs.l_minus * eval_state(states[n - 1], rho_grid)
@@ -291,31 +297,32 @@ def run_suite(
     eta: float = 0.1,
     gamma: float = 0.0,
     n_max: int = 8,
-    literal_raise: bool = False,
 ) -> list[CheckResult]:
-    """Run the invariant suite at the given parameters; returns one result per check."""
-    n_top = min(n_max, 8)
+    """Run the invariant suite at the given parameters; returns one result per check.
+
+    The level and state checks cover n = 0..n_max.
+    """
     results = []
     if eta > 0.0:
-        results.append(_check_solver_cross_validation(mass, omega, hbar, gamma, _ETA_GRID, n_top))
-        results.append(_check_relativistic_residual(mass, omega, hbar, gamma, _ETA_GRID, n_top))
+        results.append(_check_solver_cross_validation(mass, omega, hbar, gamma, _ETA_GRID, n_max))
+        results.append(_check_relativistic_residual(mass, omega, hbar, gamma, _ETA_GRID, n_max))
         results.append(_check_nr_limit(omega, hbar, gamma))
-        results.append(_check_gamma_invariance(mass, omega, hbar, eta, n_top))
+        results.append(_check_gamma_invariance(mass, omega, hbar, eta, n_max))
         results.append(_check_fm_exponent_consistency(mass, omega, hbar))
-        results.append(_check_fm_quantization_zero(mass, omega, hbar, gamma, n_top))
+        results.append(_check_fm_quantization_zero(mass, omega, hbar, gamma, n_max))
         system = _system(mass, omega, hbar, eta, gamma)
-        nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(n_top + 1)]
-        rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_top + 1)]
+        nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(n_max + 1)]
+        rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
         results.append(_check_orthonormality(nr_states))
         results.append(_check_quadrature_node_count(rel_states))
         results.append(_check_normalization_reference(rel_states))
-        results.append(_check_ladder_identity(nr_states, literal_raise))
+        results.append(_check_ladder_identity(nr_states))
         results.extend(_check_su11_algebra())
         results.append(_check_ode_residual(rel_states))
         results.append(_check_weight_orthogonality())
         results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))
     else:
-        results.append(_check_solver_cross_validation(mass, omega, hbar, gamma, (0.0,), n_top))
+        results.append(_check_solver_cross_validation(mass, omega, hbar, gamma, (0.0,), n_max))
         results.append(_check_nr_limit(omega, hbar, gamma))
         results.extend(_check_su11_algebra())
         results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .fm import FmProblem, NoBoundStateError, fm_exponents, fm_quantization_residual
 from .gup import (
@@ -51,35 +50,6 @@ _DEFAULTS = {
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    mass: float
-    omega: float
-    hbar: float
-    eta: float
-    gamma: float
-    n_max: int
-    branch: str
-    output_format: str
-    output_path: str | None
-    literal_raise: bool = False
-
-    def validate(self) -> None:
-        self.system()  # the model types reject bad physical parameters, NaN included
-        if self.n_max < 0:
-            raise UsageError("nmax must be >= 0")
-        if self.branch not in _BRANCHES:
-            raise UsageError(f"branch must be one of {sorted(_BRANCHES)}")
-        if self.output_format not in ("csv", "json"):
-            raise UsageError("format must be csv or json")
-
-    def system(self) -> OscillatorSystem:
-        return OscillatorSystem(
-            self.mass, self.omega,
-            DeformedAlgebra(eta=self.eta, gamma=self.gamma, hbar=self.hbar),
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,31 +91,25 @@ def _coerce(key: str, value: str):
         raise UsageError(f"invalid value for {key}: {value!r}") from exc
 
 
-def _build_config(args) -> RunConfig:
+def _resolve(args) -> None:
+    """Fill each unset common flag from the config file, then the default; validate.
+
+    Builds the model once, as ``args.system``, which also rejects bad
+    physical parameters, NaN included.
+    """
     file_values = _read_config_file(args.config) if args.config else {}
-    merged = {}
     for key, default in _DEFAULTS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            merged[key] = _coerce(key, file_values[key])
-        else:
-            merged[key] = default
-    config = RunConfig(
-        mass=merged["mass"],
-        omega=merged["omega"],
-        hbar=merged["hbar"],
-        eta=merged["eta"],
-        gamma=merged["gamma"],
-        n_max=merged["nmax"],
-        branch=merged["branch"],
-        output_format=merged["format"],
-        output_path=args.out,
-        literal_raise=getattr(args, "literal_raise", False),
+        if getattr(args, key) is None:
+            setattr(args, key, _coerce(key, file_values[key]) if key in file_values else default)
+    args.system = OscillatorSystem(
+        args.mass, args.omega, DeformedAlgebra(eta=args.eta, gamma=args.gamma, hbar=args.hbar)
     )
-    config.validate()
-    return config
+    if args.nmax < 0:
+        raise UsageError("nmax must be >= 0")
+    if args.branch not in _BRANCHES:
+        raise UsageError(f"branch must be one of {sorted(_BRANCHES)}")
+    if args.format not in ("csv", "json"):
+        raise UsageError("format must be csv or json")
 
 
 def _fmt(value) -> str:
@@ -154,9 +118,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, command: str, meta: dict, columns: list[str], rows: list) -> None:
+def _emit(args, command: str, meta: dict, columns: list[str], rows: list) -> None:
     """Assemble the whole document, then write it in one go."""
-    if config.output_format == "csv":
+    if args.format == "csv":
         lines = [f"# gupho {command}"]
         for key, value in meta.items():
             lines.append(f"# {key}={_fmt(value)}")
@@ -170,39 +134,32 @@ def _emit(config: RunConfig, command: str, meta: dict, columns: list[str], rows:
             "rows": [list(row) for row in rows],
         }
         text = json.dumps(doc, indent=2) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _config_meta(config: RunConfig) -> dict:
-    return {
-        "mass": config.mass,
-        "omega": config.omega,
-        "hbar": config.hbar,
-        "eta": config.eta,
-        "gamma": config.gamma,
-    }
+def _config_meta(args) -> dict:
+    return {key: getattr(args, key) for key in ("mass", "omega", "hbar", "eta", "gamma")}
 
 
-def _cmd_spectrum(config: RunConfig, args) -> int:
+def _cmd_spectrum(args) -> int:
     rows = []
-    system = config.system()
-    for n in range(config.n_max + 1):
-        if config.branch == "rel":
-            res = energy_relativistic(system, n)
+    for n in range(args.nmax + 1):
+        if args.branch == "rel":
+            res = energy_relativistic(args.system, n)
         else:
-            res = energy_nonrel(system, n)
+            res = energy_nonrel(args.system, n)
         rows.append((res.n, res.energy, res.residual, res.iterations, res.method))
-    meta = _config_meta(config)
-    meta["branch"] = config.branch
-    _emit(config, "spectrum", meta, ["n", "energy", "residual", "iterations", "method"], rows)
+    meta = _config_meta(args)
+    meta["branch"] = args.branch
+    _emit(args, "spectrum", meta, ["n", "energy", "residual", "iterations", "method"], rows)
     return EXIT_OK
 
 
-def _cmd_figure1(config: RunConfig, args) -> int:
+def _cmd_figure1(args) -> int:
     if args.steps < 2:
         raise UsageError("steps must be >= 2")
     if not 0 <= args.xi_min < args.xi_max:
@@ -217,56 +174,50 @@ def _cmd_figure1(config: RunConfig, args) -> int:
         args.xi_min + i * (args.xi_max - args.xi_min) / (args.steps - 1)
         for i in range(args.steps)
     ]
-    rows = ratio_sweep(config.mass, config.omega, config.hbar, config.gamma, n_list, xi_grid)
-    meta = _config_meta(config)
+    rows = ratio_sweep(args.mass, args.omega, args.hbar, args.gamma, n_list, xi_grid)
+    meta = _config_meta(args)
     del meta["eta"]  # eta is derived from xi here
     meta["units"] = "a0=1 (natural units)"
     meta["branch"] = "nr"
-    _emit(config, "figure1", meta, ["xi", "n", "E_n", "E_0", "ratio"], rows)
+    _emit(args, "figure1", meta, ["xi", "n", "E_n", "E_0", "ratio"], rows)
     return EXIT_OK
 
 
-def _cmd_state(config: RunConfig, args) -> int:
+def _cmd_state(args) -> int:
     from .states import NONRELATIVISTIC, RELATIVISTIC, eval_state, make_state
 
     if args.samples < 2:
         raise UsageError("samples must be >= 2")
     if args.n < 0:
         raise UsageError("n must be >= 0")
-    system = config.system()
-    branch = RELATIVISTIC if config.branch == "rel" else NONRELATIVISTIC
+    system = args.system
+    branch = RELATIVISTIC if args.branch == "rel" else NONRELATIVISTIC
     state = make_state(system, args.n, branch)
     rows = []
     for i in range(args.samples):
         rho = -0.99 + 1.98 * i / (args.samples - 1)
         rows.append((p_of_rho(system.algebra, rho), rho, eval_state(state, rho)))
-    meta = _config_meta(config)
-    meta.update({"branch": config.branch, "n": args.n, "v": state.v,
+    meta = _config_meta(args)
+    meta.update({"branch": args.branch, "n": args.n, "v": state.v,
                  "lambda": state.lam, "norm": state.norm, "energy": state.energy})
-    _emit(config, "state", meta, ["p", "rho", "phi"], rows)
+    _emit(args, "state", meta, ["p", "rho", "phi"], rows)
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     from . import checks
 
     results = checks.run_suite(
-        mass=config.mass,
-        omega=config.omega,
-        hbar=config.hbar,
-        eta=config.eta,
-        gamma=config.gamma,
-        n_max=config.n_max,
-        literal_raise=config.literal_raise,
+        mass=args.mass, omega=args.omega, hbar=args.hbar, eta=args.eta, gamma=args.gamma,
+        n_max=args.nmax,
     )
     rows = [
         (r.name, r.max_deviation, r.tolerance, "pass" if r.passed else "fail")
         for r in results
     ]
-    meta = _config_meta(config)
-    meta["nmax"] = config.n_max
-    meta["literal_raise"] = config.literal_raise
-    _emit(config, "verify", meta, ["check", "max_deviation", "tolerance", "status"], rows)
+    meta = _config_meta(args)
+    meta["nmax"] = args.nmax
+    _emit(args, "verify", meta, ["check", "max_deviation", "tolerance", "status"], rows)
     failing = [r.name for r in results if not r.passed]
     if failing:
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
@@ -274,13 +225,13 @@ def _cmd_verify(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_fm(config: RunConfig, args) -> int:
+def _cmd_fm(args) -> int:
     problem = FmProblem(k1=args.k1, k2=args.k2, k3=args.k3, A=args.A, B=args.B, C=args.C)
     k4, k5 = fm_exponents(problem)
     residual = fm_quantization_residual(problem, args.n)
     meta = {"k1": args.k1, "k2": args.k2, "k3": args.k3,
             "A": args.A, "B": args.B, "C": args.C, "n": args.n}
-    _emit(config, "fm", meta, ["k4", "k5", "residual"], [(k4, k5, residual)])
+    _emit(args, "fm", meta, ["k4", "k5", "residual"], [(k4, k5, residual)])
     return EXIT_OK
 
 
@@ -317,8 +268,6 @@ def _make_parser() -> _Parser:
     p.set_defaults(handler=_cmd_state)
 
     p = sub.add_parser("verify", parents=[common], help="run the invariant suite")
-    p.add_argument("--literal-raise", action="store_true",
-                   help="use the constant-term raising form (documents its failure)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("fm", parents=[common],
@@ -335,8 +284,8 @@ def main(argv=None) -> int:
     parser = _make_parser()
     args = parser.parse_args(argv)
     try:
-        config = _build_config(args)
-        return args.handler(config, args)
+        _resolve(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"gupho: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -173,14 +173,18 @@ def tilde_params(system: OscillatorSystem, energy_rel: float) -> tuple[float, fl
 
     A~ = 2 / (hbar^2 m omega^2 (E + m)) - gamma (gamma + eta)
     B~ = -(2 (E^2 - m^2) / (hbar^2 m omega^2 (E + m)) + gamma)
+       = -(2 (E - m) / (hbar^2 m omega^2) + gamma),
+
+    formed in the second arrangement, which squares neither E nor m and so
+    stays finite for rest masses up to the double range.
     """
     m = system.mass
     if not energy_rel + m > 0.0:
         raise ValueError("requires energy_rel + mass > 0")
     alg = system.algebra
-    denom = alg.hbar**2 * m * system.omega**2 * (energy_rel + m)
-    a_tilde = 2.0 / denom - alg.gamma * (alg.gamma + alg.eta)
-    b_tilde = -(2.0 * (energy_rel**2 - m**2) / denom + alg.gamma)
+    hw2 = alg.hbar**2 * m * system.omega**2
+    a_tilde = 2.0 / (hw2 * (energy_rel + m)) - alg.gamma * (alg.gamma + alg.eta)
+    b_tilde = -(2.0 * (energy_rel - m) / hw2 + alg.gamma)
     return a_tilde, b_tilde
 
 

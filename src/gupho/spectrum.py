@@ -141,14 +141,21 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     iterations at hbar = 1 for eta <= 1e3, 1 <= m <= 1e6, 0.1 <= omega <= 10,
     n <= 100; eta = 0 goes through the smooth limit of the map.  The `verify`
     suite checks the levels against the closed-form root of the squared
-    condition.  Raises `SolverError` when the solve stalls.
+    condition.  Raises `SolverError` when the solve stalls, or where the
+    map leaves the double range (rest masses below about 1e-108, where
+    m (delta + 2m)^2 underflows at delta = 0), so no level or residual is
+    ever inf or NaN.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    delta, disp, iters = _solve_newton(system, n)
-    return SpectrumResult(
-        n=n, energy=system.mass + delta, residual=disp, iterations=iters, method="newton"
-    )
+    try:
+        delta, disp, iters = _solve_newton(system, n)
+    except ZeroDivisionError as exc:
+        raise SolverError(f"level n={n} leaves the double range at mass {system.mass!r}") from exc
+    energy = system.mass + delta
+    if not (math.isfinite(energy) and math.isfinite(disp)):
+        raise SolverError(f"level n={n} is not a finite double: energy={energy!r}, residual={disp!r}")
+    return SpectrumResult(n=n, energy=energy, residual=disp, iterations=iters, method="newton")
 
 
 def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:

@@ -294,12 +294,7 @@ def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
     )
 
 
-def apply_ladder(
-    state: OscillatorState,
-    direction: str,
-    rho,
-    literal_raise: bool = False,
-):
+def apply_ladder(state: OscillatorState, direction: str, rho):
     """Evaluate the raising or lowering operator on the state at rho.
 
     lower: [ (1 - rho^2) d/drho + (2v + n) rho ] sqrt((lam + n - 1)/(n + lam))
@@ -313,18 +308,13 @@ def apply_ladder(
     so each call runs one Gegenbauer recurrence.  ``rho`` is validated and
     typed as in `eval_state`: a Python ``float`` or ``int`` is evaluated in
     Python floats and returns a ``float``, an ndarray or numpy scalar
-    returns the same type.  On the
-    nonrelativistic branch, where (v, lam) do not depend on n, the result
-    equals l_(+/-) times the neighbouring normalized state pointwise; on the
-    relativistic branch neighbouring states carry different exponents and no
-    such identity holds.  With ``literal_raise`` the diagonal term of the
-    raising operator is taken as a constant instead of proportional to rho,
-    which adds (2 lam - 2v + n) (1 - rho) phi to the bracket; that variant
-    fails the ladder identity and is kept only for documentation of the
-    difference.
+    returns the same type.  On the nonrelativistic branch, where (v, lam) do
+    not depend on n, the result equals l_(+/-) times the neighbouring
+    normalized state pointwise; on the relativistic branch neighbouring
+    states carry different exponents and no such identity holds.
     """
     x = _rho_array(rho)
-    n, v, lam = state.n, state.v, state.lam
+    n, lam = state.n, state.lam
     if direction == "lower":
         if n == 0:
             return 0.0 * specfun.gegenbauer(0, lam, x)  # annihilated, l-(0) = 0: a zero of rho's kind
@@ -332,8 +322,6 @@ def apply_ladder(
         return math.sqrt((lam + n - 1.0) / (n + lam)) * _envelope(state, x) * poly
     if direction == "raise":
         bracket = _envelope(state, x) * ((n + 1.0) * specfun.gegenbauer(n + 1, lam, x))
-        if literal_raise:
-            bracket = bracket + (2.0 * lam - 2.0 * v + n) * (1.0 - x) * eval_state(state, x)
         return math.sqrt((lam + n + 1.0) / (n + lam)) * bracket
     raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
 

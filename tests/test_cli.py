@@ -3,6 +3,10 @@ import math
 import subprocess
 import sys
 
+import pytest
+
+from gupho import checks, cli
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -46,6 +50,15 @@ class TestSpectrumCommand:
     def test_invalid_parameter_value_exits_64(self):
         result = run_cli("spectrum", "--mass", "-2")
         assert result.returncode == 64
+
+    @pytest.mark.parametrize("mass", ["1e-140", "1e-160", "1e-200"])
+    def test_tiny_mass_exits_2(self, mass):
+        # m (delta + 2m) underflows: a typed failure, never a traceback or an inf level
+        result = run_cli("spectrum", "--mass", mass)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("gupho: numerical failure:")
+        assert result.stderr.count("\n") == 1
 
     def test_huge_deformation_stays_finite(self):
         result = run_cli("spectrum", "--branch", "nr", "--eta", "1e160", "--nmax", "2")
@@ -138,6 +151,11 @@ class TestStateCommand:
         _, rows = data_rows(result.stdout)
         assert all(math.isfinite(float(v)) for r in rows for v in r)
 
+    def test_tiny_mass_exits_2(self):
+        result = run_cli("state", "--eta", "1", "--mass", "1e-200")
+        assert result.returncode == 2
+        assert "numerical failure" in result.stderr
+
     def test_underflowing_norm_exits_2(self):
         for flags in (("--branch", "nr", "--eta", "1e-200"), ("--eta", "1e-3")):
             result = run_cli("state", *flags)
@@ -152,13 +170,38 @@ class TestVerifyCommand:
         _, rows = data_rows(result.stdout)
         assert all(r[3] == "pass" for r in rows)
 
-    def test_literal_raise_fails_ladder_check(self):
+    def test_literal_raise_flag_exits_64(self):
+        # the printed raising form is not an option; criterion 09 pins its failure
         result = run_cli("verify", "--literal-raise")
-        assert result.returncode == 1
+        assert result.returncode == 64
+        assert result.stdout == ""
+        assert "unrecognized arguments: --literal-raise" in result.stderr
+
+    def test_nmax_is_honoured(self, monkeypatch, capsys):
+        built = []
+        make_state = checks.make_state
+
+        def recording(system, n, branch):
+            built.append(n)
+            return make_state(system, n, branch)
+
+        monkeypatch.setattr(checks, "make_state", recording)
+        assert cli.main(["verify", "--nmax", "12"]) == 0
+        assert max(built) == 12
+        assert "# nmax=12\n" in capsys.readouterr().out
+
+    def test_huge_mass_passes(self):
+        # B~ is formed from E - m, so E^2 never overflows
+        result = run_cli("verify", "--mass", "1e200")
+        assert result.returncode == 0, result.stderr
         _, rows = data_rows(result.stdout)
-        status = {r[0]: r[3] for r in rows}
-        assert status["ladder_identity"] == "fail"
-        assert "ladder_identity" in result.stderr
+        assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+
+    def test_tiny_mass_exits_2(self):
+        result = run_cli("verify", "--mass", "1e-150")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "numerical failure" in result.stderr
 
     def test_undeformed_config_passes(self):
         result = run_cli("verify", "--eta", "0")
@@ -244,6 +287,16 @@ class TestOutputDiscipline:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("tau = 3\n")
         assert run_cli("spectrum", "--config", str(cfg)).returncode == 64
+
+    @pytest.mark.parametrize("line", ["branch = xx", "format = xml", "mass = abc", "nmax = -1"])
+    def test_invalid_config_value_exits_64(self, tmp_path, line):
+        # config values never pass argparse's type and choices checks
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        result = run_cli("spectrum", "--config", str(cfg))
+        assert result.returncode == 64
+        assert result.stdout == ""
+        assert result.stderr.startswith("gupho: error:")
 
     def test_quad_order_env_is_ignored(self):
         import os

@@ -206,6 +206,15 @@ class TestTildeParams:
         with pytest.raises(ValueError):
             tilde_params(system(), -1.0)
 
+    @pytest.mark.parametrize("mass", [1e100, 1e200])
+    def test_huge_mass_stays_finite(self, mass):
+        # E^2 overflows beyond ~1e154; B~ is formed from E - m instead
+        sys = system(mass=mass, eta=0.1, gamma=0.05)
+        energy = energy_relativistic(sys, 3).energy
+        a, b = tilde_params(sys, energy)
+        assert math.isfinite(a) and math.isfinite(b)
+        assert b == -(2.0 * (energy - mass) / mass + 0.05)
+
 
 class TestFmMapping:
     def test_k_constants_at_gamma_zero(self):

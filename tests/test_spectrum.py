@@ -131,6 +131,14 @@ class TestEnergyRelativistic:
         with pytest.raises(ValueError):
             energy_relativistic(system(), -1)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    @pytest.mark.parametrize("mass", [1e-140, 1e-150, 1e-160, 1e-200])
+    def test_tiny_mass_raises_solver_error(self, eta, mass):
+        # m (delta + 2m)^2 underflows: the solve divides by zero or meets an inf level
+        for n in (0, 5):
+            with pytest.raises(SolverError):
+                energy_relativistic(system(mass=mass, eta=eta), n)
+
     @settings(max_examples=300, deadline=None)
     @given(
         eta=st.one_of(st.just(0.0), st.floats(-12.0, 3.0).map(lambda e: 10.0**e)),

@@ -280,14 +280,6 @@ class TestApplyLadder:
                 down_got = apply_ladder(state, "lower", rhos)
                 assert np.max(np.abs(down_got - down_target)) <= 1e-8 * np.max(np.abs(down_target))
 
-    def test_literal_raising_form_fails(self, nr_family):
-        # the constant-term variant violates the ladder identity badly
-        rhos = np.linspace(-0.95, 0.95, 39)
-        state = nr_family[0]
-        target = ladder_coeffs(0, state.lam).l_plus * eval_state(nr_family[1], rhos)
-        got = apply_ladder(state, "raise", rhos, literal_raise=True)
-        assert np.max(np.abs(got - target)) > 1e-3 * np.max(np.abs(target))
-
     @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
     @pytest.mark.parametrize("eta,gamma", [(0.05, 0.0), (0.7, 0.2), (3.0, 1.0)])
     def test_closed_form_matches_product_rule(self, branch, eta, gamma):
@@ -299,16 +291,16 @@ class TestApplyLadder:
             v, lam = state.v, state.lam
             slope = (1.0 - rhos * rhos) * eval_state_derivative(state, rhos)
             phi = eval_state(state, rhos)
-            cases = [("raise", lit, -slope, (2.0 * lam - 2.0 * v + n) * (1.0 if lit else rhos) * phi,
-                      math.sqrt((lam + n + 1.0) / (n + lam))) for lit in (False, True)]
+            cases = [("raise", -slope, (2.0 * lam - 2.0 * v + n) * rhos * phi,
+                      math.sqrt((lam + n + 1.0) / (n + lam)))]
             if n >= 1:
-                cases += [("lower", lit, slope, (2.0 * v + n) * rhos * phi,
-                           math.sqrt((lam + n - 1.0) / (n + lam))) for lit in (False, True)]
-            for direction, lit, first, second, coeff in cases:
-                got = apply_ladder(state, direction, rhos, literal_raise=lit)
+                cases.append(("lower", slope, (2.0 * v + n) * rhos * phi,
+                              math.sqrt((lam + n - 1.0) / (n + lam))))
+            for direction, first, second, coeff in cases:
+                got = apply_ladder(state, direction, rhos)
                 want = coeff * (first + second)
                 size = coeff * (np.abs(first) + np.abs(second))
-                assert np.all(np.abs(got - want) <= 1e-12 * size), (direction, lit, n)
+                assert np.all(np.abs(got - want) <= 1e-12 * size), (direction, n)
 
     @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
     def test_array_matches_scalar_calls(self, branch):
@@ -317,14 +309,13 @@ class TestApplyLadder:
         for n in (0, 1, 5, 16):
             state = make_state(sys, n, branch)
             for direction in ("raise", "lower"):
-                for lit in (False, True):
-                    whole = apply_ladder(state, direction, rhos, literal_raise=lit)
-                    each = [apply_ladder(state, direction, r, literal_raise=lit) for r in rhos.tolist()]
-                    # numpy scalars take the array code path; Python floats must agree with it exactly
-                    assert each == [apply_ladder(state, direction, r, literal_raise=lit) for r in rhos]
-                    assert whole.shape == rhos.shape
-                    # numpy's vectorised power may round the envelope differently from C's pow
-                    assert np.all(np.abs(whole - each) <= 1e-14 * np.abs(each))
+                whole = apply_ladder(state, direction, rhos)
+                each = [apply_ladder(state, direction, r) for r in rhos.tolist()]
+                # numpy scalars take the array code path; Python floats must agree with it exactly
+                assert each == [apply_ladder(state, direction, r) for r in rhos]
+                assert whole.shape == rhos.shape
+                # numpy's vectorised power may round the envelope differently from C's pow
+                assert np.all(np.abs(whole - each) <= 1e-14 * np.abs(each))
 
     def test_scalar_and_dtype_handling(self, nr_family):
         # a Python scalar is evaluated in floats; numpy input keeps its type and dtype
