@@ -3,7 +3,9 @@
 Each check returns its maximum observed deviation together with the pinned
 tolerance; the suite passes when every deviation is within tolerance.  With
 eta = 0 the deformed-only checks are skipped and the undeformed limit checks
-run instead.
+run instead.  The relativistic levels come from the closed-form root of the
+squared quantization condition; `solver_cross_validation` holds them to the
+unsquared one and `relativistic_residual` to its dimensionless arrangement.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import specfun, spectrum
 from .gup import (
     DeformedAlgebra,
     OscillatorSystem,
@@ -22,7 +24,6 @@ from .gup import (
 )
 from .fm import fm_exponents, fm_quantization_residual
 from .spectrum import (
-    SolverError,
     energy_nonrel,
     energy_relativistic,
     nr_limit_of_relativistic,
@@ -62,58 +63,19 @@ def _system(mass, omega, hbar, eta, gamma) -> OscillatorSystem:
     return OscillatorSystem(mass, omega, DeformedAlgebra(eta=eta, gamma=gamma, hbar=hbar))
 
 
-def _closed_form_energy(system: OscillatorSystem, n: int) -> float:
-    """Relativistic level as the positive root of the squared quantization condition.
-
-    With a = hbar omega m / 2, b = hbar eta omega, K = 2n + 1, c = n^2 + n + 1/2,
-    the solver's delta = a b c + a K sqrt(b^2/4 + 2 / (m (delta + 2m))) squares
-    to (y^2 - q^2)(y + P) = R in y = delta - a b c, where q = a K b / 2,
-    P = a b c + 2m and R = 2 a^2 K^2 / m, for every eta >= 0.  In z = y / P it
-    reads (z^2 - Q^2)(z + 1) = U with Q = q / P, U = R / P^3, which cannot
-    overflow.  Its roots multiply to Q^2 + U > 0 and their pairwise products
-    sum to -Q^2, so exactly one is positive.  Cardano gives a lone real root;
-    with three, the trigonometric form gives the most negative one and the
-    level follows from the quadratic left, without cancellation.
-    """
-    m = system.mass
-    hw = system.algebra.hbar * system.omega
-    a = 0.5 * hw * m
-    b = hw * system.algebra.eta
-    k = 2 * n + 1
-    abc = a * b * (n * n + n + 0.5)
-    big_p = abc + 2.0 * m
-    big_q = 0.5 * a * k * b / big_p
-    big_u = a * hw * k * k / big_p / big_p / big_p
-    # depressed form t^3 + p t + r = 0 in t = z + 1/3
-    p = -big_q * big_q - 1.0 / 3.0
-    r = 2.0 / 27.0 - 2.0 * big_q * big_q / 3.0 - big_u
-    disc = 0.25 * r * r + p * p * p / 27.0
-    if disc > 0.0:
-        c = math.cbrt(-0.5 * r - math.copysign(math.sqrt(disc), r))
-        z = c - p / (3.0 * c) - 1.0 / 3.0
-    else:
-        cos3 = max(-1.0, min(1.0, 1.5 * r / p * math.sqrt(-3.0 / p)))
-        angle = math.acos(cos3) / 3.0 + 2.0 * math.pi / 3.0
-        z = 2.0 * math.sqrt(-p / 3.0) * math.cos(angle) - 1.0 / 3.0
-    if z < 0.0:
-        # z is a negative root z0; the other two solve w^2 + s w + pr = 0
-        s = big_u / ((z - big_q) * (z + big_q))  # = z0 + 1 without its cancellation
-        pr = (big_q * big_q + big_u) / z
-        z = -2.0 * pr / (s + math.sqrt(s * s - 4.0 * pr))
-    energy = m + abc + big_p * z
-    if not math.isfinite(energy):
-        raise SolverError(f"closed-form level n={n} is not a finite double: {energy!r}")
-    return energy
-
-
 def _check_solver_cross_validation(mass, omega, hbar, gamma, etas, n_top) -> CheckResult:
-    """Newton's levels against `_closed_form_energy`, which shares no code with them."""
+    """The closed-form levels against the unsquared fixed point, |h(E - m)| / E.
+
+    The levels come from the squared condition; h = delta - map(delta) does
+    not square, so a spurious root of the cubic fails here, and h' >= 1 makes
+    |h| a bound on the error in delta.
+    """
     dev = 0.0
     for eta in etas:
         system = _system(mass, omega, hbar, eta, gamma)
         for n in range(n_top + 1):
             energy = energy_relativistic(system, n).energy
-            dev = max(dev, abs(energy - _closed_form_energy(system, n)) / energy)
+            dev = max(dev, abs(spectrum._displacement(system, n, energy - mass)) / energy)
     return CheckResult("solver_cross_validation", dev, 1e-10)
 
 

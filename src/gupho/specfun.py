@@ -85,7 +85,7 @@ def gegenbauer(n: int, lam: float, x):
     """
     if n < 0:
         raise ValueError("degree n must be a nonnegative integer")
-    if lam <= 0:
+    if not lam > 0.0:
         raise ValueError("Gegenbauer order lam must be positive")
     x = as_float(x)
     if n == 0:

@@ -7,11 +7,11 @@ written here as a fixed-point relation for the energy above rest mass,
             + 2 / (m (delta + 2m))) + hbar eta omega (n^2 + n + 1/2) ],
 
 which at eta = 0 reduces smoothly to the undeformed limit, so deformed and
-undeformed systems share one solver: safeguarded Newton on delta - map(delta)
-with the analytic derivative.  Squared, the relation becomes a cubic in
-delta whose closed-form root cross-checks the solver in `checks`.  Working
-in delta = E - m keeps the condition well conditioned even for rest masses
-of 1e6 and deformations down to 1e-12.
+undeformed systems share one formula.  Squared, the relation becomes a cubic
+whose one positive root, taken in closed form, is the level; the unsquared
+relation, delta - map(delta), is its residual.  Working in delta = E - m
+keeps the condition well conditioned from light to heavy rest masses and
+for deformations down to eta = 0.
 """
 
 from __future__ import annotations
@@ -36,23 +36,14 @@ __all__ = [
 # Bohr-radius unit for the ratio sweep, pinned to 1 in natural units.
 BOHR_RADIUS = 1.0
 
-_MAX_ITER = 200
-# relative tolerance on the displacement delta - map(delta) (energy units)
-_RTOL = 1e-14
-# acceptance gate when iteration can no longer improve
-_GATE = 1e-12
-
 
 class SolverError(RuntimeError):
-    """Energy solve failed to converge, or a level is not a finite double.
-
-    The message carries bracket diagnostics.
-    """
+    """A level, or a quantity it is formed from, leaves the double range."""
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """One converged level.
+    """One level.
 
     ``residual`` is the quantization condition in its fixed-point (energy
     units) arrangement, delta - map(delta), evaluated at the returned energy;
@@ -63,7 +54,7 @@ class SpectrumResult:
     energy: float
     residual: float
     iterations: int
-    method: str  # "newton" (relativistic) | "closed_form" (nonrelativistic)
+    method: str  # "closed_form" on both branches
 
 
 def rel_residual(system: OscillatorSystem, n: int, energy: float) -> float:
@@ -85,77 +76,81 @@ def rel_residual(system: OscillatorSystem, n: int, energy: float) -> float:
     return 2.0 * (energy - m) / (hw2 * alg.eta) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
 
 
-def _displacement(system: OscillatorSystem, n: int, delta: float) -> tuple[float, float]:
-    """h(delta) = delta - map(delta) and its slope h'(delta); valid for eta >= 0.
+def _displacement(system: OscillatorSystem, n: int, delta: float) -> float:
+    """h(delta) = delta - map(delta), valid for eta >= 0.
 
-    map(delta) = a K s + a b c with a = hbar omega m / 2, b = hbar eta omega,
-    K = 2n + 1, c = n^2 + n + 1/2 and s = sqrt(b^2/4 + 2 / (m x)), x = delta + 2m,
-    so h' = 1 + a K / (m x^2 s).  h is increasing and concave.
+    map(delta) = a (K s + b c) with a = hbar omega m / 2, b = hbar eta omega,
+    K = 2n + 1, c = n^2 + n + 1/2 and s = sqrt(b^2/4 + 2 / (m x)), x = delta + 2m.
+    h' = 1 + a K / (m x^2 s) >= 1, so |h| bounds the distance to the root.  s is
+    formed as hypot(b/2, sqrt(1/m) / sqrt(x/2)), which neither m x nor 2m can
+    overflow.
     """
     m = system.mass
     hw = system.algebra.hbar * system.omega
     b = hw * system.algebra.eta
-    ak = 0.5 * hw * m * (2 * n + 1)
-    x = delta + 2.0 * m
-    s = math.sqrt(0.25 * b * b + 2.0 / (m * x))
-    disp = delta - (ak * s + 0.5 * hw * m * b * (n * n + n + 0.5))
-    return disp, 1.0 + ak / (m * x * x * s)
-
-
-def _solve_newton(system: OscillatorSystem, n: int) -> tuple[float, float, int]:
-    """Newton on h over the bracket [0, map(0)], bisecting whenever it leaves it.
-
-    h(0) = -map(0) < 0 and h(map(0)) >= 0 because map is decreasing.  Started
-    at the upper end, Newton on the increasing concave h lands left of the
-    root and then climbs to it monotonically.
-    """
-    lo = 0.0
-    delta = hi = -_displacement(system, n, 0.0)[0]
-    for it in range(1, _MAX_ITER + 1):
-        disp, slope = _displacement(system, n, delta)
-        if abs(disp) <= _RTOL * max(1.0, abs(delta)):
-            return delta, disp, it
-        if disp < 0.0:
-            lo = delta
-        else:
-            hi = delta
-        step = delta - disp / slope
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if step == delta:
-            break  # no representable step is left
-        delta = step
-    disp = _displacement(system, n, delta)[0]
-    if abs(disp) <= _GATE * max(1.0, abs(delta)):
-        return delta, disp, it
-    raise SolverError(
-        f"Newton iteration stalled after {it} iterations at n={n}: "
-        f"bracket=({lo!r}, {hi!r}), displacement={disp!r}"
-    )
+    s = math.hypot(0.5 * b, math.sqrt(1.0 / m) / math.sqrt(0.5 * delta + m))
+    return delta - 0.5 * m * (hw * ((2 * n + 1) * s + b * (n * n + n + 0.5)))
 
 
 def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
-    """Relativistic level E_R > m for quantum number n.
+    """Relativistic level E_R > m for quantum number n, in closed form.
 
-    Safeguarded Newton iteration on h(delta) = delta - map(delta), at most 7
-    iterations at hbar = 1 for eta <= 1e3, 1 <= m <= 1e6, 0.1 <= omega <= 10,
-    n <= 100; eta = 0 goes through the smooth limit of the map.  The `verify`
-    suite checks the levels against the closed-form root of the squared
-    condition.  Raises `SolverError` when the solve stalls, or where the
-    map leaves the double range (rest masses below about 1e-108, where
-    m (delta + 2m)^2 underflows at delta = 0), so no level or residual is
-    ever inf or NaN.
+    With a, b, K, c as in `_displacement`, delta = a b c + a K s squares to
+    (y^2 - q^2)(y + P) = 2 a^2 K^2 / m in y = delta - a b c, where
+    q = a K b / 2 and P = a b c + 2m, for every eta >= 0.  In z = y / P it reads
+    (z^2 - Q^2)(z + 1) = U with Q = q / P <= 1 and sqrt(U) = K sqrt(a hbar omega / P) / P.
+    The roots multiply to sigma^2 = Q^2 + U > 0 and their pairwise products sum
+    to -Q^2, so exactly one is positive, and it is the level.  Cardano gives a
+    lone real root.  With three, the trigonometric form gives the largest one
+    directly when it is >= 1/3; below, the level follows from the most
+    negative root z0 and the quadratic left, scaled by sigma, without
+    cancellation.  The returned residual is h at the level; h' >= 1 makes it a
+    bound on the error in delta.  Raises `SolverError` where the level, U^2
+    or sigma leaves the double range, which includes rest masses below about
+    4e-78 (2n + 1) hbar omega, so no level or residual is ever inf or NaN.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    try:
-        delta, disp, iters = _solve_newton(system, n)
-    except ZeroDivisionError as exc:
-        raise SolverError(f"level n={n} leaves the double range at mass {system.mass!r}") from exc
-    energy = system.mass + delta
-    if not (math.isfinite(energy) and math.isfinite(disp)):
-        raise SolverError(f"level n={n} is not a finite double: energy={energy!r}, residual={disp!r}")
-    return SpectrumResult(n=n, energy=energy, residual=disp, iterations=iters, method="newton")
+    m = system.mass
+    hw = system.algebra.hbar * system.omega
+    b = hw * system.algebra.eta
+    k = 2 * n + 1
+    abc = m * (0.5 * hw * b * (n * n + n + 0.5))
+    half_p = 0.5 * abc + m  # P / 2, finite wherever the level is
+    a_p = 0.25 * hw * (m / half_p)  # a / P
+    q = 0.5 * a_p * k * b
+    w = q * q
+    root_u = 0.5 * k * math.sqrt(a_p * hw) / half_p
+    u = root_u * root_u
+    # depressed form t^3 + p t + r = 0 in t = z + 1/3; its discriminant r^2/4 + p^3/27
+    # expanded, so that its sign survives sigma << 1
+    p = -w - 1.0 / 3.0
+    r = 2.0 / 27.0 - 2.0 * w / 3.0 - u
+    disc = -(w * (1.0 - w) * (1.0 - w) + u * (1.0 - 9.0 * w) - 6.75 * u * u) / 27.0
+    if not math.isfinite(disc):
+        raise SolverError(f"level n={n}: U^2 leaves the double range at mass {m!r} (U = {u!r})")
+    if disc > 0.0:
+        c = math.cbrt(-0.5 * r - math.copysign(math.sqrt(disc), r))
+        z = c - p / (3.0 * c) - 1.0 / 3.0
+    else:
+        rad = 2.0 * math.sqrt(-p / 3.0)
+        angle = math.acos(max(-1.0, min(1.0, 1.5 * r / p * math.sqrt(-3.0 / p)))) / 3.0
+        z = rad * math.cos(angle) - 1.0 / 3.0
+        if z < 1.0 / 3.0:
+            # the other two roots solve v^2 + (z0 + 1) v - sigma^2 / |z0| = 0,
+            # and z0 + 1 = U / (z0^2 - Q^2) without its cancellation
+            z0 = rad * math.cos(angle + 2.0 * math.pi / 3.0) - 1.0 / 3.0
+            sigma = math.hypot(q, root_u)
+            if sigma == 0.0:
+                raise SolverError(f"level n={n}: Q and sqrt(U) both underflow at mass {m!r}")
+            g = root_u / sigma * root_u / (z0 * z0 - w)
+            z = 2.0 * sigma / -z0 / (g + math.sqrt(g * g - 4.0 / z0))
+    delta = abc + half_p * (2.0 * z)
+    residual = _displacement(system, n, delta)
+    energy = m + delta
+    if not (math.isfinite(energy) and math.isfinite(residual)):
+        raise SolverError(f"level n={n} is not a finite double: energy={energy!r}, residual={residual!r}")
+    return SpectrumResult(n=n, energy=energy, residual=residual, iterations=0, method="closed_form")
 
 
 def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:

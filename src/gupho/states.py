@@ -96,8 +96,8 @@ class LadderCoefficients:
 def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState:
     """Build the normalized state for quantum number n on the chosen branch.
 
-    The relativistic branch solves the implicit spectrum first and derives
-    the exponent from the converged energy; the nonrelativistic branch uses
+    The relativistic branch takes the level from `energy_relativistic` and
+    derives the exponent from it; the nonrelativistic branch uses
     the closed-form parameters.  The raw norm integral is
     4^(-2v) eta^(-1/2) / reference_norm^2, formed in double precision; where
     4^(-2v) or the integral is not a normal double (first at eta m omega hbar
@@ -117,9 +117,9 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     else:
         raise ValueError(f"unknown branch {branch!r}")
     lam = 2.0 * v - alg.gamma / alg.eta
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")
-    if v <= 0.0:
+    if not v > 0.0:
         raise DegenerateModelError(f"prefactor exponent v = {v!r} must be positive")
     state = OscillatorState(
         system=system, branch=branch, n=n, v=v, lam=lam, norm=math.nan, energy=energy,
@@ -196,7 +196,7 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     # C'' = 2 lam d/drho C_{n-1}^(lam+1); at n = 0 the degree-0 derivative supplies the zero
     c2 = 2.0 * lam * specfun.gegenbauer_derivative(max(n - 1, 0), lam + 1.0, rho)
     a_tilde, b_tilde = tilde_params(system, state.energy)
-    common = state.norm * (w / 4.0) ** v * w
+    common = _envelope(state, rho) * w
     second = common * alg.eta * (
         w * w * c2 - (4.0 * v + 3.0) * rho * w * c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c0
     )
@@ -209,7 +209,7 @@ def ode_residual(state: OscillatorState, p):
     """Residual of the reduced momentum-space wave equation for the state at p.
 
     The sum of the three terms of `_ode_terms`; zero up to rounding for a
-    converged relativistic state.  ``p`` may be a finite scalar (a scalar is
+    relativistic state.  ``p`` may be a finite scalar (a scalar is
     returned) or an ndarray (one residual per point).
     """
     return sum(_ode_terms(state, p))
@@ -285,7 +285,7 @@ def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
     """l- = sqrt(n (2 lam + n - 1)), l+ = sqrt((n+1) (2 lam + n)), l0 = lam + n."""
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
     return LadderCoefficients(
         l_minus=math.sqrt(n * (2.0 * lam + n - 1.0)),
@@ -349,24 +349,24 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
     Casimir eigenvalue l0 (l0 - 1) - l+ l- equals lam (lam - 1) for every n
     and therefore commutes with the ladder operators.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
+    if n_max < 0:
+        raise ValueError("n_max must be a nonnegative integer")
     casimir_target = lam * (lam - 1.0)
     dev_comm = dev_weight = dev_cas = dev_cc = 0.0
     casimir_prev = None
+    down, c = None, ladder_coeffs(0, lam)
     for n in range(n_max + 1):
-        c = ladder_coeffs(n, lam)
         up = ladder_coeffs(n + 1, lam)
         # [L-, L+] phi_n = (l+(n) l-(n+1) - l-(n) l+(n-1)) phi_n = 2 l0 phi_n
         comm = c.l_plus * up.l_minus
         if n > 0:
-            down = ladder_coeffs(n - 1, lam)
             comm -= c.l_minus * down.l_plus
         dev_comm = max(dev_comm, abs(comm - 2.0 * c.l_zero))
         # [L0, L+] phi_n = l+(n) (l0(n+1) - l0(n)) phi_{n+1} = +L+ phi_n
         dev_weight = max(dev_weight, abs(c.l_plus * (up.l_zero - c.l_zero) - c.l_plus))
         if n > 0:
-            down = ladder_coeffs(n - 1, lam)
             dev_weight = max(dev_weight, abs(c.l_minus * (down.l_zero - c.l_zero) + c.l_minus))
         # Casimir: l0 (l0 - 1) - l+(n-1) l-(n), with the lowering product vanishing at n = 0
         lowering = down.l_plus * c.l_minus if n > 0 else 0.0
@@ -377,6 +377,7 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
             dev_cc = max(dev_cc, abs((casimir - casimir_prev) * c.l_plus))
             dev_cc = max(dev_cc, abs((casimir - casimir_prev) * c.l_minus))
         casimir_prev = casimir
+        down, c = c, up
     return Su11Report(
         lam=lam,
         n_max=n_max,

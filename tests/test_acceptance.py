@@ -82,17 +82,17 @@ def test_criterion_03_solver_agreement():
         checks._check_relativistic_residual(1.0, 1.0, 1.0, 0.0, _ETA_GRID, 8),
     ):
         assert result.passed, result
-    elapsed = _verdict(3, "Newton vs closed-form cubic", started)
+    elapsed = _verdict(3, "closed-form cubic vs unsquared fixed point", started)
     assert elapsed < 100e-3
 
 
 def test_criterion_03_fails_on_a_wrong_route(monkeypatch):
-    # a solver map 1e-8 off must show up against the closed form, on both branches of run_suite
+    # a fixed-point map 1e-8 off must show up against the closed form, on both branches of run_suite
     displacement = spectrum._displacement
 
     def map_off_by_1e8(system, n, delta):
-        disp, slope = displacement(system, n, delta)
-        return disp - 1e-8 * (delta - disp), slope
+        disp = displacement(system, n, delta)
+        return disp - 1e-8 * (delta - disp)
 
     monkeypatch.setattr(spectrum, "_displacement", map_off_by_1e8)
     for etas in (_ETA_GRID, (0.0,)):

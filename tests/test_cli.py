@@ -38,7 +38,8 @@ class TestSpectrumCommand:
         _, rows = data_rows(result.stdout)
         for row in rows:
             assert abs(float(row[2])) <= 1e-10
-            assert row[4] == "newton"
+            assert row[3] == "0"
+            assert row[4] == "closed_form"
 
     def test_malformed_flag_exits_64_writes_nothing(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -51,9 +52,9 @@ class TestSpectrumCommand:
         result = run_cli("spectrum", "--mass", "-2")
         assert result.returncode == 64
 
-    @pytest.mark.parametrize("mass", ["1e-140", "1e-160", "1e-200"])
+    @pytest.mark.parametrize("mass", ["1e-90", "1e-140", "1e-160", "1e-200"])
     def test_tiny_mass_exits_2(self, mass):
-        # m (delta + 2m) underflows: a typed failure, never a traceback or an inf level
+        # U^2 overflows: a typed failure, never a traceback or a wrong level
         result = run_cli("spectrum", "--mass", mass)
         assert result.returncode == 2
         assert result.stdout == ""
@@ -196,6 +197,13 @@ class TestVerifyCommand:
         assert result.returncode == 0, result.stderr
         _, rows = data_rows(result.stdout)
         assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+
+    def test_huge_mass_undeformed_passes(self):
+        # U underflows at eta = 0 here; the level is carried in sigma = hypot(Q, sqrt(U))
+        result = run_cli("verify", "--eta", "0", "--mass", "1e200")
+        assert result.returncode == 0, result.stderr
+        _, rows = data_rows(result.stdout)
+        assert len(rows) == 6 and all(r[3] == "pass" for r in rows)
 
     def test_tiny_mass_exits_2(self):
         result = run_cli("verify", "--mass", "1e-150")

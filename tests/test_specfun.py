@@ -41,6 +41,8 @@ class TestGegenbauer:
             gegenbauer(2, 0.0, 0.5)
         with pytest.raises(ValueError):
             gegenbauer(2, -1.0, 0.5)
+        with pytest.raises(ValueError):
+            gegenbauer(2, math.nan, 0.5)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):

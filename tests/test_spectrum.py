@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupho.checks import _closed_form_energy
+from gupho import spectrum
 from gupho.fm import fm_quantization_residual
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of
 from gupho.spectrum import (
@@ -101,17 +101,18 @@ class TestEnergyRelativistic:
     def test_result_fields(self):
         res = energy_relativistic(system(eta=0.1), 3)
         assert res.n == 3
-        assert res.method == "newton"
-        assert res.iterations >= 1
-        assert abs(res.residual) <= 1e-10 * max(1.0, abs(res.energy))
+        assert res.method == "closed_form"
+        assert res.iterations == 0
+        assert abs(res.residual) <= 1e-15 * res.energy
 
     @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
     def test_methods_agree(self, eta, omega):
+        # the closed-form root of the squared condition against bisection on the unsquared one
         sys = system(omega=omega, eta=eta)
         for n in (0, 1, 3, 5, 8):
-            energy = energy_relativistic(sys, n).energy
-            assert abs(energy - _closed_form_energy(sys, n)) <= 1e-10 * energy
+            reference = high_precision_root(n, eta, omega=omega)
+            assert abs(energy_relativistic(sys, n).energy - reference) <= 1e-15 * reference
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -125,16 +126,34 @@ class TestEnergyRelativistic:
         # the verify space: user mass, omega and hbar on the check's eta grid and at eta = 0
         sys = system(mass=mass, omega=omega, eta=eta, hbar=hbar)
         reference = high_precision_root(n, eta, mass, omega, hbar, dps=40)
-        assert abs(_closed_form_energy(sys, n) - reference) <= 1e-13 * reference
+        assert abs(energy_relativistic(sys, n).energy - reference) <= 1e-15 * reference
+
+    @pytest.mark.parametrize("mass", [1e-20, 1e-40])
+    def test_small_mass_against_high_precision_root(self, mass):
+        # delta << 1 here, so an error bound on delta that is not relative misses these levels
+        sys = system(mass=mass, eta=0.1)
+        for n in (0, 1, 5):
+            reference = high_precision_root(n, 0.1, mass)
+            assert abs(energy_relativistic(sys, n).energy - reference) <= 1e-15 * reference
+
+    @pytest.mark.parametrize("mass", [1e200, 1e308])
+    def test_huge_mass_undeformed(self, mass):
+        # 2 / (m x) underflows and 2m may overflow; delta = hbar omega (n + 1/2) must still zero h
+        sys = system(mass=mass, eta=0.0)
+        for n in range(4):
+            res = energy_relativistic(sys, n)
+            assert res.energy == mass
+            assert abs(res.residual) <= 1e-15 * (n + 0.5)
+            assert abs(spectrum._displacement(sys, n, n + 0.5)) <= 1e-15 * (n + 0.5)
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             energy_relativistic(system(), -1)
 
     @pytest.mark.parametrize("eta", [0.0, 0.1])
-    @pytest.mark.parametrize("mass", [1e-140, 1e-150, 1e-160, 1e-200])
+    @pytest.mark.parametrize("mass", [1e-90, 1e-140, 1e-150, 1e-160, 1e-200])
     def test_tiny_mass_raises_solver_error(self, eta, mass):
-        # m (delta + 2m)^2 underflows: the solve divides by zero or meets an inf level
+        # U ~ (K hbar omega / 4m)^2: U^2, or the level itself, leaves the double range
         for n in (0, 5):
             with pytest.raises(SolverError):
                 energy_relativistic(system(mass=mass, eta=eta), n)
@@ -151,10 +170,9 @@ class TestEnergyRelativistic:
         res = energy_relativistic(sys, n)
         delta = res.energy - mass
         assert math.isfinite(res.energy) and res.energy > mass
-        assert res.iterations <= 8
         assert abs(res.residual) <= 1e-12 * max(1.0, delta)
-        reference = _closed_form_energy(sys, n)
-        assert abs(res.energy - reference) <= 1e-10 * reference
+        reference = high_precision_root(n, eta, mass, omega, dps=40)
+        assert abs(res.energy - reference) <= 1e-15 * reference
 
 
 class TestEnergyNonrel:

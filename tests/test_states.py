@@ -394,6 +394,15 @@ class TestSu11:
     def test_rejects_bad_lam(self):
         with pytest.raises(ValueError):
             su11_check(0.0, 5)
+        # NaN fails every comparison, so max() would drop it and report 0.0
+        with pytest.raises(ValueError):
+            su11_check(math.nan, 5)
+        with pytest.raises(ValueError):
+            ladder_coeffs(1, math.nan)
+
+    def test_rejects_negative_n_max(self):
+        with pytest.raises(ValueError):
+            su11_check(1.0, -3)
 
 
 class TestOdeResidualOnStates:
