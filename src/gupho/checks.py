@@ -64,18 +64,19 @@ def _system(mass, omega, hbar, eta, gamma) -> OscillatorSystem:
 
 
 def _check_solver_cross_validation(mass, omega, hbar, gamma, etas, n_top) -> CheckResult:
-    """The closed-form levels against the unsquared fixed point, |h(E - m)| / E.
+    """The closed-form levels against the unsquared fixed point, |h(delta)| / delta.
 
     The levels come from the squared condition; h = delta - map(delta) does
     not square, so a spurious root of the cubic fails here, and h' >= 1 makes
-    |h| a bound on the error in delta.
+    |h| / delta a bound on the relative error in delta.  delta is the level's
+    own, not E - m, which is 0 for a heavy mass and would hide any error.
     """
     dev = 0.0
     for eta in etas:
         system = _system(mass, omega, hbar, eta, gamma)
         for n in range(n_top + 1):
-            energy = energy_relativistic(system, n).energy
-            dev = max(dev, abs(spectrum._displacement(system, n, energy - mass)) / energy)
+            delta = energy_relativistic(system, n).delta
+            dev = max(dev, abs(spectrum._displacement(system, n, delta)) / delta)
     return CheckResult("solver_cross_validation", dev, 1e-10)
 
 
@@ -154,7 +155,10 @@ def _check_quadrature_node_count(states) -> CheckResult:
     polynomial of degree n_a + n_b, so (n_a + n_b + 2) // 2 nodes are exact;
     this recomputes each entry with one node more, odd pairs included, whose
     exact 0.0 rests on parity.  On the relativistic branch v changes with n,
-    so every pair has its own mu.
+    so every pair has its own mu.  When the count is right this reads
+    exactly 0.0: the kernel cuts its Jacobi matrix at the rows the product
+    can reach, so a larger one changes no arithmetic.  A count one too small
+    cuts a row the product needs, and the entries move by O(1).
     """
     dev = 0.0
     for i, a in enumerate(states):
@@ -212,13 +216,16 @@ def _check_ode_residual(states) -> CheckResult:
 
 
 def _check_weight_orthogonality() -> CheckResult:
+    """The overlap kernel against the closed-form Gegenbauer orthogonality integrals.
+
+    Nine Jacobi-matrix rows give a rule exact to degree 17, so every
+    product of two degree <= 8 polynomials must meet its closed form.
+    """
     dev = 0.0
     for t in (0.75, 1.0, 2.5):
-        nodes, weights = specfun.gegenbauer_rule(t, 9)
-        polys = [specfun.gegenbauer(n, t, nodes) for n in range(9)]
         for n in range(9):
             for m in range(n + 1):
-                got = float(np.dot(weights, polys[n] * polys[m]))
+                got = specfun.gegenbauer_product_integral(t, 9, n, t, m, t)
                 if n == m:
                     target = math.exp(
                         math.log(math.pi)

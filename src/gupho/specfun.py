@@ -1,8 +1,9 @@
 """Special-function and quadrature kernel.
 
-Gegenbauer polynomials and their derivative, and Gauss-Gegenbauer rules.
-Everything here is a pure function of its arguments; rules are immutable
-after construction.  A Python scalar argument is evaluated in Python floats,
+Gegenbauer polynomials and their derivative, and the Gauss-Gegenbauer
+integral of a product of two of them, formed from the Jacobi matrix in
+Python floats without nodes or weights.  Everything here is a pure function
+of its arguments.  A Python scalar argument is evaluated in Python floats,
 so the per-point path pays no numpy call overhead; arrays and numpy scalars
 are evaluated by numpy.
 """
@@ -10,13 +11,12 @@ are evaluated by numpy.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "as_float",
-    "gegenbauer_rule",
+    "gegenbauer_product_integral",
     "gegenbauer",
     "gegenbauer_derivative",
 ]
@@ -38,38 +38,73 @@ def as_float(x):
     return arr
 
 
-@lru_cache(maxsize=256)
-def gegenbauer_rule(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Gegenbauer rule with ``count`` nodes for the weight (1 - x^2)^(mu - 1/2).
+def _jacobi_offdiagonal(mu: float, size: int) -> list[float]:
+    """beta_0 .. beta_size of the size x size Gegenbauer Jacobi matrix; the two ends are 0.
 
-    Integrates the weight times any polynomial of degree <= 2 count - 1
-    exactly.  Nodes are the eigenvalues of the symmetric Jacobi matrix of the
-    monic Gegenbauer recurrence, beta_k = k (k + 2mu - 1) / (4 (k + mu) (k + mu - 1))
-    (Golub & Welsch 1969).  Weights come from the Christoffel function,
-    mass / sum_j p_j(x)^2 over the orthonormal polynomials, which stays
-    accurate where squared eigenvector components lose digits; the mass is
-    the integral of the weight, sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1).
+    beta_k = sqrt(k (k + 2mu - 1) / (4 (k + mu) (k + mu - 1))) is the
+    off-diagonal of the symmetric tridiagonal matrix J of the orthonormal
+    polynomials for the weight (1 - x^2)^(mu - 1/2); its diagonal is zero.
+    With beta_0 = beta_size = 0, (J c)_i = beta_i c_(i-1) + beta_(i+1) c_(i+1)
+    holds on every row.
+    """
+    return [0.0] + [
+        math.sqrt(k * (k + 2.0 * mu - 1.0) / (4.0 * (k + mu) * (k + mu - 1.0))) for k in range(1, size)
+    ] + [0.0]
 
-    Returns read-only ``(nodes, weights)``, shared between callers.
+
+def _gegenbauer_column(n: int, lam: float, beta: list[float], last: int) -> list[float]:
+    """Rows n & 1, n & 1 + 2, .., last - n of C_n^lam(J) e_0, by the three-term recurrence on J.
+
+    C_k(J) e_0 has parity (-1)^k, so one vector holds two steps: the rows
+    of k's parity hold step k - 2 until step k overwrites them in place,
+    reading the rows of the other parity, which hold step k - 1.  Row i at
+    step k feeds only rows i - 1 and i + 1 at step k + 1, so step k stops at
+    row min(k, last - k): those are all the rows that can reach rows
+    0 .. last - n at step n.  The vector ends in a zero pad, which also
+    stands in for row -1.
+    """
+    c = [0.0] * len(beta)  # the rows of J and the pad
+    c[0] = 1.0
+    bottom = len(beta) - 2  # J's last row
+    for k in range(1, n + 1):
+        a, b = 2.0 * (k + lam - 1.0) / k, (k + 2.0 * lam - 2.0) / k
+        for i in range(k & 1, min(k, last - k, bottom) + 1, 2):
+            c[i] = a * (beta[i] * c[i - 1] + beta[i + 1] * c[i + 1]) - b * c[i]
+    return c[n & 1 : last - n + 1 : 2]
+
+
+def gegenbauer_product_integral(mu: float, count: int, n_a: int, lam_a: float, n_b: int, lam_b: float) -> float:
+    """count-node Gauss-Gegenbauer value of the integral of (1 - x^2)^(mu - 1/2) C_na^lam_a C_nb^lam_b.
+
+    By the Golub-Welsch identity (1969) the count-node rule for the weight
+    (1 - x^2)^(mu - 1/2) gives mass e_0^T f(J) e_0 for any f, where J is
+    the count x count Jacobi matrix of `_jacobi_offdiagonal` and the mass
+    is the integral of the weight, sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1).
+    With f = C_na C_nb and J symmetric this is mass (C_na(J) e_0) . (C_nb(J) e_0),
+    formed here by the three-term recurrence on vectors, in Python floats:
+    no nodes, no weights and no numpy.  It is exact for
+    n_a + n_b <= 2 count - 1.  Only rows up to min(n_a, n_b) reach the
+    product, and only rows up to (n_a + n_b) // 2 reach those, so J is cut
+    there: once the count is large enough to be exact, a larger count
+    changes no arithmetic and gives the same float.  An odd n_a + n_b gives
+    exactly 0.0 by parity.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if not mu > 0.0:
         raise ValueError("mu must be positive")
-    k = np.arange(1, count, dtype=np.float64)
-    off = np.sqrt(k * (k + 2.0 * mu - 1.0) / (4.0 * (k + mu) * (k + mu - 1.0)))
-    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    p_prev, p, b_prev = 0.0, 1.0, 0.0
-    total = np.ones_like(nodes)
-    # Python floats: iterating the ndarray would box every b as a numpy scalar
-    for b in off.tolist():
-        p_prev, p, b_prev = p, (nodes * p - b_prev * p_prev) / b, b
-        total += p * p
+    if n_a < 0 or n_b < 0:
+        raise ValueError("degree n must be a nonnegative integer")
+    if not (lam_a > 0.0 and lam_b > 0.0):
+        raise ValueError("Gegenbauer order lam must be positive")
+    last = n_a + n_b
+    if last % 2:
+        return 0.0
+    beta = _jacobi_offdiagonal(mu, min(count, last // 2 + 1))
+    c_a = _gegenbauer_column(n_a, lam_a, beta, last)
+    c_b = c_a if (n_b, lam_b) == (n_a, lam_a) else _gegenbauer_column(n_b, lam_b, beta, last)
     mass = math.exp(0.5 * math.log(math.pi) + math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
-    weights = mass / total
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return mass * sum([x * y for x, y in zip(c_a, c_b)])
 
 
 def gegenbauer(n: int, lam: float, x):

@@ -45,13 +45,17 @@ class SolverError(RuntimeError):
 class SpectrumResult:
     """One level.
 
-    ``residual`` is the quantization condition in its fixed-point (energy
-    units) arrangement, delta - map(delta), evaluated at the returned energy;
-    the dimensionless arrangement is available as `rel_residual`.
+    ``delta`` is the level above the rest mass, E - m, as the relativistic
+    solve forms it, before m + delta rounds it away for a heavy mass; on the
+    nonrelativistic branch it is the level itself.  ``residual`` is the
+    quantization condition in its fixed-point (energy units) arrangement,
+    delta - map(delta), evaluated at the returned level; the dimensionless
+    arrangement is available as `rel_residual`.
     """
 
     n: int
     energy: float
+    delta: float
     residual: float
     iterations: int
     method: str  # "closed_form" on both branches
@@ -150,7 +154,7 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     energy = m + delta
     if not (math.isfinite(energy) and math.isfinite(residual)):
         raise SolverError(f"level n={n} is not a finite double: energy={energy!r}, residual={residual!r}")
-    return SpectrumResult(n=n, energy=energy, residual=residual, iterations=0, method="closed_form")
+    return SpectrumResult(n=n, energy=energy, delta=delta, residual=residual, iterations=0, method="closed_form")
 
 
 def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
@@ -171,7 +175,7 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
     )
     if not math.isfinite(energy):
         raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
-    return SpectrumResult(n=n, energy=energy, residual=0.0, iterations=0, method="closed_form")
+    return SpectrumResult(n=n, energy=energy, delta=energy, residual=0.0, iterations=0, method="closed_form")
 
 
 def nr_limit_of_relativistic(system: OscillatorSystem, n: int) -> float:

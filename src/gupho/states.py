@@ -5,8 +5,10 @@ gamma/eta.  In rho the weighted momentum overlap of two states is
 4^(-v_a - v_b) eta^(-1/2) times the integral of C_na C_nb against the
 Gegenbauer weight (1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, so a
 Gauss-Gegenbauer rule with (n_a + n_b + 2) // 2 nodes evaluates it exactly.
-On the diagonal mu = lam, and the norm N follows from the closed-form
-Gegenbauer norm `reference_norm`.
+That value is taken without nodes or weights, from the Jacobi matrix of the
+weight in Python floats (`specfun.gegenbauer_product_integral`), so the
+overlap path calls no numpy.  On the diagonal mu = lam, and the norm N
+follows from the closed-form Gegenbauer norm `reference_norm`.
 
 First-order ladder operators shift n by one with coefficients
 l- = sqrt(n (2 lam + n - 1)) and l+ = sqrt((n+1) (2 lam + n)); together with
@@ -216,22 +218,20 @@ def ode_residual(state: OscillatorState, p):
 
 
 def _overlap(a: OscillatorState, b: OscillatorState, count: int) -> float:
-    """<a|b> by a ``count``-node Gauss-Gegenbauer rule.
+    """<a|b> as the ``count``-node Gauss-Gegenbauer value, in Python floats.
 
     The measure weight (1 + eta p^2)^(alpha - 1) becomes (1 - rho^2)^(1 - alpha)
     and the Jacobian is dp = d rho / (sqrt(eta) (1 - rho^2)^(3/2)), so the
     integrand is 4^(-v_a - v_b) eta^(-1/2) (1 - rho^2)^(mu - 1/2) C_na C_nb
-    with mu = v_a + v_b - alpha.  Each norm is paired with its own 4^(-v), so
-    no intermediate product leaves the double range.
+    with mu = v_a + v_b - alpha.  `specfun.gegenbauer_product_integral`
+    forms that integral from the Jacobi matrix, with no nodes, no weights
+    and no numpy.  Each norm is paired with its own 4^(-v), so no
+    intermediate product leaves the double range.
     """
     alg = a.system.algebra
-    nodes, weights = specfun.gegenbauer_rule(a.v + b.v - alg.alpha, count)
-    c_a = specfun.gegenbauer(a.n, a.lam, nodes)
-    # on the Gram diagonal both factors are the same polynomial
-    c_b = c_a if (b.n, b.lam) == (a.n, a.lam) else specfun.gegenbauer(b.n, b.lam, nodes)
-    vals = c_a * c_b
+    integral = specfun.gegenbauer_product_integral(a.v + b.v - alg.alpha, count, a.n, a.lam, b.n, b.lam)
     scale = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(alg.eta)
-    return scale * float(np.dot(weights, vals))
+    return scale * integral
 
 
 def _require_compatible(a: OscillatorState, b: OscillatorState) -> None:
@@ -243,8 +243,10 @@ def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
     """<a|b> under the weighted momentum measure, exact up to rounding.
 
     The integrand is a polynomial of degree n_a + n_b times the Gegenbauer
-    weight, so (n_a + n_b + 2) // 2 nodes are exact; C_n has parity (-1)^n,
-    so an odd n_a + n_b gives exactly 0.0.
+    weight, so the Gauss-Gegenbauer value with (n_a + n_b + 2) // 2 nodes is
+    exact; it is formed from the Jacobi matrix in Python floats, with no
+    numpy call.  C_n has parity (-1)^n, so an odd n_a + n_b gives exactly
+    0.0.  A value that is not finite raises `QuadratureAccuracyError`.
     """
     _require_compatible(a, b)
     if (a.n + b.n) % 2:

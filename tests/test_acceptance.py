@@ -159,13 +159,13 @@ def rel_states():
     return [make_state(system, n, RELATIVISTIC) for n in range(9)]
 
 
-def _short_rule(mu, count):
-    """A Gauss-Gegenbauer rule with one node too few: exact only to degree 2 count - 3."""
-    return specfun.gegenbauer_rule(mu, max(1, count - 1))
+def _short_rule(mu, count, n_a, lam_a, n_b, lam_b):
+    """The overlap kernel with one node too few: exact only to degree 2 count - 3."""
+    return specfun.gegenbauer_product_integral(mu, max(1, count - 1), n_a, lam_a, n_b, lam_b)
 
 
 def _with_short_rule():
-    return types.SimpleNamespace(**dict(vars(specfun), gegenbauer_rule=_short_rule))
+    return types.SimpleNamespace(**dict(vars(specfun), gegenbauer_product_integral=_short_rule))
 
 
 def test_criterion_07_orthonormality(nr_states, rel_states):
@@ -182,6 +182,7 @@ def test_criterion_07_fails_on_a_missing_node(monkeypatch, rel_states):
     monkeypatch.setattr(states, "specfun", _with_short_rule())
     result = checks._check_quadrature_node_count(rel_states)
     assert not result.passed
+    assert result.max_deviation > 1e-3
 
 
 def test_criterion_08_normalization_reference(rel_states):
@@ -276,6 +277,15 @@ def test_criterion_12_fails_on_a_short_rule(monkeypatch):
     monkeypatch.setattr(checks, "specfun", _with_short_rule())
     result = checks._check_weight_orthogonality()
     assert not result.passed
+
+
+def test_criterion_12_fails_on_a_wrong_jacobi_matrix(monkeypatch):
+    # every off-diagonal entry 1e-8 relative too large shifts the weighted integrals by ~2e-5
+    exact = specfun._jacobi_offdiagonal
+    monkeypatch.setattr(specfun, "_jacobi_offdiagonal", lambda mu, size: [b * (1.0 + 1e-8) for b in exact(mu, size)])
+    result = checks._check_weight_orthogonality()
+    assert not result.passed
+    assert result.max_deviation > 1e-6
 
 
 def test_zz_total_budget_and_verify_command():

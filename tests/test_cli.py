@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -204,6 +205,20 @@ class TestVerifyCommand:
         assert result.returncode == 0, result.stderr
         _, rows = data_rows(result.stdout)
         assert len(rows) == 6 and all(r[3] == "pass" for r in rows)
+
+    def test_huge_mass_undeformed_fails_on_a_wrong_delta(self, monkeypatch, capsys):
+        # m + delta rounds to m here, so only the level's own delta can show a 1e-8 error in it
+        exact = checks.energy_relativistic
+
+        def off_by_1e8(system, n):
+            level = exact(system, n)
+            return dataclasses.replace(level, delta=level.delta * (1.0 + 1e-8))
+
+        monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
+        assert cli.main(["verify", "--eta", "0", "--mass", "1e200"]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        row = next(r for r in rows if r[0] == "solver_cross_validation")
+        assert row[3] == "fail" and float(row[1]) > 1e-9
 
     def test_tiny_mass_exits_2(self):
         result = run_cli("verify", "--mass", "1e-150")

@@ -23,7 +23,7 @@ from gupho.gup import (
     v_exponent,
 )
 from gupho.spectrum import energy_relativistic
-from gupho.specfun import gegenbauer, gegenbauer_rule
+from gupho.specfun import gegenbauer, gegenbauer_product_integral
 
 
 def algebra(eta, gamma=0.0, hbar=1.0):
@@ -377,7 +377,6 @@ class TestWeightedNormEquivalence:
         p_side, err = quad(p_integrand, -np.inf, np.inf, limit=400)
         assert err < 1e-7 * abs(p_side)
 
-        nodes, weights = gegenbauer_rule(lam, n + 1)
-        gpart = float(np.dot(weights, gegenbauer(n, lam, nodes) ** 2))
+        gpart = gegenbauer_product_integral(lam, n + 1, n, lam, n, lam)
         rho_side = 4.0 ** (-2 * v) * gpart / math.sqrt(eta)
         assert p_side == pytest.approx(rho_side, rel=1e-7)

@@ -10,8 +10,9 @@ from gupho.fm import hyp2f1_terminating
 from gupho.specfun import (
     gegenbauer,
     gegenbauer_derivative,
-    gegenbauer_rule,
+    gegenbauer_product_integral,
 )
+from node_rule import gegenbauer_rule
 
 
 def weight_integral_closed_form(n, t):
@@ -170,23 +171,53 @@ class TestHyp2f1Terminating:
                         )
 
 
+def _mp_coefficients(n, lam):
+    """Monomial coefficients of C_n^lam in mpmath, by the three-term recurrence."""
+    prev, cur = [], [mpmath.mpf(1)]
+    for k in range(1, n + 1):
+        nxt = [mpmath.mpf(0)] + [2 * (k + lam - 1) * c / k for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= (k + 2 * lam - 2) * c / k
+        prev, cur = cur, nxt
+    return cur
+
+
+def _mp_weighted_product(moments, a, b):
+    """Integral of the weight times the product of two coefficient lists, from its moments."""
+    return mpmath.fsum(x * y * moments[i + j] for i, x in enumerate(a) for j, y in enumerate(b))
+
+
+def _mp_moments(mu, top):
+    """Moments 0 .. top of (1 - x^2)^(mu - 1/2) in mpmath: B(k + 1/2, mu + 1/2) at 2k, 0 when odd."""
+    half = mpmath.mpf(1) / 2
+    moments = [mpmath.beta(half, mu + half)]
+    for j in range(1, top + 1):
+        k = j // 2
+        moments.append(0 if j % 2 else moments[j - 2] * (k - half) / (k + mu))
+    return moments
+
+
 class TestGaussLegendre:
-    """The mu = 1/2 member of the Gauss-Gegenbauer family is the Gauss-Legendre rule."""
+    """The mu = 1/2 member of the Gauss-Gegenbauer family is the Gauss-Legendre rule.
+
+    C_n^(1/2) is the Legendre polynomial P_n.  The node-level tests check
+    the reference rule of `node_rule`, which the kernel is compared with.
+    """
 
     def test_order_one(self):
-        nodes, weights = gegenbauer_rule(0.5, 1)
-        assert list(nodes) == [0.0]
-        assert weights[0] == pytest.approx(2.0, abs=1e-15)
+        # one row of J: the node 0 with weight 2, so P_1 = x integrates to 0 against x
+        assert gegenbauer_product_integral(0.5, 1, 0, 0.5, 0, 0.5) == pytest.approx(2.0, abs=1e-15)
+        assert gegenbauer_product_integral(0.5, 1, 1, 0.5, 1, 0.5) == 0.0
 
     def test_order_two(self):
-        nodes, weights = gegenbauer_rule(0.5, 2)
-        assert nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
-        assert weights == pytest.approx([1.0, 1.0], abs=1e-15)
+        # two rows: nodes -+1/sqrt(3), the zeros of P_2, with weights 1
+        assert gegenbauer_product_integral(0.5, 2, 0, 0.5, 0, 0.5) == pytest.approx(2.0, abs=1e-15)
+        assert gegenbauer_product_integral(0.5, 2, 1, 0.5, 1, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert gegenbauer_product_integral(0.5, 2, 2, 0.5, 2, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_quartic_integral(self):
-        nodes, weights = gegenbauer_rule(0.5, 3)
-        got = float(np.dot(weights, nodes**4))
-        assert got == pytest.approx(0.4, abs=1e-15)
+        # P_2^2 is quartic: three rows integrate it exactly to 2/5
+        assert gegenbauer_product_integral(0.5, 3, 2, 0.5, 2, 0.5) == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 16, 50, 200, 400])
     def test_rule_invariants(self, order):
@@ -199,14 +230,15 @@ class TestGaussLegendre:
         # mirror symmetry up to rounding
         assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-14
         assert np.max(np.abs(weights - weights[::-1])) <= 1e-14
+        assert abs(gegenbauer_product_integral(0.5, order, 0, 0.5, 0, 0.5) - 2.0) <= 1e-13
 
     def test_polynomial_exactness(self):
-        # degree <= 2*order - 1 integrates exactly
-        nodes, weights = gegenbauer_rule(0.5, 5)
-        for k in range(10):
-            exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            got = float(np.dot(weights, nodes**k))
-            assert got == pytest.approx(exact, abs=1e-14)
+        # degree <= 2*order - 1 integrates exactly: P_i P_j to 2 / (2i + 1) if i == j, else 0
+        for i in range(10):
+            for j in range(10 - i):
+                exact = 2.0 / (2 * i + 1) if i == j else 0.0
+                got = gegenbauer_product_integral(0.5, 5, i, 0.5, j, 0.5)
+                assert got == pytest.approx(exact, abs=1e-14)
 
     @pytest.mark.parametrize("order", [8, 64, 200])
     def test_nodes_against_reference(self, order):
@@ -217,56 +249,81 @@ class TestGaussLegendre:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
+            gegenbauer_product_integral(0.5, 0, 0, 0.5, 0, 0.5)
+        with pytest.raises(ValueError):
             gegenbauer_rule(0.5, 0)
 
     def test_rule_is_immutable(self):
-        # a one-node rule has no recurrence steps and must still be a pair of arrays
+        # the kernel shares nothing between callers: a one-row J has no recurrence steps
+        # and must still give a Python float, and a call leaves no state behind
         for count in (1, 4):
-            nodes, weights = gegenbauer_rule(0.5, count)
-            for arr in (nodes, weights):
-                assert type(arr) is np.ndarray and arr.shape == (count,)
-                with pytest.raises(ValueError):
-                    arr[0] = 0.0
+            first = gegenbauer_product_integral(0.5, count, 2, 0.5, 2, 0.5)
+            assert type(first) is float
+            gegenbauer_product_integral(0.5, count, 3, 1.5, 1, 0.5)
+            assert gegenbauer_product_integral(0.5, count, 2, 0.5, 2, 0.5) == first
 
 
 class TestGegenbauerRule:
     @pytest.mark.parametrize("mu", [0.3, 1.0, 1.618, 7.5, 120.0])
     @pytest.mark.parametrize("count", [1, 4, 9, 51])
     def test_exact_moments(self, mu, count):
-        # int x^2k (1 - x^2)^(mu - 1/2) dx = B(k + 1/2, mu + 1/2) for 2k <= 2 count - 1
-        nodes, weights = gegenbauer_rule(mu, count)
-        for k in range(count):
-            exact = math.exp(math.lgamma(k + 0.5) + math.lgamma(mu + 0.5) - math.lgamma(k + mu + 1.0))
-            assert float(np.dot(weights, nodes ** (2 * k))) == pytest.approx(exact, rel=1e-12)
-            odd = weights * nodes ** (2 * k + 1)
-            assert abs(float(np.sum(odd))) <= 1e-13 * float(np.sum(np.abs(odd)))
+        # products of total degree 2 count - 2 (odd ones vanish by parity) against mpmath,
+        # with both polynomials of the weight's own order and of two other orders
+        pairs = [(count - 1, count - 1), (0, 2 * count - 2), (count // 2, 2 * count - 2 - count // 2)]
+        with mpmath.workdps(150):
+            moments = _mp_moments(mpmath.mpf(mu), 4 * count)
+            for lam_a, lam_b in ((mu, mu), (1.1 * mu + 0.05, 0.7 * mu + 0.2)):
+                for n_a, n_b in pairs:
+                    a = _mp_coefficients(n_a, mpmath.mpf(lam_a))
+                    b = _mp_coefficients(n_b, mpmath.mpf(lam_b))
+                    want = _mp_weighted_product(moments, a, b)
+                    scale = mpmath.sqrt(_mp_weighted_product(moments, a, a) * _mp_weighted_product(moments, b, b))
+                    got = gegenbauer_product_integral(mu, count, n_a, lam_a, n_b, lam_b)
+                    assert abs(got - want) <= 1e-12 * scale, (n_a, lam_a, n_b, lam_b)
 
     @pytest.mark.parametrize("mu", [0.3, 2.5, 300.0])
     def test_symmetry(self, mu):
-        nodes, weights = gegenbauer_rule(mu, 17)
-        assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-15
-        assert np.max(np.abs(weights - weights[::-1]) / weights) <= 1e-13
-        assert nodes[8] == pytest.approx(0.0, abs=1e-15)
+        # the rule's mirror symmetry: odd products are exactly 0.0, and swapping the factors
+        # changes no arithmetic
+        for n_a in range(17):
+            for n_b in range(17 - n_a):
+                got = gegenbauer_product_integral(mu, 17, n_a, mu, n_b, 1.5 * mu)
+                assert got == gegenbauer_product_integral(mu, 17, n_b, 1.5 * mu, n_a, mu)
+                if (n_a + n_b) % 2:
+                    assert got == 0.0
 
     def test_one_node_too_few_is_not_exact(self):
-        # 3 nodes stop at degree 5, so the degree-6 moment misses
-        nodes, weights = gegenbauer_rule(1.5, 3)
-        exact = math.exp(math.lgamma(3.5) + math.lgamma(2.0) - math.lgamma(5.5))
-        assert abs(float(np.dot(weights, nodes**6)) - exact) > 1e-6 * exact
+        # 3 rows stop at degree 5, so the degree-6 product C_3 C_3 misses its norm
+        exact = weight_integral_closed_form(3, 1.5)
+        assert abs(gegenbauer_product_integral(1.5, 3, 3, 1.5, 3, 1.5) - exact) > 1e-6 * exact
+
+    def test_more_rows_than_needed_change_nothing(self):
+        # rows beyond (n_a + n_b) // 2 cannot reach the product, so an exact count gives the same float
+        for n_a, n_b in ((0, 0), (2, 6), (5, 7), (16, 16)):
+            exact_count = (n_a + n_b + 2) // 2
+            want = gegenbauer_product_integral(2.3, exact_count, n_a, 1.7, n_b, 2.9)
+            for count in (exact_count + 1, exact_count + 7, 200):
+                assert gegenbauer_product_integral(2.3, count, n_a, 1.7, n_b, 2.9) == want
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
+            gegenbauer_product_integral(0.0, 3, 1, 0.5, 1, 0.5)
+        with pytest.raises(ValueError):
             gegenbauer_rule(0.0, 3)
+
+    def test_rejects_bad_degree_or_order(self):
+        for n_a, lam_a, n_b, lam_b in ((-1, 0.5, 1, 0.5), (1, 0.5, -2, 0.5), (1, 0.0, 1, 0.5),
+                                       (1, 0.5, 1, -1.0), (1, math.nan, 1, 0.5)):
+            with pytest.raises(ValueError):
+                gegenbauer_product_integral(1.5, 3, n_a, lam_a, n_b, lam_b)
 
 
 class TestOrthogonality:
     @pytest.mark.parametrize("lam", [0.75, 1.0, 2.5])
     def test_weighted_orthogonality(self, lam):
-        nodes, weights = gegenbauer_rule(lam, 9)
-        polys = [gegenbauer(n, lam, nodes) for n in range(9)]
         for n in range(9):
             for m in range(9):
-                got = float(np.dot(weights, polys[n] * polys[m]))
+                got = gegenbauer_product_integral(lam, 9, n, lam, m, lam)
                 expected = weight_integral_closed_form(n, lam) if n == m else 0.0
                 assert abs(got - expected) <= 1e-10
 

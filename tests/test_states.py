@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gupho import checks
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError
-from gupho.specfun import gegenbauer_derivative, gegenbauer_rule
+from gupho.specfun import gegenbauer, gegenbauer_derivative, gegenbauer_product_integral
 from gupho.states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
@@ -25,6 +25,7 @@ from gupho.states import (
     weighted_overlap,
     _envelope,
 )
+from node_rule import gegenbauer_rule
 
 
 def system(mass=1.0, omega=1.0, eta=1.0, gamma=0.0, hbar=1.0):
@@ -201,8 +202,24 @@ class TestInnerProduct:
 
     def test_unit_weight_spot_check(self):
         # t = 1, n = 0 weighted square integral over (-1, 1) is pi/2
-        _, weights = gegenbauer_rule(1.0, 1)
-        assert float(np.sum(weights)) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert gegenbauer_product_integral(1.0, 1, 0, 1.0, 0, 1.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eta=st.floats(math.log10(2e-3), 2.0).map(lambda e: 10.0**e),
+        gamma_frac=st.floats(0.0, 0.5),
+        n_a=st.integers(0, 16),
+        n_b=st.integers(0, 16),
+        branch=st.sampled_from([RELATIVISTIC, NONRELATIVISTIC]),
+    )
+    def test_matches_the_node_rule(self, eta, gamma_frac, n_a, n_b, branch):
+        # the Jacobi-matrix overlap against the same Gauss-Gegenbauer rule built from nodes and weights
+        sys = system(eta=eta, gamma=gamma_frac * eta)
+        a, b = make_state(sys, n_a, branch), make_state(sys, n_b, branch)
+        nodes, weights = gegenbauer_rule(a.v + b.v - sys.algebra.alpha, (n_a + n_b + 2) // 2)
+        integral = float(np.dot(weights, gegenbauer(n_a, a.lam, nodes) * gegenbauer(n_b, b.lam, nodes)))
+        want = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(eta) * integral
+        assert abs(weighted_overlap(a, b) - want) <= 1e-13
 
 
 class TestReferenceNorm:
