@@ -3,10 +3,12 @@
 Spectra (relativistic and nonrelativistic), normalized momentum-space
 eigenstates, and the su(1,1) ladder-operator algebra, plus a batch CLI.
 
-The scalar layers (`fm`, `gup`, `spectrum`) load with the package and do not
-import numpy.  The `states` exports and the `states` and `specfun` submodules
-load on first access, so a process that only needs spectra never pays
-numpy's import.
+No module imports numpy when it loads: numpy is imported only where an
+ndarray or numpy scalar arrives, so spectra, states sampled at Python floats
+and the `verify` suite all run without it.  The scalar layers (`fm`, `gup`,
+`spectrum`) load with the package; the `states` exports and the `states`
+and `specfun` submodules load on first access, so a process that only
+needs spectra does not load them either.
 """
 
 from importlib import import_module as _import_module
@@ -49,8 +51,8 @@ from .spectrum import (
     rel_residual,
 )
 
-# the states exports and the submodules that need numpy resolve on first
-# access (PEP 562)
+# the states exports and the submodules that spectra do not need resolve on
+# first access (PEP 562)
 _STATES_EXPORTS = frozenset({
     "NONRELATIVISTIC",
     "RELATIVISTIC",
@@ -68,11 +70,11 @@ _STATES_EXPORTS = frozenset({
     "su11_check",
     "weighted_overlap",
 })
-_NUMPY_SUBMODULES = frozenset({"specfun", "states"})
+_LAZY_SUBMODULES = frozenset({"specfun", "states"})
 
 
 def __getattr__(name):
-    if name in _NUMPY_SUBMODULES:
+    if name in _LAZY_SUBMODULES:
         return _import_module(f".{name}", __name__)
     if name not in _STATES_EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -82,7 +84,7 @@ def __getattr__(name):
 
 
 __all__ = sorted(
-    {name for name in globals() if not name.startswith("_")} | _STATES_EXPORTS | _NUMPY_SUBMODULES
+    {name for name in globals() if not name.startswith("_")} | _STATES_EXPORTS | _LAZY_SUBMODULES
 )
 
 

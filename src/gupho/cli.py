@@ -8,8 +8,9 @@ computation has succeeded.
 Exit codes: 0 success, 1 verification failure, 2 numerical or solver
 failure, 64 usage error.
 
-Only `state` and `verify` need numpy; their handlers import `states` and
-`checks` when they run, so the scalar commands start without it.
+No command imports numpy.  The `state` and `verify` handlers import
+`states` and `checks` when they run, so `spectrum`, `figure1` and `fm` also
+skip loading those modules.
 """
 
 from __future__ import annotations

@@ -139,16 +139,22 @@ def scalar_weight(algebra: DeformedAlgebra, p: float) -> float:
 def rho_of_p(algebra: DeformedAlgebra, p):
     """Compact momentum coordinate rho = p sqrt(eta) / sqrt(1 + eta p^2) in (-1, 1).
 
-    Accepts a scalar or an ndarray of finite momenta.
+    Accepts a scalar or an ndarray of finite momenta.  A Python ``float`` or
+    ``int`` is evaluated with `math` and gives a ``float``; anything else is
+    evaluated by numpy, which is imported only then.
     """
-    import numpy as np
-
     algebra._require_deformed()
-    if not np.all(np.isfinite(p)):
+    if type(p) is float or type(p) is int:
+        finite, hypot = math.isfinite(p), math.hypot
+    else:
+        import numpy as np
+
+        finite, hypot = np.all(np.isfinite(p)), np.hypot
+    if not finite:
         raise ValueError("p must be finite")
     t = p * math.sqrt(algebra.eta)
     # hypot(1, t) = sqrt(1 + t^2) without squaring t, which overflows for |t| >~ 1e154
-    return t / np.hypot(1.0, t)
+    return t / hypot(1.0, t)
 
 
 def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:

@@ -4,15 +4,14 @@ Gegenbauer polynomials and their derivative, and the Gauss-Gegenbauer
 integral of a product of two of them, formed from the Jacobi matrix in
 Python floats without nodes or weights.  Everything here is a pure function
 of its arguments.  A Python scalar argument is evaluated in Python floats,
-so the per-point path pays no numpy call overhead; arrays and numpy scalars
-are evaluated by numpy.
+so the per-point path neither imports numpy nor pays its call overhead;
+arrays and numpy scalars are evaluated by numpy, which `as_float` imports
+when the first one arrives.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 __all__ = [
     "as_float",
@@ -28,10 +27,14 @@ def as_float(x):
     Numpy scalars and 0-d arrays take the array path, so their dtype
     (longdouble included) is kept; non-float dtypes become float64.  This is
     the one place that branches on the kind of the input: every formula
-    downstream is written once and runs on either kind.
+    downstream is written once and runs on either kind.  numpy is imported
+    only on the array path, so a process that passes Python scalars never
+    loads it.
     """
     if type(x) is float or type(x) is int:
         return float(x)
+    import numpy as np
+
     arr = np.asarray(x)
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
@@ -124,7 +127,7 @@ def gegenbauer(n: int, lam: float, x):
         raise ValueError("Gegenbauer order lam must be positive")
     x = as_float(x)
     if n == 0:
-        return 1.0 if type(x) is float else np.ones_like(x)[()]
+        return x ** 0  # 1 of x's kind and dtype, NaN included
     c_prev, c = 1.0, 2.0 * lam * x
     two_x = 2.0 * x
     for k in range(2, n + 1):

@@ -36,8 +36,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import specfun
 from .gup import (
     DegenerateModelError,
@@ -143,7 +141,8 @@ def _rho_array(rho):
     ndarray (longdouble passes through).  NaN is rejected on both paths.
     """
     x = specfun.as_float(rho)
-    if not (abs(x) < 1.0 if type(x) is float else np.all(np.abs(x) < 1.0)):
+    inside = abs(x) < 1.0
+    if not (inside if type(x) is float else inside.all()):
         raise ValueError("rho must lie in (-1, 1)")
     return x
 
@@ -190,7 +189,7 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     """
     system = state.system
     alg = system.algebra
-    rho = rho_of_p(alg, np.asarray(p, dtype=np.float64))
+    rho = rho_of_p(alg, specfun.as_float(p))
     w = 1.0 - rho * rho
     n, v, lam = state.n, state.v, state.lam
     c0 = specfun.gegenbauer(n, lam, rho)

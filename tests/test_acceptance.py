@@ -238,6 +238,51 @@ def test_criterion_09_fails_on_a_wrong_norm(monkeypatch):
     assert not result.passed
 
 
+def test_criterion_09_fails_at_nmax_0_on_a_wrong_raise(monkeypatch):
+    # one state has no neighbour, so the suite must still compare the 0 <-> 1 pair
+    def raise_off_by_1e6(state, direction, rho):
+        got = states.apply_ladder(state, direction, rho)
+        return got * (1.0 + 1e-6) if direction == "raise" else got
+
+    clean = {r.name: r for r in checks.run_suite(n_max=0)}
+    assert clean["ladder_identity"].passed
+    monkeypatch.setattr(checks, "apply_ladder", raise_off_by_1e6)
+    planted = {r.name: r for r in checks.run_suite(n_max=0)}
+    assert not planted["ladder_identity"].passed
+    assert planted["ladder_identity"].max_deviation == pytest.approx(1e-6, rel=1e-3)
+
+
+def _recorded_points(monkeypatch, name):
+    """Patch checks.<name> to record the point (its last argument) of every call."""
+    points = []
+    original = getattr(checks, name)
+
+    def recording(*args):
+        points.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(checks, name, recording)
+    return points
+
+
+def test_criterion_09_grid_is_numpy_linspace(monkeypatch):
+    points = _recorded_points(monkeypatch, "apply_ladder")
+    checks._check_ladder_identity([make_state(_system(), n, NONRELATIVISTIC) for n in range(2)])
+    grid = np.linspace(-0.95, 0.95, 39)
+    assert all(type(rho) is float for rho in points)
+    # one raise (n = 0) and one lower (n = 1) walk the grid
+    assert np.array(points).tobytes() == np.concatenate([grid, grid]).tobytes()
+
+
+@pytest.mark.parametrize("eta", [*_ETA_GRID, 3.7e-3, 42.0])
+def test_criterion_11_grid_is_numpy_linspace(monkeypatch, eta):
+    points = _recorded_points(monkeypatch, "_ode_terms")
+    checks._check_ode_residual([make_state(_system(eta=eta), 0, RELATIVISTIC)])
+    grid = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
+    assert all(type(p) is float for p in points)
+    assert np.array(points).tobytes() == grid.tobytes()
+
+
 def test_criterion_10_su11_algebra():
     started = time.perf_counter()
     for result in checks._check_su11_algebra():

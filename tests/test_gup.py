@@ -168,6 +168,14 @@ class TestMomentumTransform:
         assert rho_of_p(alg, 1e200) == 1.0
         assert list(rho_of_p(alg, np.array([-1e300, 1e300]))) == [-1.0, 1.0]
 
+    def test_python_float_stays_a_float(self):
+        # a Python scalar takes the math path; numpy's hypot may differ from it by an ulp
+        alg = algebra(0.3)
+        ps = [-1e300, -40.0, -2.5, 0, 0.3, 1, 17.0, 1e200]
+        rhos = [rho_of_p(alg, p) for p in ps]
+        assert all(type(rho) is float for rho in rhos)
+        assert rhos == pytest.approx(list(rho_of_p(alg, np.array(ps, dtype=float))), rel=2e-16, abs=0.0)
+
     def test_unit_interval_chain(self):
         # s = (1 - rho)/2 maps (-1, 1) onto (0, 1) and inverts exactly
         assert s_of_rho(1.0) == 0.0

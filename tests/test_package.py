@@ -1,9 +1,9 @@
 """The package namespace and which commands load numpy.
 
-The scalar layers (fm, gup, spectrum) and the `spectrum`, `figure1` and `fm`
-commands must run without importing numpy; the states exports resolve on
-first access.  Each check runs in a fresh interpreter, because this test
-process has numpy loaded already.
+No command imports numpy, and every command and module runs where numpy
+cannot be imported at all; the states exports resolve on first access.  Each
+check runs in a fresh interpreter, because this test process has numpy
+loaded already.
 """
 
 import subprocess
@@ -57,7 +57,7 @@ def test_namespace_listing_and_star_import_are_unchanged():
     assert (listed, all_, numpy_loaded, star) == (expected, expected, "False", expected)
 
 
-def test_numpy_submodules_resolve_as_attributes():
+def test_lazy_submodules_resolve_as_attributes():
     out = run_python(
         "import gupho\n"
         "print(gupho.specfun.__name__, gupho.states.__name__)\n"
@@ -77,19 +77,40 @@ def test_quadrature_error_is_one_class():
     assert out == "False\nTrue\n"
 
 
-def test_scalar_commands_do_not_import_numpy():
-    commands = [
-        ["spectrum", "--branch", "rel", "--nmax", "3"],
-        ["spectrum", "--branch", "nr", "--nmax", "3"],
-        ["figure1", "--steps", "3"],
-        ["fm", "--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2"],
-    ]
-    out = run_python(
+COMMANDS = [
+    ["spectrum", "--branch", "rel", "--nmax", "3"],
+    ["spectrum", "--branch", "nr", "--nmax", "3"],
+    ["figure1", "--steps", "3"],
+    ["state", "--branch", "rel", "--n", "2", "--samples", "5"],
+    ["state", "--branch", "nr", "--n", "2", "--samples", "5"],
+    ["verify"],
+    ["verify", "--nmax", "0"],
+    ["fm", "--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2"],
+]
+EXPECTED = [f"{argv[0]} 0" for argv in COMMANDS]
+
+
+def run_commands(prelude=""):
+    return run_python(
         "import contextlib, io, sys\n"
+        f"{prelude}"
         "from gupho.cli import main\n"
-        f"for argv in {commands!r}:\n"
+        f"for argv in {COMMANDS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
-        "    print(argv[0], code, 'numpy' in sys.modules)\n"
+        "    print(argv[0], code)\n"
+        "print('numpy' in sys.modules)\n"
+    ).splitlines()
+
+
+def test_commands_do_not_import_numpy():
+    assert run_commands() == EXPECTED + ["False"]
+
+
+def test_commands_run_with_numpy_blocked():
+    # a None entry makes every `import numpy` raise ImportError
+    out = run_commands(
+        "sys.modules['numpy'] = None\n"
+        "import gupho.specfun, gupho.states, gupho.checks\n"
     )
-    assert out.splitlines() == ["spectrum 0 False", "spectrum 0 False", "figure1 0 False", "fm 0 False"]
+    assert out == EXPECTED + ["True"]

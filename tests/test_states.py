@@ -435,6 +435,11 @@ class TestOdeResidualOnStates:
         states = [make_state(system(eta=0.1), n, NONRELATIVISTIC) for n in range(3)]
         assert checks._check_ode_residual(states).max_deviation > 0.1
 
+    def test_python_float_p_gives_a_float(self):
+        state = make_state(system(eta=0.1, gamma=0.05), 3, RELATIVISTIC)
+        for p in (-40.0, 0.0, 0.3, 1):
+            assert type(ode_residual(state, p)) is float
+
     def test_array_p_matches_scalar_calls(self):
         state = make_state(system(eta=0.1, gamma=0.05), 3, RELATIVISTIC)
         ps = np.array([-40.0, -2.5, 0.0, 0.3, 1.0, 17.0])
