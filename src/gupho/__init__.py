@@ -15,13 +15,9 @@ from importlib import import_module as _import_module
 
 from .fm import (
     FmProblem,
-    FmSolution,
     NoBoundStateError,
-    fm_closed_condition,
     fm_exponents,
     fm_quantization_residual,
-    fm_solution,
-    fm_wavefunction,
 )
 from .gup import (
     DeformedAlgebra,
@@ -34,8 +30,6 @@ from .gup import (
     nr_parameters,
     p_of_rho,
     rho_of_p,
-    rho_of_s,
-    s_of_rho,
     scalar_weight,
     tilde_params,
     uncertainty_bound,

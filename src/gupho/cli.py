@@ -136,8 +136,11 @@ def _emit(args, command: str, meta: dict, columns: list[str], rows: list) -> Non
         }
         text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -153,10 +156,10 @@ def _cmd_spectrum(args) -> int:
             res = energy_relativistic(args.system, n)
         else:
             res = energy_nonrel(args.system, n)
-        rows.append((res.n, res.energy, res.residual, res.iterations, res.method))
+        rows.append((res.n, res.energy, res.residual))
     meta = _config_meta(args)
     meta["branch"] = args.branch
-    _emit(args, "spectrum", meta, ["n", "energy", "residual", "iterations", "method"], rows)
+    _emit(args, "spectrum", meta, ["n", "energy", "residual"], rows)
     return EXIT_OK
 
 

@@ -4,7 +4,7 @@ The commutator [x, p] = i hbar (1 + eta p^2) implies a smallest resolvable
 length hbar sqrt(eta).  In momentum space the position operator carries an
 arbitrary representation parameter gamma that enters only through the weight
 of the scalar product, never the spectrum.  The oscillator problem reduces,
-through the chain p -> rho -> s, to the standard form solved by `fm`.
+through the chain p -> rho -> s = (1 - rho)/2, to the standard form of `fm`.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "scalar_weight",
     "rho_of_p",
     "p_of_rho",
-    "s_of_rho",
-    "rho_of_s",
     "tilde_params",
     "fm_problem_of",
     "v_exponent",
@@ -163,15 +161,6 @@ def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
     return rho / (math.sqrt(algebra.eta) * math.sqrt(1.0 - rho * rho))
-
-
-def s_of_rho(rho: float) -> float:
-    """Unit-interval coordinate s = (1 - rho)/2 used by the standard form."""
-    return 0.5 * (1.0 - rho)
-
-
-def rho_of_s(s: float) -> float:
-    return 1.0 - 2.0 * s
 
 
 def tilde_params(system: OscillatorSystem, energy_rel: float) -> tuple[float, float]:

@@ -57,8 +57,6 @@ class SpectrumResult:
     energy: float
     delta: float
     residual: float
-    iterations: int
-    method: str  # "closed_form" on both branches
 
 
 def rel_residual(system: OscillatorSystem, n: int, energy: float) -> float:
@@ -154,7 +152,7 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     energy = m + delta
     if not (math.isfinite(energy) and math.isfinite(residual)):
         raise SolverError(f"level n={n} is not a finite double: energy={energy!r}, residual={residual!r}")
-    return SpectrumResult(n=n, energy=energy, delta=delta, residual=residual, iterations=0, method="closed_form")
+    return SpectrumResult(n=n, energy=energy, delta=delta, residual=residual)
 
 
 def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
@@ -175,7 +173,7 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
     )
     if not math.isfinite(energy):
         raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
-    return SpectrumResult(n=n, energy=energy, delta=energy, residual=0.0, iterations=0, method="closed_form")
+    return SpectrumResult(n=n, energy=energy, delta=energy, residual=0.0)
 
 
 def nr_limit_of_relativistic(system: OscillatorSystem, n: int) -> float:

@@ -29,18 +29,16 @@ class TestSpectrumCommand:
         result = run_cli("spectrum", "--eta", "0", "--branch", "nr", "--nmax", "4")
         assert result.returncode == 0
         header, rows = data_rows(result.stdout)
-        assert header == ["n", "energy", "residual", "iterations", "method"]
+        assert header == ["n", "energy", "residual"]
         assert [float(r[1]) for r in rows] == [0.5, 1.5, 2.5, 3.5, 4.5]
-        assert all(r[4] == "closed_form" for r in rows)
 
     def test_relativistic_residual_column(self):
         result = run_cli("spectrum", "--eta", "0.1", "--branch", "rel", "--nmax", "6")
         assert result.returncode == 0
         _, rows = data_rows(result.stdout)
         for row in rows:
+            assert len(row) == 3
             assert abs(float(row[2])) <= 1e-10
-            assert row[3] == "0"
-            assert row[4] == "closed_form"
 
     def test_malformed_flag_exits_64_writes_nothing(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -75,7 +73,7 @@ class TestSpectrumCommand:
                          "--format", "json")
         assert result.returncode == 0
         doc = json.loads(result.stdout)
-        assert doc["meta"]["columns"] == ["n", "energy", "residual", "iterations", "method"]
+        assert doc["meta"]["columns"] == ["n", "energy", "residual"]
         assert [row[1] for row in doc["rows"]] == [0.5, 1.5, 2.5]
 
 
@@ -294,6 +292,15 @@ class TestOutputDiscipline:
         assert written.returncode == 0
         assert written.stdout == ""
         assert out.read_text() == direct.stdout
+
+    def test_unwritable_out_file_exits_64(self, tmp_path):
+        out = tmp_path / "missing" / "table.csv"
+        result = run_cli("spectrum", "--out", str(out))
+        assert result.returncode == 64
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("gupho: error: cannot write output file:")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,8 +16,6 @@ from gupho.gup import (
     nr_parameters,
     p_of_rho,
     rho_of_p,
-    rho_of_s,
-    s_of_rho,
     scalar_weight,
     tilde_params,
     uncertainty_bound,
@@ -176,13 +175,6 @@ class TestMomentumTransform:
         assert all(type(rho) is float for rho in rhos)
         assert rhos == pytest.approx(list(rho_of_p(alg, np.array(ps, dtype=float))), rel=2e-16, abs=0.0)
 
-    def test_unit_interval_chain(self):
-        # s = (1 - rho)/2 maps (-1, 1) onto (0, 1) and inverts exactly
-        assert s_of_rho(1.0) == 0.0
-        assert s_of_rho(-1.0) == 1.0
-        for rho in np.linspace(-0.999, 0.999, 21):
-            assert rho_of_s(s_of_rho(rho)) == pytest.approx(rho, abs=1e-15)
-
     def test_arc_coordinate_chain(self):
         # rho = sin(arc * sqrt(eta)) with arc = arctan(p sqrt(eta)) / sqrt(eta)
         alg = algebra(0.7)
@@ -305,10 +297,10 @@ class TestNrParameters:
 
 
 class TestFmBridge:
-    """The standard-form wavefunction route against the closed Gegenbauer form."""
+    """The standard-form solution against the closed Gegenbauer form of the states."""
 
-    def converged_problem(self, n, eta=0.1):
-        sys = system(eta=eta, gamma=0.0)
+    def converged_problem(self, n, eta=0.1, gamma=0.0):
+        sys = system(eta=eta, gamma=gamma)
         energy = energy_relativistic(sys, n).energy
         return sys, energy, fm_problem_of(sys, energy)
 
@@ -325,47 +317,40 @@ class TestFmBridge:
         at_rest = fm_problem_of(sys, sys.mass)  # no excitation energy
         assert abs(fm_quantization_residual(at_rest, 0)) > 1e-3
 
-    def test_exponents_positive_and_endpoints_vanish(self):
-        from gupho.fm import fm_quantization_residual, fm_wavefunction
+    def test_exponents_positive(self):
+        from gupho.fm import fm_quantization_residual
 
         for n in range(4):
-            sys, energy, problem = self.converged_problem(n)
+            _, _, problem = self.converged_problem(n)
             assert abs(fm_quantization_residual(problem, n)) < 1e-9
             k4, k5 = fm_exponents(problem)
             assert k4 > 0 and k5 > 0
-            assert fm_wavefunction(problem, n, 0.0) == 0.0
-            assert fm_wavefunction(problem, n, 1.0) == 0.0
-            for s in np.linspace(0.0, 1.0, 11):
-                assert math.isfinite(fm_wavefunction(problem, n, s))
 
-    def test_ground_state_midpoint_value(self):
-        from gupho.fm import fm_wavefunction
+    @pytest.mark.parametrize("eta", [0.1, 3e-3])
+    @pytest.mark.parametrize("gamma_over_eta", [0.0, 0.5])
+    def test_standard_form_proportional_to_gegenbauer(self, eta, gamma_over_eta):
+        # s^k4 (1-s)^k5 2F1(-n, n + 2(k4+k5) + k2/k3 - 1; 2 k4 + k1; s), formed in
+        # 50-digit mpmath, is the state's envelope times C_n^lam at rho = 1 - 2s
+        from gupho.states import RELATIVISTIC, make_state
 
-        sys, energy, problem = self.converged_problem(0)
-        v = v_exponent(sys, energy)
-        # degree-0 series is 1, so the midpoint value is (s(1-s))^v = 4^-v
-        assert fm_wavefunction(problem, 0, 0.5) == pytest.approx(4.0 ** (-v), rel=1e-13)
-
-    def test_first_excited_proportional_to_gegenbauer(self):
-        from gupho.fm import fm_wavefunction
-
-        sys, energy, problem = self.converged_problem(1)
-        v = v_exponent(sys, energy)
-        lam = 2.0 * v
-        svals = np.linspace(0.05, 0.95, 20)
-        fm_route = np.array([fm_wavefunction(problem, 1, s) for s in svals])
-        rho = 1.0 - 2.0 * svals
-        closed = ((1.0 - rho**2) / 4.0) ** v * gegenbauer(1, lam, rho)
-        constant = fm_route[0] / closed[0]
-        scale = np.max(np.abs(fm_route))
-        assert np.max(np.abs(fm_route - constant * closed)) <= 1e-10 * scale
-
-    def test_closed_condition_on_converged_energies(self):
-        from gupho.fm import fm_closed_condition
-
-        for n in range(6):
-            _, _, problem = self.converged_problem(n)
-            assert abs(fm_closed_condition(problem, n)) <= 1e-9
+        svals = np.linspace(0.05, 0.95, 19)
+        for n in range(9):
+            sys, _, problem = self.converged_problem(n, eta=eta, gamma=gamma_over_eta * eta)
+            k4, k5 = fm_exponents(problem)
+            b = n + 2.0 * (k4 + k5) + problem.k2 / problem.k3 - 1.0
+            c = 2.0 * k4 + problem.k1
+            with mpmath.workdps(50):
+                fm_route = np.array([
+                    float(mpmath.mpf(s) ** k4 * (1 - mpmath.mpf(s)) ** k5 * mpmath.hyp2f1(-n, b, c, s))
+                    for s in svals
+                ])
+            state = make_state(sys, n, RELATIVISTIC)
+            rho = 1.0 - 2.0 * svals
+            closed = ((1.0 - rho**2) / 4.0) ** state.v * gegenbauer(n, state.lam, rho)
+            fm_route /= np.max(np.abs(fm_route))
+            closed /= np.max(np.abs(closed))
+            constant = np.dot(fm_route, closed) / np.dot(closed, closed)
+            assert np.max(np.abs(fm_route - constant * closed)) <= 1e-12
 
 
 class TestWeightedNormEquivalence:

@@ -1,4 +1,4 @@
-"""The package namespace and which commands load numpy.
+"""The package namespace, each submodule's `__all__`, and which commands load numpy.
 
 No command imports numpy, and every command and module runs where numpy
 cannot be imported at all; the states exports resolve on first access.  Each
@@ -6,23 +6,47 @@ check runs in a fresh interpreter, because this test process has numpy
 loaded already.
 """
 
+import importlib
 import subprocess
 import sys
 
-# every name the package namespace held when it imported states eagerly
+import pytest
+
+# every name of the package namespace
 EXPORTS = (
-    "DeformedAlgebra", "DegenerateModelError", "FmProblem", "FmSolution",
-    "LadderCoefficients", "NONRELATIVISTIC", "NoBoundStateError", "OscillatorState",
-    "OscillatorSystem", "QuadratureAccuracyError", "RELATIVISTIC", "SolverError",
-    "SpectrumResult", "Su11Report", "UndeformedBranchError", "apply_ladder",
-    "energy_nonrel", "energy_relativistic", "eval_state", "eval_state_derivative", "fm",
-    "fm_closed_condition", "fm_exponents", "fm_problem_of", "fm_quantization_residual",
-    "fm_solution", "fm_wavefunction", "gup", "inner_product", "ladder_coeffs",
-    "make_state", "minimal_length", "nr_limit_of_relativistic", "nr_parameters",
-    "ode_residual", "p_of_rho", "ratio_sweep", "reference_norm", "rel_residual",
-    "rho_of_p", "rho_of_s", "s_of_rho", "scalar_weight", "specfun", "spectrum", "states",
-    "su11_check", "tilde_params", "uncertainty_bound", "v_exponent", "weighted_overlap",
+    "DeformedAlgebra", "DegenerateModelError", "FmProblem", "LadderCoefficients",
+    "NONRELATIVISTIC", "NoBoundStateError", "OscillatorState", "OscillatorSystem",
+    "QuadratureAccuracyError", "RELATIVISTIC", "SolverError", "SpectrumResult", "Su11Report",
+    "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",
+    "eval_state", "eval_state_derivative", "fm", "fm_exponents", "fm_problem_of",
+    "fm_quantization_residual", "gup", "inner_product", "ladder_coeffs", "make_state",
+    "minimal_length", "nr_limit_of_relativistic", "nr_parameters", "ode_residual", "p_of_rho",
+    "ratio_sweep", "reference_norm", "rel_residual", "rho_of_p", "scalar_weight", "specfun",
+    "spectrum", "states", "su11_check", "tilde_params", "uncertainty_bound", "v_exponent",
+    "weighted_overlap",
 )
+
+# the public names of each submodule
+SUBMODULE_EXPORTS = {
+    "fm": ("FmProblem", "NoBoundStateError", "fm_exponents", "fm_quantization_residual"),
+    "gup": (
+        "DeformedAlgebra", "DegenerateModelError", "OscillatorSystem", "QuadratureAccuracyError",
+        "UndeformedBranchError", "fm_problem_of", "minimal_length", "nr_parameters", "p_of_rho",
+        "rho_of_p", "scalar_weight", "tilde_params", "uncertainty_bound", "v_exponent",
+    ),
+    "spectrum": (
+        "BOHR_RADIUS", "SolverError", "SpectrumResult", "energy_nonrel", "energy_relativistic",
+        "nr_limit_of_relativistic", "ratio_sweep", "rel_residual",
+    ),
+    "states": (
+        "LadderCoefficients", "NONRELATIVISTIC", "OscillatorState", "QuadratureAccuracyError",
+        "RELATIVISTIC", "Su11Report", "apply_ladder", "eval_state", "eval_state_derivative",
+        "inner_product", "ladder_coeffs", "make_state", "ode_residual", "reference_norm",
+        "su11_check", "weighted_overlap",
+    ),
+    "specfun": ("as_float", "gegenbauer", "gegenbauer_derivative", "gegenbauer_product_integral"),
+    "checks": ("CheckResult", "run_suite"),
+}
 
 
 def run_python(code):
@@ -55,6 +79,14 @@ def test_namespace_listing_and_star_import_are_unchanged():
     listed, all_, numpy_loaded, star = out.splitlines()
     expected = repr(sorted(EXPORTS))
     assert (listed, all_, numpy_loaded, star) == (expected, expected, "False", expected)
+
+
+@pytest.mark.parametrize("module", sorted(SUBMODULE_EXPORTS))
+def test_submodule_all_is_pinned_and_resolves(module):
+    mod = importlib.import_module(f"gupho.{module}")
+    assert sorted(mod.__all__) == sorted(SUBMODULE_EXPORTS[module])
+    for name in mod.__all__:
+        assert hasattr(mod, name), name
 
 
 def test_lazy_submodules_resolve_as_attributes():

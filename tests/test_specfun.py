@@ -4,9 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import eval_gegenbauer, hyp2f1
+from scipy.special import eval_gegenbauer
 
-from gupho.fm import hyp2f1_terminating
 from gupho.specfun import (
     gegenbauer,
     gegenbauer_derivative,
@@ -140,35 +139,6 @@ class TestGegenbauerDerivative:
                 fd = (gegenbauer(n, lam, x + h) - gegenbauer(n, lam, x - h)) / (2 * h)
                 exact = gegenbauer_derivative(n, lam, x)
                 assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6)
-
-
-class TestHyp2f1Terminating:
-    def test_degree_zero(self):
-        assert hyp2f1_terminating(0, 3.2, 1.1, 0.4) == 1.0
-
-    def test_degree_one(self):
-        # 1 - b x / c
-        assert hyp2f1_terminating(1, 2.0, 4.0, 0.5) == pytest.approx(0.75, abs=1e-15)
-
-    def test_degree_two_term_sum(self):
-        # direct term-by-term oracle: 1 - 2 + (2)(2)/((2)(2)) * 1 = 0
-        expected = 1.0 + (-2.0) * 1.0 / 1.0 + ((-2.0) * (-1.0)) * (1.0 * 2.0) / (1.0 * 2.0) / 2.0
-        assert expected == 0.0
-        assert hyp2f1_terminating(2, 1.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-15)
-
-    def test_pole_in_c_rejected(self):
-        with pytest.raises(ValueError):
-            hyp2f1_terminating(3, 1.0, -1.0, 0.5)
-
-    def test_against_scipy(self):
-        for n in range(8):
-            for b in (0.7, 2.3, 5.0):
-                for c in (1.1, 3.7):
-                    for x in (0.0, 0.25, 0.8, 1.0):
-                        ref = hyp2f1(-n, b, c, x)
-                        assert hyp2f1_terminating(n, b, c, x) == pytest.approx(
-                            ref, rel=1e-12, abs=1e-12
-                        )
 
 
 def _mp_coefficients(n, lam):
@@ -327,15 +297,18 @@ class TestOrthogonality:
                 expected = weight_integral_closed_form(n, lam) if n == m else 0.0
                 assert abs(got - expected) <= 1e-10
 
-    @pytest.mark.parametrize("lam", [0.8, 1.618033988749895, 3.2])
+    @pytest.mark.parametrize("lam", [0.8, 1.618033988749895, 3.2, 30.0, 300.0])
     def test_proportional_to_terminating_series(self, lam):
-        # C_n^lam(x) = C_n^lam(1) * 2F1(-n, n + 2 lam; lam + 1/2; (1-x)/2)
-        for n in range(9):
-            lead = math.exp(math.lgamma(n + 2 * lam) - math.lgamma(n + 1.0) - math.lgamma(2 * lam))
-            xs = np.linspace(-0.95, 0.95, 20)
-            direct = gegenbauer(n, lam, xs)
-            series = lead * np.array(
-                [hyp2f1_terminating(n, n + 2 * lam, lam + 0.5, 0.5 * (1 - x)) for x in xs]
-            )
-            scale = max(1.0, float(np.max(np.abs(direct))))
-            assert np.max(np.abs(direct - series)) <= 1e-10 * scale
+        # C_n^lam(x) = C_n^lam(1) * 2F1(-n, n + 2 lam; lam + 1/2; (1-x)/2), with the
+        # right side in 50-digit mpmath
+        xs = np.linspace(-0.95, 0.95, 20)
+        with mpmath.workdps(50):
+            for n in range(17):
+                lead = mpmath.binomial(n + 2 * lam - 1, n)
+                series = np.array([
+                    float(lead * mpmath.hyp2f1(-n, n + 2 * lam, lam + 0.5, (1 - mpmath.mpf(x)) / 2))
+                    for x in xs
+                ])
+                direct = gegenbauer(n, lam, xs)
+                scale = max(1.0, float(np.max(np.abs(series))))
+                assert np.max(np.abs(direct - series)) <= 1e-12 * scale

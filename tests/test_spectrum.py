@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -100,9 +101,9 @@ class TestEnergyRelativistic:
 
     def test_result_fields(self):
         res = energy_relativistic(system(eta=0.1), 3)
+        assert [field.name for field in dataclasses.fields(res)] == ["n", "energy", "delta", "residual"]
         assert res.n == 3
-        assert res.method == "closed_form"
-        assert res.iterations == 0
+        assert res.delta == pytest.approx(res.energy - 1.0, rel=1e-15)
         assert abs(res.residual) <= 1e-15 * res.energy
 
     @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
@@ -182,7 +183,7 @@ class TestEnergyNonrel:
             res = energy_nonrel(sys, n)
             assert res.energy == n + 0.5
             assert res.residual == 0.0
-            assert res.method == "closed_form"
+            assert res.delta == res.energy
 
     def test_direct_evaluation(self):
         got = energy_nonrel(system(eta=0.1), 0).energy
