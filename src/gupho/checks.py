@@ -37,7 +37,6 @@ from .states import (
     su11_check,
     weighted_overlap,
     _ode_terms,
-    _overlap,
 )
 
 __all__ = ["CheckResult", "run_suite"]
@@ -89,12 +88,18 @@ def _check_relativistic_residual(mass, omega, hbar, gamma, etas, n_top) -> Check
 
 
 def _check_nr_limit(omega, hbar, gamma) -> CheckResult:
-    system = _system(1e6, omega, hbar, 0.0, gamma)
+    """The relativistic delta against `energy_nonrel` at m = 1e6 hbar omega, deformed and not.
+
+    kappa = hbar eta m omega is held fixed, so the relative gap falls like
+    hbar omega / m; at kappa = 0 the target is hbar omega (n + 1/2).
+    """
+    mass = 1e6 * hbar * omega
     dev = 0.0
-    for n in range(6):
-        gap = nr_limit_of_relativistic(system, n)
-        target = hbar * omega * (n + 0.5)
-        dev = max(dev, abs(gap - target) / target)
+    for kappa in (0.0, 0.1, 1.0, 10.0):
+        system = _system(mass, omega, hbar, kappa / (hbar * mass * omega), gamma)
+        for n in range(6):
+            target = energy_nonrel(system, n).energy
+            dev = max(dev, abs(nr_limit_of_relativistic(system, n) - target) / target)
     return CheckResult("nr_limit", dev, 1e-5)
 
 
@@ -144,26 +149,6 @@ def _check_orthonormality(states) -> CheckResult:
             target = 1.0 if a.n == b.n else 0.0
             dev = max(dev, abs(entry - target))
     return CheckResult("orthonormality", dev, 1e-10)
-
-
-def _check_quadrature_node_count(states) -> CheckResult:
-    """Every Gram entry must stay put when its rule gains a node.
-
-    The overlap integrand is the weight (1 - rho^2)^(mu - 1/2) times a
-    polynomial of degree n_a + n_b, so (n_a + n_b + 2) // 2 nodes are exact;
-    this recomputes each entry with one node more, odd pairs included, whose
-    exact 0.0 rests on parity.  On the relativistic branch v changes with n,
-    so every pair has its own mu.  When the count is right this reads
-    exactly 0.0: the kernel cuts its Jacobi matrix at the rows the product
-    can reach, so a larger one changes no arithmetic.  A count one too small
-    cuts a row the product needs, and the entries move by O(1).
-    """
-    dev = 0.0
-    for i, a in enumerate(states):
-        for b in states[: i + 1]:
-            extra = _overlap(a, b, (a.n + b.n + 2) // 2 + 1)
-            dev = max(dev, abs(extra - weighted_overlap(a, b)))
-    return CheckResult("quadrature_node_count", dev, 1e-11)
 
 
 def _check_normalization_reference(states) -> CheckResult:
@@ -217,7 +202,11 @@ def _check_su11_algebra() -> list[CheckResult]:
 
 
 def _check_ode_residual(states) -> CheckResult:
-    """The wave-equation residual, relative to the sum of its three terms' magnitudes."""
+    """The wave-equation residual, relative to the sum of its three terms' magnitudes.
+
+    The states' branch picks the equation and names the row: `ode_residual`
+    or `nr_ode_residual`.
+    """
     eta = states[0].system.algebra.eta
     p_grid = _linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
     dev = 0.0
@@ -227,30 +216,22 @@ def _check_ode_residual(states) -> CheckResult:
             scale = sum(abs(term) for term in terms)
             if scale > 0.0:
                 dev = max(dev, abs(sum(terms)) / scale)
-    return CheckResult("ode_residual", dev, 1e-11)
+    prefix = "nr_" if states[0].branch == NONRELATIVISTIC else ""
+    return CheckResult(prefix + "ode_residual", dev, 1e-11)
 
 
 def _check_weight_orthogonality() -> CheckResult:
     """The overlap kernel against the closed-form Gegenbauer orthogonality integrals.
 
-    Nine Jacobi-matrix rows give a rule exact to degree 17, so every
-    product of two degree <= 8 polynomials must meet its closed form.
+    Every product of two degree <= 8 polynomials must meet its closed form:
+    0 off the diagonal, 1 / gegenbauer_normalization^2 on it.
     """
     dev = 0.0
     for t in (0.75, 1.0, 2.5):
         for n in range(9):
             for m in range(n + 1):
-                got = specfun.gegenbauer_product_integral(t, 9, n, t, m, t)
-                if n == m:
-                    target = math.exp(
-                        math.log(math.pi)
-                        + (1.0 - 2.0 * t) * math.log(2.0)
-                        + math.lgamma(2.0 * t + n)
-                        - math.lgamma(n + 1.0)
-                        - 2.0 * math.lgamma(t)
-                    ) / (n + t)
-                else:
-                    target = 0.0
+                got = specfun.gegenbauer_product_integral(t, n, t, m, t)
+                target = specfun.gegenbauer_normalization(n, t) ** -2 if n == m else 0.0
                 dev = max(dev, abs(got - target))
     return CheckResult("weight_orthogonality", dev, 1e-10)
 
@@ -300,11 +281,11 @@ def run_suite(
         nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(max(n_max, 1) + 1)]
         rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
         results.append(_check_orthonormality(nr_states))
-        results.append(_check_quadrature_node_count(rel_states))
         results.append(_check_normalization_reference(rel_states))
         results.append(_check_ladder_identity(nr_states))
         results.extend(_check_su11_algebra())
         results.append(_check_ode_residual(rel_states))
+        results.append(_check_ode_residual(nr_states))
         results.append(_check_weight_orthogonality())
         results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))
     else:

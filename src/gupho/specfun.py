@@ -1,12 +1,12 @@
 """Special-function and quadrature kernel.
 
-Gegenbauer polynomials and their derivative, and the Gauss-Gegenbauer
-integral of a product of two of them, formed from the Jacobi matrix in
-Python floats without nodes or weights.  Everything here is a pure function
-of its arguments.  A Python scalar argument is evaluated in Python floats,
-so the per-point path neither imports numpy nor pays its call overhead;
-arrays and numpy scalars are evaluated by numpy, which `as_float` imports
-when the first one arrives.
+Gegenbauer polynomials, their derivative and their closed-form
+normalization, and the exact weighted integral of a product of two of them,
+formed from the Jacobi matrix in Python floats without nodes or weights.
+Everything here is a pure function of its arguments.  A Python scalar
+argument is evaluated in Python floats, so the per-point path neither
+imports numpy nor pays its call overhead; arrays and numpy scalars are
+evaluated by numpy, which `as_float` imports when the first one arrives.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "gegenbauer_product_integral",
     "gegenbauer",
     "gegenbauer_derivative",
+    "gegenbauer_normalization",
 ]
 
 
@@ -62,38 +63,35 @@ def _gegenbauer_column(n: int, lam: float, beta: list[float], last: int) -> list
     of k's parity hold step k - 2 until step k overwrites them in place,
     reading the rows of the other parity, which hold step k - 1.  Row i at
     step k feeds only rows i - 1 and i + 1 at step k + 1, so step k stops at
-    row min(k, last - k): those are all the rows that can reach rows
-    0 .. last - n at step n.  The vector ends in a zero pad, which also
-    stands in for row -1.
+    row min(k, last - k) <= last // 2, J's last row: those are all the rows
+    that can reach rows 0 .. last - n at step n.  The vector ends in a zero
+    pad, which also stands in for row -1.
     """
     c = [0.0] * len(beta)  # the rows of J and the pad
     c[0] = 1.0
-    bottom = len(beta) - 2  # J's last row
     for k in range(1, n + 1):
         a, b = 2.0 * (k + lam - 1.0) / k, (k + 2.0 * lam - 2.0) / k
-        for i in range(k & 1, min(k, last - k, bottom) + 1, 2):
+        for i in range(k & 1, min(k, last - k) + 1, 2):
             c[i] = a * (beta[i] * c[i - 1] + beta[i + 1] * c[i + 1]) - b * c[i]
     return c[n & 1 : last - n + 1 : 2]
 
 
-def gegenbauer_product_integral(mu: float, count: int, n_a: int, lam_a: float, n_b: int, lam_b: float) -> float:
-    """count-node Gauss-Gegenbauer value of the integral of (1 - x^2)^(mu - 1/2) C_na^lam_a C_nb^lam_b.
+def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam_b: float) -> float:
+    """The integral of (1 - x^2)^(mu - 1/2) C_na^lam_a C_nb^lam_b over (-1, 1), exact up to rounding.
 
-    By the Golub-Welsch identity (1969) the count-node rule for the weight
-    (1 - x^2)^(mu - 1/2) gives mass e_0^T f(J) e_0 for any f, where J is
-    the count x count Jacobi matrix of `_jacobi_offdiagonal` and the mass
-    is the integral of the weight, sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1).
-    With f = C_na C_nb and J symmetric this is mass (C_na(J) e_0) . (C_nb(J) e_0),
-    formed here by the three-term recurrence on vectors, in Python floats:
-    no nodes, no weights and no numpy.  It is exact for
-    n_a + n_b <= 2 count - 1.  Only rows up to min(n_a, n_b) reach the
-    product, and only rows up to (n_a + n_b) // 2 reach those, so J is cut
-    there: once the count is large enough to be exact, a larger count
-    changes no arithmetic and gives the same float.  An odd n_a + n_b gives
-    exactly 0.0 by parity.
+    By the Golub-Welsch identity (1969) the Gauss-Gegenbauer rule for the
+    weight (1 - x^2)^(mu - 1/2) whose nodes are the eigenvalues of the
+    size x size Jacobi matrix J of `_jacobi_offdiagonal` gives mass e_0^T f(J) e_0
+    for any f, where the mass is the integral of the weight,
+    sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1), and it is exact for
+    polynomials of degree <= 2 size - 1.  With f = C_na C_nb and J symmetric
+    this is mass (C_na(J) e_0) . (C_nb(J) e_0), formed here by the
+    three-term recurrence on vectors, in Python floats: no nodes, no weights
+    and no numpy.  J has (n_a + n_b) // 2 + 1 rows, the fewest that make the
+    product of degree n_a + n_b exact; only rows up to min(n_a, n_b) reach
+    the product, and only rows up to (n_a + n_b) // 2 reach those.  An odd
+    n_a + n_b gives exactly 0.0 by parity.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     if not mu > 0.0:
         raise ValueError("mu must be positive")
     if n_a < 0 or n_b < 0:
@@ -103,11 +101,33 @@ def gegenbauer_product_integral(mu: float, count: int, n_a: int, lam_a: float, n
     last = n_a + n_b
     if last % 2:
         return 0.0
-    beta = _jacobi_offdiagonal(mu, min(count, last // 2 + 1))
+    beta = _jacobi_offdiagonal(mu, last // 2 + 1)
     c_a = _gegenbauer_column(n_a, lam_a, beta, last)
     c_b = c_a if (n_b, lam_b) == (n_a, lam_a) else _gegenbauer_column(n_b, lam_b, beta, last)
     mass = math.exp(0.5 * math.log(math.pi) + math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
     return mass * sum([x * y for x, y in zip(c_a, c_b)])
+
+
+def gegenbauer_normalization(n: int, lam: float) -> float:
+    """Closed-form normalization constant of C_n^lam (Kempf, Mangano and Mann 1995).
+
+    sqrt(n! (n + lam) Gamma(lam)^2 / (2^(1 - 2 lam) pi Gamma(2 lam + n))), the
+    inverse square root of the integral of (1 - x^2)^(lam - 1/2) C_n^lam(x)^2
+    over (-1, 1), summed in logs.
+    """
+    if n < 0:
+        raise ValueError("degree n must be a nonnegative integer")
+    if not lam > 0.0:
+        raise ValueError("Gegenbauer order lam must be positive")
+    log_val = (
+        math.lgamma(n + 1.0)
+        + math.log(n + lam)
+        + 2.0 * math.lgamma(lam)
+        - (1.0 - 2.0 * lam) * math.log(2.0)
+        - math.log(math.pi)
+        - math.lgamma(2.0 * lam + n)
+    )
+    return math.exp(0.5 * log_val)
 
 
 def gegenbauer(n: int, lam: float, x):

@@ -179,9 +179,9 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
 def nr_limit_of_relativistic(system: OscillatorSystem, n: int) -> float:
     """E_R - m from the relativistic solver, for comparison with `energy_nonrel`.
 
+    The level's own delta, which m + delta would round away for a heavy mass.
     Meaningful when the rest energy dominates; warns if mass < 1e3 hbar omega.
-    The comparison keeps eta fixed across the limit and degrades once
-    hbar eta omega m approaches 1.
+    The gap to `energy_nonrel` falls like 1/m at fixed hbar eta m omega.
     """
     alg = system.algebra
     if system.mass < 1e3 * alg.hbar * system.omega:
@@ -190,8 +190,7 @@ def nr_limit_of_relativistic(system: OscillatorSystem, n: int) -> float:
             "limit will be inaccurate",
             stacklevel=2,
         )
-    result = energy_relativistic(system, n)
-    return result.energy - system.mass
+    return energy_relativistic(system, n).delta
 
 
 def ratio_sweep(

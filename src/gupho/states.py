@@ -3,12 +3,11 @@
 A state is phi_n(rho) = N ((1 - rho^2)/4)^v C_n^lam(rho) with lam = 2v -
 gamma/eta.  In rho the weighted momentum overlap of two states is
 4^(-v_a - v_b) eta^(-1/2) times the integral of C_na C_nb against the
-Gegenbauer weight (1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, so a
-Gauss-Gegenbauer rule with (n_a + n_b + 2) // 2 nodes evaluates it exactly.
-That value is taken without nodes or weights, from the Jacobi matrix of the
-weight in Python floats (`specfun.gegenbauer_product_integral`), so the
-overlap path calls no numpy.  On the diagonal mu = lam, and the norm N
-follows from the closed-form Gegenbauer norm `reference_norm`.
+Gegenbauer weight (1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, and
+`specfun.gegenbauer_product_integral` gives that integral exactly from the
+Jacobi matrix of the weight in Python floats, so the overlap path calls no
+numpy.  On the diagonal mu = lam, and the norm N follows from the
+closed-form Gegenbauer normalization `specfun.gegenbauer_normalization`.
 
 First-order ladder operators shift n by one with coefficients
 l- = sqrt(n (2 lam + n - 1)) and l+ = sqrt((n+1) (2 lam + n)); together with
@@ -25,13 +24,12 @@ branch, to one neighbouring polynomial:
 so `apply_ladder` evaluates them in closed form.
 
 The same derivative relation gives phi' and phi'' exactly, so
-`ode_residual` evaluates the momentum-space wave equation without
-numerical differentiation.
+`ode_residual` evaluates the momentum-space wave equation of either branch
+without numerical differentiation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -99,10 +97,10 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     The relativistic branch takes the level from `energy_relativistic` and
     derives the exponent from it; the nonrelativistic branch uses
     the closed-form parameters.  The raw norm integral is
-    4^(-2v) eta^(-1/2) / reference_norm^2, formed in double precision; where
-    4^(-2v) or the integral is not a normal double (first at eta m omega hbar
-    below about 2e-3, where 4^(-2v) underflows) `QuadratureAccuracyError` is
-    raised.
+    4^(-2v) eta^(-1/2) / gegenbauer_normalization(n, lam)^2, formed in double
+    precision; where 4^(-2v) or the integral is not a normal double (first at
+    eta m omega hbar below about 2e-3, where 4^(-2v) underflows)
+    `QuadratureAccuracyError` is raised.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
@@ -121,16 +119,15 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
         raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")
     if not v > 0.0:
         raise DegenerateModelError(f"prefactor exponent v = {v!r} must be positive")
-    state = OscillatorState(
-        system=system, branch=branch, n=n, v=v, lam=lam, norm=math.nan, energy=energy,
-    )
     weight = 4.0 ** (-2.0 * v)
-    # a subnormal 4^(-2v) has lost digits; far below it, reference_norm's lgamma terms cancel to noise
-    ref = reference_norm(state) if weight >= sys.float_info.min else math.inf
+    # a subnormal 4^(-2v) has lost digits; far below it, the normalization's lgamma terms cancel to noise
+    ref = specfun.gegenbauer_normalization(n, lam) if weight >= sys.float_info.min else math.inf
     raw = weight / math.sqrt(alg.eta) / ref / ref if ref > 0.0 else math.inf
     if not sys.float_info.min <= raw < math.inf:
         raise QuadratureAccuracyError(f"raw norm integral is not a normal double: {raw!r}")
-    return dataclasses.replace(state, norm=1.0 / math.sqrt(raw))
+    return OscillatorState(
+        system=system, branch=branch, n=n, v=v, lam=lam, norm=1.0 / math.sqrt(raw), energy=energy,
+    )
 
 
 def _rho_array(rho):
@@ -181,6 +178,12 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
 
     phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi
 
+    Both branches share this form and differ only in (A~, B~): the
+    relativistic pair is `tilde_params`; the nonrelativistic equation
+    -(hbar^2 m omega^2 / 2) D^2 phi + p^2 / (2m) phi = E phi, with
+    D = (1 + eta p^2) d/dp + gamma p (Kempf, Mangano and Mann 1995), reduces
+    to it with A~ = 1/(hbar m omega)^2 - gamma (gamma + eta) and
+    B~ = -(2E / (hbar^2 m omega^2) + gamma).  The terms are taken
     in closed form through rho(p).  With w = 1 - rho^2 = 1 / (1 + eta p^2),
     d rho/dp = sqrt(eta) w^(3/2), d^2 rho/dp^2 = -3 eta rho w^2 and the
     envelope's d/drho (w/4)^v = -2 v rho (w/4)^v / w, every term is
@@ -196,7 +199,11 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     c1 = specfun.gegenbauer_derivative(n, lam, rho)
     # C'' = 2 lam d/drho C_{n-1}^(lam+1); at n = 0 the degree-0 derivative supplies the zero
     c2 = 2.0 * lam * specfun.gegenbauer_derivative(max(n - 1, 0), lam + 1.0, rho)
-    a_tilde, b_tilde = tilde_params(system, state.energy)
+    if state.branch == NONRELATIVISTIC:
+        a_tilde = (1.0 / (alg.hbar * system.mass * system.omega)) ** 2 - alg.gamma * (alg.gamma + alg.eta)
+        b_tilde = -(2.0 * state.energy / (alg.hbar**2 * system.mass * system.omega**2) + alg.gamma)
+    else:
+        a_tilde, b_tilde = tilde_params(system, state.energy)
     common = _envelope(state, rho) * w
     second = common * alg.eta * (
         w * w * c2 - (4.0 * v + 3.0) * rho * w * c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c0
@@ -210,27 +217,10 @@ def ode_residual(state: OscillatorState, p):
     """Residual of the reduced momentum-space wave equation for the state at p.
 
     The sum of the three terms of `_ode_terms`; zero up to rounding for a
-    relativistic state.  ``p`` may be a finite scalar (a scalar is
+    state of either branch.  ``p`` may be a finite scalar (a scalar is
     returned) or an ndarray (one residual per point).
     """
     return sum(_ode_terms(state, p))
-
-
-def _overlap(a: OscillatorState, b: OscillatorState, count: int) -> float:
-    """<a|b> as the ``count``-node Gauss-Gegenbauer value, in Python floats.
-
-    The measure weight (1 + eta p^2)^(alpha - 1) becomes (1 - rho^2)^(1 - alpha)
-    and the Jacobian is dp = d rho / (sqrt(eta) (1 - rho^2)^(3/2)), so the
-    integrand is 4^(-v_a - v_b) eta^(-1/2) (1 - rho^2)^(mu - 1/2) C_na C_nb
-    with mu = v_a + v_b - alpha.  `specfun.gegenbauer_product_integral`
-    forms that integral from the Jacobi matrix, with no nodes, no weights
-    and no numpy.  Each norm is paired with its own 4^(-v), so no
-    intermediate product leaves the double range.
-    """
-    alg = a.system.algebra
-    integral = specfun.gegenbauer_product_integral(a.v + b.v - alg.alpha, count, a.n, a.lam, b.n, b.lam)
-    scale = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(alg.eta)
-    return scale * integral
 
 
 def _require_compatible(a: OscillatorState, b: OscillatorState) -> None:
@@ -241,18 +231,25 @@ def _require_compatible(a: OscillatorState, b: OscillatorState) -> None:
 def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
     """<a|b> under the weighted momentum measure, exact up to rounding.
 
-    The integrand is a polynomial of degree n_a + n_b times the Gegenbauer
-    weight, so the Gauss-Gegenbauer value with (n_a + n_b + 2) // 2 nodes is
-    exact; it is formed from the Jacobi matrix in Python floats, with no
-    numpy call.  C_n has parity (-1)^n, so an odd n_a + n_b gives exactly
-    0.0.  A value that is not finite raises `QuadratureAccuracyError`.
+    The measure weight (1 + eta p^2)^(alpha - 1) becomes (1 - rho^2)^(1 - alpha)
+    and the Jacobian is dp = d rho / (sqrt(eta) (1 - rho^2)^(3/2)), so the
+    integrand is 4^(-v_a - v_b) eta^(-1/2) (1 - rho^2)^(mu - 1/2) C_na C_nb
+    with mu = v_a + v_b - alpha, a polynomial of degree n_a + n_b times the
+    Gegenbauer weight.  `specfun.gegenbauer_product_integral` gives that
+    integral exactly from the Jacobi matrix in Python floats, with no numpy
+    call.  Each norm is paired with its own 4^(-v), so no intermediate
+    product leaves the double range.  C_n has parity (-1)^n, so an odd
+    n_a + n_b gives exactly 0.0.  A value that is not finite raises
+    `QuadratureAccuracyError`.
     """
     _require_compatible(a, b)
     if (a.n + b.n) % 2:
         return 0.0
     if (b.n, b.v) < (a.n, a.v):
         a, b = b, a  # canonical order makes symmetry in (a, b) exact
-    value = _overlap(a, b, (a.n + b.n + 2) // 2)
+    alg = a.system.algebra
+    integral = specfun.gegenbauer_product_integral(a.v + b.v - alg.alpha, a.n, a.lam, b.n, b.lam)
+    value = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(alg.eta) * integral
     if not math.isfinite(value):
         raise QuadratureAccuracyError(f"overlap of n={a.n} and n={b.n} is not finite: {value!r}")
     return value
@@ -263,23 +260,12 @@ inner_product = weighted_overlap
 
 
 def reference_norm(state: OscillatorState) -> float:
-    """Closed-form Gegenbauer normalization constant (Kempf, Mangano and Mann 1995).
+    """`specfun.gegenbauer_normalization` of the state's polynomial C_n^lam.
 
-    sqrt(n! (n + lam) Gamma(lam)^2 / (2^(1 - 2 lam) pi Gamma(2 lam + n))), the
-    inverse square root of the integral of (1 - x^2)^(lam - 1/2) C_n^lam(x)^2
-    over (-1, 1).  `make_state` takes its norm from it; the state's own norm
-    differs from it by the factor 4^v eta^(1/4).
+    `make_state` takes its norm from it; the state's own norm differs from it
+    by the factor 4^v eta^(1/4).
     """
-    n, lam = state.n, state.lam
-    log_val = (
-        math.lgamma(n + 1.0)
-        + math.log(n + lam)
-        + 2.0 * math.lgamma(lam)
-        - (1.0 - 2.0 * lam) * math.log(2.0)
-        - math.log(math.pi)
-        - math.lgamma(2.0 * lam + n)
-    )
-    return math.exp(0.5 * log_val)
+    return specfun.gegenbauer_normalization(state.n, state.lam)
 
 
 def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:

@@ -9,7 +9,6 @@ import math
 import subprocess
 import sys
 import time
-import types
 
 import numpy as np
 import pytest
@@ -106,6 +105,21 @@ def test_criterion_04_nr_limit():
     result = checks._check_nr_limit(1.0, 1.0, 0.0)
     assert result.passed, result
     _verdict(4, "nonrelativistic limit", started)
+    # the rest mass scales with hbar omega, so the relative gap does not grow with it
+    for omega, hbar in ((100.0, 1.0), (3.0, 50.0), (1e-3, 1.0)):
+        assert checks._check_nr_limit(omega, hbar, 0.0).passed, (omega, hbar)
+
+
+def test_criterion_04_fails_on_a_wrong_nr_level(monkeypatch):
+    # the deformed rows compare against energy_nonrel itself, so a 1e-3 error in it reads ~1e-3
+    def off_by_1e3(system, n):
+        level = energy_nonrel(system, n)
+        return dataclasses.replace(level, energy=level.energy * (1.0 + 1e-3))
+
+    monkeypatch.setattr(checks, "energy_nonrel", off_by_1e3)
+    result = checks._check_nr_limit(1.0, 1.0, 0.0)
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(1e-3, rel=1e-2)
 
 
 def test_criterion_05_gamma_invariance():
@@ -159,28 +173,22 @@ def rel_states():
     return [make_state(system, n, RELATIVISTIC) for n in range(9)]
 
 
-def _short_rule(mu, count, n_a, lam_a, n_b, lam_b):
-    """The overlap kernel with one node too few: exact only to degree 2 count - 3."""
-    return specfun.gegenbauer_product_integral(mu, max(1, count - 1), n_a, lam_a, n_b, lam_b)
+def _plant_short_jacobi_matrix(monkeypatch):
+    """Zero J's last off-diagonal entry: the kernel then works with one row too few."""
+    exact = specfun._jacobi_offdiagonal
+    monkeypatch.setattr(specfun, "_jacobi_offdiagonal", lambda mu, size: exact(mu, size)[:-2] + [0.0, 0.0])
 
 
-def _with_short_rule():
-    return types.SimpleNamespace(**dict(vars(specfun), gegenbauer_product_integral=_short_rule))
-
-
-def test_criterion_07_orthonormality(nr_states, rel_states):
+def test_criterion_07_orthonormality(nr_states):
     started = time.perf_counter()
-    for result in (
-        checks._check_orthonormality(nr_states[:9]),
-        checks._check_quadrature_node_count(rel_states),
-    ):
-        assert result.passed, result
-    _verdict(7, "orthonormality and exact node count", started)
+    result = checks._check_orthonormality(nr_states[:9])
+    assert result.passed, result
+    _verdict(7, "orthonormality", started)
 
 
-def test_criterion_07_fails_on_a_missing_node(monkeypatch, rel_states):
-    monkeypatch.setattr(states, "specfun", _with_short_rule())
-    result = checks._check_quadrature_node_count(rel_states)
+def test_criterion_07_fails_on_a_missing_node(monkeypatch, nr_states):
+    _plant_short_jacobi_matrix(monkeypatch)
+    result = checks._check_orthonormality(nr_states[:9])
     assert not result.passed
     assert result.max_deviation > 1e-3
 
@@ -192,9 +200,14 @@ def test_criterion_08_normalization_reference(rel_states):
     _verdict(8, "closed-form norms against the quadrature diagonal", started)
 
 
+def _plant_wrong_normalization(monkeypatch):
+    """The closed-form normalization 1e-8 n relative too large."""
+    exact = specfun.gegenbauer_normalization
+    monkeypatch.setattr(specfun, "gegenbauer_normalization", lambda n, lam: exact(n, lam) * (1.0 + 1e-8 * n))
+
+
 def test_criterion_08_fails_on_a_wrong_norm(monkeypatch):
-    exact = states.reference_norm
-    monkeypatch.setattr(states, "reference_norm", lambda state: exact(state) * (1.0 + 1e-8 * state.n))
+    _plant_wrong_normalization(monkeypatch)
     system = _system(eta=1.0, gamma=0.0)
     result = checks._check_normalization_reference([make_state(system, n, RELATIVISTIC) for n in range(9)])
     assert not result.passed
@@ -231,8 +244,7 @@ def test_criterion_09_fails_on_the_printed_raising_form(monkeypatch):
 
 def test_criterion_09_fails_on_a_wrong_norm(monkeypatch):
     # neighbouring norms then disagree by ~1e-8 relative; the closed-form bracket must not hide it
-    exact = states.reference_norm
-    monkeypatch.setattr(states, "reference_norm", lambda state: exact(state) * (1.0 + 1e-8 * state.n))
+    _plant_wrong_normalization(monkeypatch)
     system = _system(eta=0.1, gamma=0.0)
     result = checks._check_ladder_identity([make_state(system, n, NONRELATIVISTIC) for n in range(9)])
     assert not result.passed
@@ -294,9 +306,10 @@ def test_criterion_11_ode_residual():
     started = time.perf_counter()
     for eta in _ETA_GRID:
         system = _system(eta=eta)
-        result = checks._check_ode_residual([make_state(system, n, RELATIVISTIC) for n in range(3)])
-        assert result.passed, result
-    _verdict(11, "wave-equation residual", started)
+        for branch in (RELATIVISTIC, NONRELATIVISTIC):
+            result = checks._check_ode_residual([make_state(system, n, branch) for n in range(3)])
+            assert result.passed, result
+    _verdict(11, "wave-equation residual, both branches", started)
 
 
 @pytest.mark.parametrize("field, planted", [
@@ -311,6 +324,32 @@ def test_criterion_11_fails_on_a_planted_error(field, planted):
         assert not result.passed, (eta, result)
 
 
+def _nr_suite_row(monkeypatch, name, value):
+    """The `nr_ode_residual` row of the default suite with states.<name> replaced by ``value``."""
+    monkeypatch.setattr(states, name, value)
+    return next(r for r in checks.run_suite() if r.name == "nr_ode_residual")
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-8])
+def test_criterion_11_nr_fails_on_a_wrong_energy(monkeypatch, scale):
+    # a relative error e in energy_nonrel reads ~6e
+    def planted(system, n):
+        level = energy_nonrel(system, n)
+        return dataclasses.replace(level, energy=level.energy * (1.0 + scale))
+
+    result = _nr_suite_row(monkeypatch, "energy_nonrel", planted)
+    assert not result.passed
+    assert result.max_deviation > scale
+
+
+def test_criterion_11_nr_fails_on_a_wrong_exponent(monkeypatch):
+    # v 1e-3 too large, and with it lam = 2v at gamma = 0: the state no longer solves its equation
+    exact = states.nr_parameters
+    result = _nr_suite_row(monkeypatch, "nr_parameters", lambda system: (exact(system)[0] * (1.0 + 1e-3), None))
+    assert not result.passed
+    assert result.max_deviation > 1e-3
+
+
 def test_criterion_12_weight_integral_oracle():
     started = time.perf_counter()
     result = checks._check_weight_orthogonality()
@@ -319,9 +358,10 @@ def test_criterion_12_weight_integral_oracle():
 
 
 def test_criterion_12_fails_on_a_short_rule(monkeypatch):
-    monkeypatch.setattr(checks, "specfun", _with_short_rule())
+    _plant_short_jacobi_matrix(monkeypatch)
     result = checks._check_weight_orthogonality()
     assert not result.passed
+    assert result.max_deviation > 1.0
 
 
 def test_criterion_12_fails_on_a_wrong_jacobi_matrix(monkeypatch):

@@ -170,6 +170,24 @@ class TestVerifyCommand:
         _, rows = data_rows(result.stdout)
         assert all(r[3] == "pass" for r in rows)
 
+    @pytest.mark.parametrize("flags, names", [
+        ((), [
+            "solver_cross_validation", "relativistic_residual", "nr_limit", "gamma_invariance",
+            "fm_exponent_consistency", "fm_quantization_zero", "orthonormality",
+            "normalization_reference", "ladder_identity", "su11_algebra", "su11_casimir_commutant",
+            "ode_residual", "nr_ode_residual", "weight_orthogonality", "undeformed_continuity",
+        ]),
+        (("--eta", "0"), [
+            "solver_cross_validation", "nr_limit", "su11_algebra", "su11_casimir_commutant",
+            "undeformed_continuity", "undeformed_closed_form",
+        ]),
+    ])
+    def test_row_names_are_pinned(self, capsys, flags, names):
+        # a dropped, renamed or reordered check must fail here, not only in the benchmark's oracle
+        assert cli.main(["verify", *flags]) == 0
+        _, rows = data_rows(capsys.readouterr().out)
+        assert [r[0] for r in rows] == names
+
     def test_literal_raise_flag_exits_64(self):
         # the printed raising form is not an option; criterion 09 pins its failure
         result = run_cli("verify", "--literal-raise")

@@ -370,6 +370,6 @@ class TestWeightedNormEquivalence:
         p_side, err = quad(p_integrand, -np.inf, np.inf, limit=400)
         assert err < 1e-7 * abs(p_side)
 
-        gpart = gegenbauer_product_integral(lam, n + 1, n, lam, n, lam)
+        gpart = gegenbauer_product_integral(lam, n, lam, n, lam)
         rho_side = 4.0 ** (-2 * v) * gpart / math.sqrt(eta)
         assert p_side == pytest.approx(rho_side, rel=1e-7)

@@ -44,7 +44,10 @@ SUBMODULE_EXPORTS = {
         "inner_product", "ladder_coeffs", "make_state", "ode_residual", "reference_norm",
         "su11_check", "weighted_overlap",
     ),
-    "specfun": ("as_float", "gegenbauer", "gegenbauer_derivative", "gegenbauer_product_integral"),
+    "specfun": (
+        "as_float", "gegenbauer", "gegenbauer_derivative", "gegenbauer_normalization",
+        "gegenbauer_product_integral",
+    ),
     "checks": ("CheckResult", "run_suite"),
 }
 

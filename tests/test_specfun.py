@@ -9,6 +9,7 @@ from scipy.special import eval_gegenbauer
 from gupho.specfun import (
     gegenbauer,
     gegenbauer_derivative,
+    gegenbauer_normalization,
     gegenbauer_product_integral,
 )
 from node_rule import gegenbauer_rule
@@ -175,19 +176,18 @@ class TestGaussLegendre:
     """
 
     def test_order_one(self):
-        # one row of J: the node 0 with weight 2, so P_1 = x integrates to 0 against x
-        assert gegenbauer_product_integral(0.5, 1, 0, 0.5, 0, 0.5) == pytest.approx(2.0, abs=1e-15)
-        assert gegenbauer_product_integral(0.5, 1, 1, 0.5, 1, 0.5) == 0.0
+        # degree 0 takes one row of J, the node 0 with weight 2; degree 1 is odd and exactly 0
+        assert gegenbauer_product_integral(0.5, 0, 0.5, 0, 0.5) == pytest.approx(2.0, abs=1e-15)
+        assert gegenbauer_product_integral(0.5, 0, 0.5, 1, 0.5) == 0.0
 
     def test_order_two(self):
-        # two rows: nodes -+1/sqrt(3), the zeros of P_2, with weights 1
-        assert gegenbauer_product_integral(0.5, 2, 0, 0.5, 0, 0.5) == pytest.approx(2.0, abs=1e-15)
-        assert gegenbauer_product_integral(0.5, 2, 1, 0.5, 1, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert gegenbauer_product_integral(0.5, 2, 2, 0.5, 2, 0.5) == pytest.approx(0.0, abs=1e-15)
+        # degree 2 takes two rows, nodes -+1/sqrt(3) with weights 1: P_1^2 to 2/3, P_0 P_2 to 0
+        assert gegenbauer_product_integral(0.5, 1, 0.5, 1, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert gegenbauer_product_integral(0.5, 0, 0.5, 2, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_quartic_integral(self):
         # P_2^2 is quartic: three rows integrate it exactly to 2/5
-        assert gegenbauer_product_integral(0.5, 3, 2, 0.5, 2, 0.5) == pytest.approx(0.4, abs=1e-15)
+        assert gegenbauer_product_integral(0.5, 2, 0.5, 2, 0.5) == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 16, 50, 200, 400])
     def test_rule_invariants(self, order):
@@ -200,14 +200,16 @@ class TestGaussLegendre:
         # mirror symmetry up to rounding
         assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-14
         assert np.max(np.abs(weights - weights[::-1])) <= 1e-14
-        assert abs(gegenbauer_product_integral(0.5, order, 0, 0.5, 0, 0.5) - 2.0) <= 1e-13
+        # the kernel's J for P_(order-1)^2 has order rows: the same rule, formed without nodes
+        want = 2.0 / (2 * order - 1)
+        assert abs(gegenbauer_product_integral(0.5, order - 1, 0.5, order - 1, 0.5) - want) <= 1e-13 * want
 
     def test_polynomial_exactness(self):
-        # degree <= 2*order - 1 integrates exactly: P_i P_j to 2 / (2i + 1) if i == j, else 0
+        # P_i P_j integrates to 2 / (2i + 1) if i == j, else to 0
         for i in range(10):
             for j in range(10 - i):
                 exact = 2.0 / (2 * i + 1) if i == j else 0.0
-                got = gegenbauer_product_integral(0.5, 5, i, 0.5, j, 0.5)
+                got = gegenbauer_product_integral(0.5, i, 0.5, j, 0.5)
                 assert got == pytest.approx(exact, abs=1e-14)
 
     @pytest.mark.parametrize("order", [8, 64, 200])
@@ -219,36 +221,34 @@ class TestGaussLegendre:
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
-            gegenbauer_product_integral(0.5, 0, 0, 0.5, 0, 0.5)
-        with pytest.raises(ValueError):
             gegenbauer_rule(0.5, 0)
 
     def test_rule_is_immutable(self):
-        # the kernel shares nothing between callers: a one-row J has no recurrence steps
-        # and must still give a Python float, and a call leaves no state behind
-        for count in (1, 4):
-            first = gegenbauer_product_integral(0.5, count, 2, 0.5, 2, 0.5)
+        # the kernel shares nothing between callers: a one-row J (degree 0) has no
+        # recurrence steps and must still give a Python float, and a call leaves no state behind
+        for n in (0, 3):
+            first = gegenbauer_product_integral(0.5, n, 0.5, n, 0.5)
             assert type(first) is float
-            gegenbauer_product_integral(0.5, count, 3, 1.5, 1, 0.5)
-            assert gegenbauer_product_integral(0.5, count, 2, 0.5, 2, 0.5) == first
+            gegenbauer_product_integral(0.5, 3, 1.5, 1, 0.5)
+            assert gegenbauer_product_integral(0.5, n, 0.5, n, 0.5) == first
 
 
 class TestGegenbauerRule:
     @pytest.mark.parametrize("mu", [0.3, 1.0, 1.618, 7.5, 120.0])
-    @pytest.mark.parametrize("count", [1, 4, 9, 51])
-    def test_exact_moments(self, mu, count):
-        # products of total degree 2 count - 2 (odd ones vanish by parity) against mpmath,
-        # with both polynomials of the weight's own order and of two other orders
-        pairs = [(count - 1, count - 1), (0, 2 * count - 2), (count // 2, 2 * count - 2 - count // 2)]
+    @pytest.mark.parametrize("rows", [1, 4, 9, 51])
+    def test_exact_moments(self, mu, rows):
+        # products of total degree 2 rows - 2, which the kernel forms from a J of that many
+        # rows, against mpmath, with both polynomials of the weight's own order and of two others
+        pairs = [(rows - 1, rows - 1), (0, 2 * rows - 2), (rows // 2, 2 * rows - 2 - rows // 2)]
         with mpmath.workdps(150):
-            moments = _mp_moments(mpmath.mpf(mu), 4 * count)
+            moments = _mp_moments(mpmath.mpf(mu), 4 * rows)
             for lam_a, lam_b in ((mu, mu), (1.1 * mu + 0.05, 0.7 * mu + 0.2)):
                 for n_a, n_b in pairs:
                     a = _mp_coefficients(n_a, mpmath.mpf(lam_a))
                     b = _mp_coefficients(n_b, mpmath.mpf(lam_b))
                     want = _mp_weighted_product(moments, a, b)
                     scale = mpmath.sqrt(_mp_weighted_product(moments, a, a) * _mp_weighted_product(moments, b, b))
-                    got = gegenbauer_product_integral(mu, count, n_a, lam_a, n_b, lam_b)
+                    got = gegenbauer_product_integral(mu, n_a, lam_a, n_b, lam_b)
                     assert abs(got - want) <= 1e-12 * scale, (n_a, lam_a, n_b, lam_b)
 
     @pytest.mark.parametrize("mu", [0.3, 2.5, 300.0])
@@ -257,27 +257,14 @@ class TestGegenbauerRule:
         # changes no arithmetic
         for n_a in range(17):
             for n_b in range(17 - n_a):
-                got = gegenbauer_product_integral(mu, 17, n_a, mu, n_b, 1.5 * mu)
-                assert got == gegenbauer_product_integral(mu, 17, n_b, 1.5 * mu, n_a, mu)
+                got = gegenbauer_product_integral(mu, n_a, mu, n_b, 1.5 * mu)
+                assert got == gegenbauer_product_integral(mu, n_b, 1.5 * mu, n_a, mu)
                 if (n_a + n_b) % 2:
                     assert got == 0.0
 
-    def test_one_node_too_few_is_not_exact(self):
-        # 3 rows stop at degree 5, so the degree-6 product C_3 C_3 misses its norm
-        exact = weight_integral_closed_form(3, 1.5)
-        assert abs(gegenbauer_product_integral(1.5, 3, 3, 1.5, 3, 1.5) - exact) > 1e-6 * exact
-
-    def test_more_rows_than_needed_change_nothing(self):
-        # rows beyond (n_a + n_b) // 2 cannot reach the product, so an exact count gives the same float
-        for n_a, n_b in ((0, 0), (2, 6), (5, 7), (16, 16)):
-            exact_count = (n_a + n_b + 2) // 2
-            want = gegenbauer_product_integral(2.3, exact_count, n_a, 1.7, n_b, 2.9)
-            for count in (exact_count + 1, exact_count + 7, 200):
-                assert gegenbauer_product_integral(2.3, count, n_a, 1.7, n_b, 2.9) == want
-
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ValueError):
-            gegenbauer_product_integral(0.0, 3, 1, 0.5, 1, 0.5)
+            gegenbauer_product_integral(0.0, 1, 0.5, 1, 0.5)
         with pytest.raises(ValueError):
             gegenbauer_rule(0.0, 3)
 
@@ -285,7 +272,7 @@ class TestGegenbauerRule:
         for n_a, lam_a, n_b, lam_b in ((-1, 0.5, 1, 0.5), (1, 0.5, -2, 0.5), (1, 0.0, 1, 0.5),
                                        (1, 0.5, 1, -1.0), (1, math.nan, 1, 0.5)):
             with pytest.raises(ValueError):
-                gegenbauer_product_integral(1.5, 3, n_a, lam_a, n_b, lam_b)
+                gegenbauer_product_integral(1.5, n_a, lam_a, n_b, lam_b)
 
 
 class TestOrthogonality:
@@ -293,9 +280,26 @@ class TestOrthogonality:
     def test_weighted_orthogonality(self, lam):
         for n in range(9):
             for m in range(9):
-                got = gegenbauer_product_integral(lam, 9, n, lam, m, lam)
+                got = gegenbauer_product_integral(lam, n, lam, m, lam)
                 expected = weight_integral_closed_form(n, lam) if n == m else 0.0
                 assert abs(got - expected) <= 1e-10
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5, 40.0])
+    def test_normalization_against_mpmath(self, lam):
+        # 1 / sqrt(pi 2^(1 - 2 lam) Gamma(2 lam + n) / (n! (n + lam) Gamma(lam)^2)) in 50 digits;
+        # reads <= 5.6e-14 here (the lgamma terms cancel more as lam grows: 8.5e-13 at lam = 500)
+        with mpmath.workdps(50):
+            big = mpmath.mpf(lam)
+            for n in range(31):
+                integral = (mpmath.pi * mpmath.power(2, 1 - 2 * big) * mpmath.gamma(2 * big + n)
+                            / (mpmath.factorial(n) * (n + big) * mpmath.gamma(big) ** 2))
+                want = 1 / mpmath.sqrt(integral)
+                assert abs(gegenbauer_normalization(n, lam) - want) <= 1e-13 * want, n
+
+    def test_normalization_rejects_bad_degree_or_order(self):
+        for n, lam in ((-1, 1.0), (2, 0.0), (2, -0.5), (2, math.nan)):
+            with pytest.raises(ValueError):
+                gegenbauer_normalization(n, lam)
 
     @pytest.mark.parametrize("lam", [0.8, 1.618033988749895, 3.2, 30.0, 300.0])
     def test_proportional_to_terminating_series(self, lam):

@@ -221,6 +221,13 @@ class TestNrLimit:
     def test_ground_state_positive(self):
         assert nr_limit_of_relativistic(system(mass=1e6, eta=0.0), 0) > 0
 
+    @pytest.mark.parametrize("mass", [1e17, 1e200])
+    def test_heavy_mass_keeps_the_gap(self, mass):
+        # m + delta rounds to m here, so E - m would read 0.0; the level's own delta is the gap
+        sys = system(mass=mass, eta=0.0)
+        for n in range(3):
+            assert nr_limit_of_relativistic(sys, n) == pytest.approx(n + 0.5, rel=1e-12)
+
     def test_warns_for_light_mass(self):
         with pytest.warns(UserWarning):
             nr_limit_of_relativistic(system(mass=1.0, eta=0.1), 0)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gupho import checks
@@ -202,7 +203,7 @@ class TestInnerProduct:
 
     def test_unit_weight_spot_check(self):
         # t = 1, n = 0 weighted square integral over (-1, 1) is pi/2
-        assert gegenbauer_product_integral(1.0, 1, 0, 1.0, 0, 1.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert gegenbauer_product_integral(1.0, 0, 1.0, 0, 1.0) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -431,9 +432,25 @@ class TestOdeResidualOnStates:
         assert result.passed, result
 
     def test_nonrelativistic_states_fail(self):
-        # the NR branch solves a different equation; the relative residual is of order one
+        # the NR branch solves a different equation: read against the relativistic
+        # coefficients, its states leave a relative residual of order one
         states = [make_state(system(eta=0.1), n, NONRELATIVISTIC) for n in range(3)]
-        assert checks._check_ode_residual(states).max_deviation > 0.1
+        relabelled = [dataclasses.replace(state, branch=RELATIVISTIC) for state in states]
+        assert checks._check_ode_residual(relabelled).max_deviation > 0.1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        eta=st.floats(math.log10(2e-3), 2.0).map(lambda e: 10.0**e),
+        gamma_frac=st.sampled_from([0.0, 0.5, 1.0]),
+        mass=st.floats(0.5, 2.0),
+        omega=st.floats(0.5, 2.0),
+    )
+    def test_nonrelativistic_states_satisfy_their_wave_equation(self, eta, gamma_frac, mass, omega):
+        assume(eta * mass * omega >= 2e-3)  # the states' domain (README, "Domain of the states")
+        sys = system(mass=mass, omega=omega, eta=eta, gamma=gamma_frac * eta)
+        result = checks._check_ode_residual([make_state(sys, n, NONRELATIVISTIC) for n in range(9)])
+        assert result.name == "nr_ode_residual"
+        assert result.passed, result
 
     def test_python_float_p_gives_a_float(self):
         state = make_state(system(eta=0.1, gamma=0.05), 3, RELATIVISTIC)
