@@ -237,13 +237,19 @@ def _check_weight_orthogonality() -> CheckResult:
 
 
 def _check_undeformed_continuity(mass, omega, hbar, gamma) -> CheckResult:
+    """The relativistic delta at eta = 0 against kappa = hbar eta m omega = 1e-12.
+
+    The shift grows with kappa, not with eta, so kappa is held fixed as in
+    `nr_limit`; delta is the level's own, since m + delta rounds any shift
+    away for a heavy mass.
+    """
     flat = _system(mass, omega, hbar, 0.0, gamma)
-    tiny = _system(mass, omega, hbar, 1e-12, gamma)
+    tiny = _system(mass, omega, hbar, 1e-12 / (hbar * mass * omega), gamma)
     dev = 0.0
     for n in range(4):
-        e0 = energy_relativistic(flat, n).energy
-        e1 = energy_relativistic(tiny, n).energy
-        dev = max(dev, abs(e1 - e0) / e0)
+        d0 = energy_relativistic(flat, n).delta
+        d1 = energy_relativistic(tiny, n).delta
+        dev = max(dev, abs(d1 - d0) / d0)
     return CheckResult("undeformed_continuity", dev, 1e-9)
 
 

@@ -155,6 +155,18 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     return SpectrumResult(n=n, energy=energy, delta=delta, residual=residual)
 
 
+def _nr_level(hw: float, half: float, root: float, n: int) -> float:
+    """hbar omega [(1/2 + n + n^2) half + (n + 1/2) root], the closed-form level.
+
+    hw = hbar omega, half = hbar eta m omega / 2 and root = hypot(half, 1);
+    raises `SolverError` where the level overflows.
+    """
+    energy = hw * ((0.5 + n + n * n) * half + (n + 0.5) * root)
+    if not math.isfinite(energy):
+        raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
+    return energy
+
+
 def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
     """Closed-form nonrelativistic level.
 
@@ -168,11 +180,7 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
         raise ValueError("n must be a nonnegative integer")
     alg = system.algebra
     half = 0.5 * alg.hbar * alg.eta * system.mass * system.omega
-    energy = alg.hbar * system.omega * (
-        (0.5 + n + n * n) * half + (n + 0.5) * math.hypot(half, 1.0)
-    )
-    if not math.isfinite(energy):
-        raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
+    energy = _nr_level(alg.hbar * system.omega, half, math.hypot(half, 1.0), n)
     return SpectrumResult(n=n, energy=energy, delta=energy, residual=0.0)
 
 
@@ -206,20 +214,31 @@ def ratio_sweep(
     Uses the nonrelativistic spectrum with the Bohr-radius unit a0 = 1, so
     eta = (xi a0 / hbar)^2.  Emits one row (xi, n, E_n, E_0, E_n/E_0) per
     (xi, n) pair; at xi = 0 the ratio column is exactly 2n + 1, and for large
-    xi it approaches (n + 1)^2.  An xi whose eta leaves the double range
-    raises `SolverError`.
+    xi it approaches (n + 1)^2.  E_n and E_0 equal `energy_nonrel` at that
+    eta bit for bit.  mass, omega, hbar, gamma and n_values are checked once
+    per call, with the errors `OscillatorSystem`, `DeformedAlgebra` and
+    `energy_nonrel` raise, so an empty xi_grid is checked too; a negative or
+    NaN xi raises ``ValueError``, and an xi whose eta or level leaves the
+    double range raises `SolverError`.
     """
+    # built only for its checks of mass, omega, hbar and gamma
+    OscillatorSystem(mass, omega, DeformedAlgebra(eta=0.0, gamma=gamma, hbar=hbar))
+    if any(n < 0 for n in n_values):
+        raise ValueError("n must be a nonnegative integer")
+    hw = hbar * omega
     rows = []
     for xi in xi_grid:
-        if xi < 0.0:
+        if not xi >= 0.0:
             raise ValueError("xi values must be nonnegative")
         scaled = xi * BOHR_RADIUS / hbar
         eta = scaled * scaled
         if math.isinf(eta):
             raise SolverError(f"xi = {xi!r} gives eta = (xi a0 / hbar)^2 beyond the double range")
-        system = OscillatorSystem(mass, omega, DeformedAlgebra(eta=eta, gamma=gamma, hbar=hbar))
-        e0 = energy_nonrel(system, 0).energy
+        half = 0.5 * hbar * eta * mass * omega
+        root = math.hypot(half, 1.0)
+        e0 = _nr_level(hw, half, root, 0)
+        xi = float(xi)
         for n in n_values:
-            en = energy_nonrel(system, n).energy
-            rows.append((float(xi), int(n), en, e0, en / e0))
+            en = _nr_level(hw, half, root, n)
+            rows.append((xi, int(n), en, e0, en / e0))
     return rows

@@ -236,6 +236,34 @@ class TestVerifyCommand:
         row = next(r for r in rows if r[0] == "solver_cross_validation")
         assert row[3] == "fail" and float(row[1]) > 1e-9
 
+    @pytest.mark.parametrize("flags", [
+        ("--hbar", "50", "--omega", "3"), ("--eta", "0", "--omega", "1e4"),
+        ("--eta", "0", "--mass", "1e200"),
+    ])
+    def test_undeformed_continuity_holds_off_unit_scale(self, capsys, flags):
+        # the deformed level is taken at fixed hbar eta m omega, so the bound holds at any scale
+        assert cli.main(["verify", *flags]) == 0
+        _, rows = data_rows(capsys.readouterr().out)
+        row = next(r for r in rows if r[0] == "undeformed_continuity")
+        assert row[3] == "pass" and float(row[1]) > 0.0
+
+    @pytest.mark.parametrize("mass", ["1", "1e200"])
+    def test_undeformed_continuity_fails_on_a_wrong_delta(self, monkeypatch, capsys, mass):
+        # E = m + delta hides the error at m = 1e200; the check reads delta
+        exact = checks.energy_relativistic
+
+        def off_by_1e8(system, n):
+            level = exact(system, n)
+            if system.algebra.eta == 0.0:
+                return level
+            return dataclasses.replace(level, delta=level.delta * (1.0 + 1e-8))
+
+        monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
+        assert cli.main(["verify", "--eta", "0", "--mass", mass]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        failed = [r[0] for r in rows if r[3] == "fail"]
+        assert failed == ["undeformed_continuity"]
+
     def test_tiny_mass_exits_2(self):
         result = run_cli("verify", "--mass", "1e-150")
         assert result.returncode == 2

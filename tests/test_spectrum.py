@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import math
+import random
 import warnings
 
 import mpmath as mp
@@ -272,6 +274,72 @@ class TestRatioSweep:
             ratio_sweep(1.0, 1.0, 1.0, 0.0, [3], [0.0, 1e200])
         with pytest.raises(SolverError):
             ratio_sweep(1.0, 1.0, 1e-300, 0.0, [3], [1e10])  # xi / hbar overflows
+
+    def test_rows_equal_energy_nonrel(self):
+        # every row is energy_nonrel's level at eta = (xi a0 / hbar)^2, bit for bit
+        rng = random.Random(15)
+        for _ in range(200):
+            mass = 10.0 ** rng.uniform(-3.0, 300.0)
+            omega, hbar = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+            gamma = rng.uniform(-1.0, 1.0)
+            n_values = rng.sample([0, 1, 2, 3, 7, 40], rng.randint(1, 4))
+            # eta up to where the largest level, or eta itself, nears the double range
+            eta_top = min(1e306 / hbar, 1e306 / mass / (hbar * omega) ** 2 / 41**2)
+            xi_top = hbar * math.sqrt(eta_top) / spectrum.BOHR_RADIUS
+            xi_grid = [0.0, xi_top] + [xi_top * 10.0 ** rng.uniform(-12.0, 0.0) for _ in range(4)]
+            expected = []
+            for xi in xi_grid:
+                scaled = xi * spectrum.BOHR_RADIUS / hbar
+                sys = system(mass=mass, omega=omega, eta=scaled * scaled, gamma=gamma, hbar=hbar)
+                e0 = energy_nonrel(sys, 0).energy
+                for n in n_values:
+                    en = energy_nonrel(sys, n).energy
+                    expected.append((xi, n, en, e0, en / e0))
+            assert ratio_sweep(mass, omega, hbar, gamma, n_values, xi_grid) == expected
+
+    @pytest.mark.parametrize("xi_grid", [[1.0], []])
+    @pytest.mark.parametrize("mass, omega, hbar, gamma", [
+        (0.0, 1.0, 1.0, 0.0), (-1.0, 1.0, 1.0, 0.0), (math.inf, 1.0, 1.0, 0.0),
+        (math.nan, 1.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0), (1.0, -2.0, 1.0, 0.0),
+        (1.0, math.inf, 1.0, 0.0), (1.0, math.nan, 1.0, 0.0), (1.0, 1.0, 0.0, 0.0),
+        (1.0, 1.0, -1.0, 0.0), (1.0, 1.0, math.inf, 0.0), (1.0, 1.0, math.nan, 0.0),
+        (1.0, 1.0, 1.0, math.inf), (1.0, 1.0, 1.0, math.nan),
+    ])
+    def test_invalid_parameters_rejected(self, mass, omega, hbar, gamma, xi_grid):
+        # checked once per call, so an empty grid is no way round them
+        with pytest.raises(ValueError):
+            ratio_sweep(mass, omega, hbar, gamma, [1], xi_grid)
+
+    @pytest.mark.parametrize("n_values, xi_grid", [
+        ([1], [0.0, math.nan]), ([1], [-math.inf]), ([-1], [1.0]), ([2, -1], [0.0]), ([-1], []),
+    ])
+    def test_nan_xi_or_negative_n_rejected(self, n_values, xi_grid):
+        with pytest.raises(ValueError):
+            ratio_sweep(1.0, 1.0, 1.0, 0.0, n_values, xi_grid)
+
+    def test_overflowing_level_raises(self):
+        # eta = 1e6 is finite; hbar eta m omega / 2 = 5e305 keeps n = 3 finite but not n = 40
+        assert math.isfinite(ratio_sweep(1e300, 1.0, 1.0, 0.0, [3], [1e3])[0][2])
+        with pytest.raises(SolverError):
+            ratio_sweep(1e300, 1.0, 1.0, 0.0, [3, 40], [0.0, 1e3])
+
+    def test_constructions_do_not_grow_with_the_grid(self, monkeypatch):
+        # the parameters are checked once per call; no object is built per xi or per row
+        counts = collections.Counter()
+        for name in ("OscillatorSystem", "DeformedAlgebra", "SpectrumResult"):
+            def counting(*args, _cls=getattr(spectrum, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _cls(*args, **kwargs)
+
+            monkeypatch.setattr(spectrum, name, counting)
+
+        def built(steps):
+            counts.clear()
+            rows = ratio_sweep(1.0, 1.0, 1.0, 0.0, [0, 1, 2], [0.1 * i for i in range(steps)])
+            assert len(rows) == 3 * steps
+            return dict(counts)
+
+        assert built(200) == built(2)
 
 
 class TestCrossContracts:
