@@ -55,12 +55,10 @@ _STATES_EXPORTS = frozenset({
     "Su11Report",
     "apply_ladder",
     "eval_state",
-    "eval_state_derivative",
     "inner_product",
     "ladder_coeffs",
     "make_state",
     "ode_residual",
-    "reference_norm",
     "su11_check",
     "weighted_overlap",
 })

@@ -1,8 +1,9 @@
 """Special-function and quadrature kernel.
 
-Gegenbauer polynomials, their derivative and their closed-form
-normalization, and the exact weighted integral of a product of two of them,
-formed from the Jacobi matrix in Python floats without nodes or weights.
+Gegenbauer polynomials, paired with the neighbour C_(n-1) that gives their
+derivatives, their closed-form normalization, and the exact weighted
+integral of a product of two of them, formed from the Jacobi matrix in
+Python floats without nodes or weights.
 Everything here is a pure function of its arguments.  A Python scalar
 argument is evaluated in Python floats, so the per-point path neither
 imports numpy nor pays its call overhead; arrays and numpy scalars are
@@ -17,7 +18,6 @@ __all__ = [
     "as_float",
     "gegenbauer_product_integral",
     "gegenbauer",
-    "gegenbauer_derivative",
     "gegenbauer_normalization",
 ]
 
@@ -130,16 +130,17 @@ def gegenbauer_normalization(n: int, lam: float) -> float:
     return math.exp(0.5 * log_val)
 
 
-def gegenbauer(n: int, lam: float, x):
-    """Gegenbauer polynomial C_n^lam(x) via the upward three-term recurrence.
+def _gegenbauer_pair(n: int, lam: float, x) -> tuple:
+    """(C_(n-1)^lam(x), C_n^lam(x)) via the upward three-term recurrence, with C_(-1) = 0.
 
     C_0 = 1, C_1 = 2 lam x,
     C_k = [2 x (k + lam - 1) C_{k-1} - (k + 2 lam - 2) C_{k-2}] / k.
 
-    A Python ``float`` or ``int`` x is evaluated in Python floats and gives a
-    ``float``; an ndarray or numpy scalar gives the same type back, with
-    float dtypes (including longdouble) preserved (see `as_float`).  The
-    recurrence is stable for lam > 0 at the moderate degrees used here.
+    This is the one pointwise Gegenbauer loop: `gegenbauer` returns the
+    second element, and the pair is all that the derivative relation
+    (1 - x^2) C_n' = (n + 2 lam - 1) C_(n-1) - n x C_n (DLMF 18.9.20) and
+    the Gegenbauer equation need for C_n' and C_n''.  n and lam are
+    validated and x is coerced by `as_float`.
     """
     if n < 0:
         raise ValueError("degree n must be a nonnegative integer")
@@ -147,21 +148,20 @@ def gegenbauer(n: int, lam: float, x):
         raise ValueError("Gegenbauer order lam must be positive")
     x = as_float(x)
     if n == 0:
-        return x ** 0  # 1 of x's kind and dtype, NaN included
+        return 0.0, x ** 0  # C_(-1) = 0; C_0 = 1 of x's kind and dtype, NaN included
     c_prev, c = 1.0, 2.0 * lam * x
     two_x = 2.0 * x
     for k in range(2, n + 1):
         c_prev, c = c, (two_x * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * c_prev) / k
-    return c
+    return c_prev, c
 
 
-def gegenbauer_derivative(n: int, lam: float, x):
-    """Derivative of C_n^lam: 2 lam C_{n-1}^(lam+1)(x) (DLMF 18.9.19).
+def gegenbauer(n: int, lam: float, x):
+    """Gegenbauer polynomial C_n^lam(x), the second element of `_gegenbauer_pair`.
 
-    A polynomial like `gegenbauer`, so any x is accepted and dtypes are
-    handled the same way; applied to C_{n-1}^(lam+1) it gives the second
-    derivative, 4 lam (lam + 1) C_{n-2}^(lam+2).
+    A Python ``float`` or ``int`` x is evaluated in Python floats and gives a
+    ``float``; an ndarray or numpy scalar gives the same type back, with
+    float dtypes (including longdouble) preserved (see `as_float`).  The
+    recurrence is stable for lam > 0 at the moderate degrees used here.
     """
-    if n == 0:
-        return 0.0 * gegenbauer(0, lam, x)  # zeros, validated and typed as gegenbauer's
-    return 2.0 * lam * gegenbauer(n - 1, lam + 1.0, x)
+    return _gegenbauer_pair(n, lam, x)[1]

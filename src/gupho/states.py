@@ -23,9 +23,10 @@ branch, to one neighbouring polynomial:
 
 so `apply_ladder` evaluates them in closed form.
 
-The same derivative relation gives phi' and phi'' exactly, so
-`ode_residual` evaluates the momentum-space wave equation of either branch
-without numerical differentiation.
+The same derivative relation, with the Gegenbauer equation for the second
+derivative, gives phi' and phi'' exactly from one recurrence pass for
+(C_(n-1), C_n), so `ode_residual` evaluates the momentum-space wave
+equation of either branch without numerical differentiation.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ __all__ = [
     "QuadratureAccuracyError",
     "make_state",
     "eval_state",
-    "eval_state_derivative",
     "ode_residual",
     "weighted_overlap",
     "inner_product",
-    "reference_norm",
     "ladder_coeffs",
     "apply_ladder",
     "su11_check",
@@ -161,18 +160,6 @@ def eval_state(state: OscillatorState, rho):
     return _envelope(state, x) * specfun.gegenbauer(state.n, state.lam, x)
 
 
-def eval_state_derivative(state: OscillatorState, rho):
-    """d phi_n / d rho by the product rule on the prefactor and the polynomial.
-
-    rho is validated and typed as in `eval_state`.
-    """
-    x = _rho_array(rho)
-    env = _envelope(state, x)
-    poly_part = env * specfun.gegenbauer_derivative(state.n, state.lam, x)
-    phi = env * specfun.gegenbauer(state.n, state.lam, x)
-    return poly_part - 2.0 * state.v * x / (1.0 - x * x) * phi
-
-
 def _ode_terms(state: OscillatorState, p) -> tuple:
     """The three terms of the reduced wave equation for the state at momentum p.
 
@@ -187,7 +174,10 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     in closed form through rho(p).  With w = 1 - rho^2 = 1 / (1 + eta p^2),
     d rho/dp = sqrt(eta) w^(3/2), d^2 rho/dp^2 = -3 eta rho w^2 and the
     envelope's d/drho (w/4)^v = -2 v rho (w/4)^v / w, every term is
-    N (w/4)^v w times a polynomial in rho, C, C' and C'', so no pole is left.
+    N (w/4)^v w times a polynomial in rho, w C' and w^2 C''.  Those two
+    come from the one recurrence pass that gives (C_(n-1), C_n): the
+    derivative relation (DLMF 18.9.20) gives w C' and the Gegenbauer
+    equation gives w^2 C'', so nothing is divided by w and no pole is left.
     Returns (phi'', the first-order term, the zeroth-order term).
     """
     system = state.system
@@ -195,10 +185,9 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     rho = rho_of_p(alg, specfun.as_float(p))
     w = 1.0 - rho * rho
     n, v, lam = state.n, state.v, state.lam
-    c0 = specfun.gegenbauer(n, lam, rho)
-    c1 = specfun.gegenbauer_derivative(n, lam, rho)
-    # C'' = 2 lam d/drho C_{n-1}^(lam+1); at n = 0 the degree-0 derivative supplies the zero
-    c2 = 2.0 * lam * specfun.gegenbauer_derivative(max(n - 1, 0), lam + 1.0, rho)
+    c_lo, c = specfun._gegenbauer_pair(n, lam, rho)
+    w_c1 = (n + 2.0 * lam - 1.0) * c_lo - n * rho * c
+    w2_c2 = (2.0 * lam + 1.0) * rho * w_c1 - n * (n + 2.0 * lam) * w * c
     if state.branch == NONRELATIVISTIC:
         a_tilde = (1.0 / (alg.hbar * system.mass * system.omega)) ** 2 - alg.gamma * (alg.gamma + alg.eta)
         b_tilde = -(2.0 * state.energy / (alg.hbar**2 * system.mass * system.omega**2) + alg.gamma)
@@ -206,10 +195,10 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
         a_tilde, b_tilde = tilde_params(system, state.energy)
     common = _envelope(state, rho) * w
     second = common * alg.eta * (
-        w * w * c2 - (4.0 * v + 3.0) * rho * w * c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c0
+        w2_c2 - (4.0 * v + 3.0) * rho * w_c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c
     )
-    first = common * 2.0 * (alg.gamma + alg.eta) * rho * (w * c1 - 2.0 * v * rho * c0)
-    zeroth = -common * (b_tilde * w + a_tilde * rho * rho / alg.eta) * c0
+    first = common * 2.0 * (alg.gamma + alg.eta) * rho * (w_c1 - 2.0 * v * rho * c)
+    zeroth = -common * (b_tilde * w + a_tilde * rho * rho / alg.eta) * c
     return second, first, zeroth
 
 
@@ -257,15 +246,6 @@ def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
 
 # the overlap is exact, so the checked inner product needs no second evaluation
 inner_product = weighted_overlap
-
-
-def reference_norm(state: OscillatorState) -> float:
-    """`specfun.gegenbauer_normalization` of the state's polynomial C_n^lam.
-
-    `make_state` takes its norm from it; the state's own norm differs from it
-    by the factor 4^v eta^(1/4).
-    """
-    return specfun.gegenbauer_normalization(state.n, state.lam)
 
 
 def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:

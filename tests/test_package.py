@@ -18,10 +18,10 @@ EXPORTS = (
     "NONRELATIVISTIC", "NoBoundStateError", "OscillatorState", "OscillatorSystem",
     "QuadratureAccuracyError", "RELATIVISTIC", "SolverError", "SpectrumResult", "Su11Report",
     "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",
-    "eval_state", "eval_state_derivative", "fm", "fm_exponents", "fm_problem_of",
-    "fm_quantization_residual", "gup", "inner_product", "ladder_coeffs", "make_state",
-    "minimal_length", "nr_limit_of_relativistic", "nr_parameters", "ode_residual", "p_of_rho",
-    "ratio_sweep", "reference_norm", "rel_residual", "rho_of_p", "scalar_weight", "specfun",
+    "eval_state", "fm", "fm_exponents", "fm_problem_of", "fm_quantization_residual", "gup",
+    "inner_product", "ladder_coeffs", "make_state", "minimal_length", "nr_limit_of_relativistic",
+    "nr_parameters", "ode_residual", "p_of_rho", "ratio_sweep", "rel_residual", "rho_of_p",
+    "scalar_weight", "specfun",
     "spectrum", "states", "su11_check", "tilde_params", "uncertainty_bound", "v_exponent",
     "weighted_overlap",
 )
@@ -40,13 +40,11 @@ SUBMODULE_EXPORTS = {
     ),
     "states": (
         "LadderCoefficients", "NONRELATIVISTIC", "OscillatorState", "QuadratureAccuracyError",
-        "RELATIVISTIC", "Su11Report", "apply_ladder", "eval_state", "eval_state_derivative",
-        "inner_product", "ladder_coeffs", "make_state", "ode_residual", "reference_norm",
-        "su11_check", "weighted_overlap",
+        "RELATIVISTIC", "Su11Report", "apply_ladder", "eval_state", "inner_product",
+        "ladder_coeffs", "make_state", "ode_residual", "su11_check", "weighted_overlap",
     ),
     "specfun": (
-        "as_float", "gegenbauer", "gegenbauer_derivative", "gegenbauer_normalization",
-        "gegenbauer_product_integral",
+        "as_float", "gegenbauer", "gegenbauer_normalization", "gegenbauer_product_integral",
     ),
     "checks": ("CheckResult", "run_suite"),
 }

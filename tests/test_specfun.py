@@ -7,8 +7,8 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_gegenbauer
 
 from gupho.specfun import (
+    _gegenbauer_pair,
     gegenbauer,
-    gegenbauer_derivative,
     gegenbauer_normalization,
     gegenbauer_product_integral,
 )
@@ -85,61 +85,12 @@ class TestGegenbauer:
         for n in range(17):
             assert np.array_equal(gegenbauer(n, lam, xs), [gegenbauer(n, lam, x) for x in xs.tolist()])
 
-
-class TestGegenbauerDerivative:
-    def test_constant_has_zero_derivative(self):
-        assert gegenbauer_derivative(0, 2.0, 0.3) == 0.0
-
-    def test_linear(self):
-        # d/dx (2 lam x) = 2 lam
-        assert gegenbauer_derivative(1, 2.0, 0.3) == pytest.approx(4.0, abs=1e-14)
-
-    def test_quadratic(self):
-        # d/dx (4x^2 - 1) = 8x
-        assert gegenbauer_derivative(2, 1.0, 0.5) == pytest.approx(4.0, abs=1e-14)
-
-    def test_result_types(self):
-        for n in (0, 2):
-            assert type(gegenbauer_derivative(n, 1.5, 0.3)) is float
-            assert type(gegenbauer_derivative(n, 1.5, np.asarray(0.3))) is np.float64
-            assert type(gegenbauer_derivative(n, 1.5, np.longdouble(0.3))) is np.longdouble
-
-    @pytest.mark.parametrize("lam", [0.75, 1.618, 40.0])
-    def test_array_matches_scalar_calls(self, lam):
-        xs = np.linspace(-1.5, 1.5, 31)
-        for n in range(17):
-            whole = gegenbauer_derivative(n, lam, xs)
-            assert np.array_equal(whole, [gegenbauer_derivative(n, lam, x) for x in xs.tolist()])
-
-    def test_endpoints_have_no_pole(self):
-        # C_n^lam(1) = (2 lam)_n / n!, so dC_n/dx at 1 is 2 lam (2 lam + 2)_(n-1) / (n-1)!
-        lam = 1.25
-        for n in range(1, 9):
-            at_one = 2.0 * lam * math.gamma(2.0 * lam + n + 1.0) / (
-                math.gamma(2.0 * lam + 2.0) * math.factorial(n - 1)
-            )
-            assert gegenbauer_derivative(n, lam, 1.0) == pytest.approx(at_one, rel=1e-13)
-            assert gegenbauer_derivative(n, lam, -1.0) == pytest.approx((-1) ** (n - 1) * at_one, rel=1e-13)
-
-    @pytest.mark.parametrize("lam", [0.75, 3.2, 40.0])
-    def test_matches_mpmath_up_to_the_endpoints(self, lam):
-        # the (1 - x^2) quotient form lost ~1e-9 relative at |x| = 1 - 1e-7
-        xs = [0.0, 0.3, -0.7, 0.99, -0.9999, 1.0 - 1e-7, -(1.0 - 1e-7)]
-        with mpmath.workdps(40):
-            for n in range(1, 13):
-                got = gegenbauer_derivative(n, lam, np.array(xs))
-                for x, value in zip(xs, got):
-                    ref = mpmath.diff(lambda t: mpmath.gegenbauer(n, lam, t), mpmath.mpf(x))
-                    assert abs(value - ref) <= 1e-12 * abs(ref) + 1e-300, (n, x)
-
-    @pytest.mark.parametrize("lam", [0.75, 1.0, 2.5])
-    def test_matches_central_differences(self, lam):
-        h = 1e-6
-        for n in range(9):
-            for x in np.linspace(-0.9, 0.9, 13):
-                fd = (gegenbauer(n, lam, x + h) - gegenbauer(n, lam, x - h)) / (2 * h)
-                exact = gegenbauer_derivative(n, lam, x)
-                assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6)
+    def test_pair_carries_the_previous_degree(self):
+        # C_(-1) = 0, then (C_(n-1), C_n) from the same loop that gives gegenbauer
+        assert _gegenbauer_pair(0, 1.5, 0.3) == (0.0, 1.0)
+        for n in range(1, 13):
+            for x in np.linspace(-0.95, 0.95, 9).tolist():
+                assert _gegenbauer_pair(n, 1.5, x) == (gegenbauer(n - 1, 1.5, x), gegenbauer(n, 1.5, x))
 
 
 def _mp_coefficients(n, lam):

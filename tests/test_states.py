@@ -6,25 +6,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gupho import checks
-from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError
-from gupho.specfun import gegenbauer, gegenbauer_derivative, gegenbauer_product_integral
+from gupho import checks, specfun
+from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, rho_of_p, tilde_params
+from gupho.specfun import gegenbauer, gegenbauer_normalization, gegenbauer_product_integral
 from gupho.states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
-    OscillatorState,
     QuadratureAccuracyError,
     apply_ladder,
     eval_state,
-    eval_state_derivative,
     inner_product,
     ladder_coeffs,
     make_state,
     ode_residual,
-    reference_norm,
     su11_check,
     weighted_overlap,
     _envelope,
+    _ode_terms,
 )
 from node_rule import gegenbauer_rule
 
@@ -126,20 +124,20 @@ class TestEvalState:
                 eval_state(nr_family[2], bad)
 
     def test_derivative_nan_rejected(self, nr_family):
+        # phi' and phi'' are evaluated only inside the wave-equation terms, which reject a NaN momentum
         for bad in (math.nan, np.float64(math.nan), np.array([0.2, math.nan])):
             with pytest.raises(ValueError):
-                eval_state_derivative(nr_family[2], bad)
+                ode_residual(nr_family[2], bad)
 
     def test_result_types(self, nr_family):
         # a Python scalar is evaluated in floats; numpy input keeps its type and dtype
-        for f in (eval_state, eval_state_derivative):
-            for state in nr_family[:4]:
-                assert type(f(state, 0.3)) is float
-                assert type(f(state, 0)) is float
-                assert type(f(state, np.float64(0.3))) is np.float64
-                assert type(f(state, np.asarray(0.3))) is np.float64
-                assert type(f(state, np.longdouble(0.3))) is np.longdouble
-                assert f(state, np.linspace(-0.5, 0.5, 3, dtype=np.longdouble)).dtype == np.longdouble
+        for state in nr_family[:4]:
+            assert type(eval_state(state, 0.3)) is float
+            assert type(eval_state(state, 0)) is float
+            assert type(eval_state(state, np.float64(0.3))) is np.float64
+            assert type(eval_state(state, np.asarray(0.3))) is np.float64
+            assert type(eval_state(state, np.longdouble(0.3))) is np.longdouble
+            assert eval_state(state, np.linspace(-0.5, 0.5, 3, dtype=np.longdouble)).dtype == np.longdouble
 
     @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
     def test_python_floats_match_numpy_scalars(self, branch):
@@ -148,30 +146,25 @@ class TestEvalState:
         sys = system(eta=0.4, gamma=0.1)
         for n in (0, 1, 5, 16):
             state = make_state(sys, n, branch)
-            for f in (eval_state, eval_state_derivative):
-                assert [f(state, r) for r in rhos] == [f(state, np.float64(r)) for r in rhos]
-
-    @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
-    def test_derivative_reuses_the_state_value_exactly(self, branch):
-        # the derivative's envelope term must equal the product rule written with eval_state
-        sys = system(eta=0.4, gamma=0.1)
-        for rho in (0.37, np.linspace(-0.99, 0.99, 201)):
-            for n in (0, 1, 5, 16):
-                state = make_state(sys, n, branch)
-                expected = _envelope(state, rho) * gegenbauer_derivative(
-                    n, state.lam, rho
-                ) - 2.0 * state.v * rho / (1.0 - rho * rho) * eval_state(state, rho)
-                got = eval_state_derivative(state, rho)
-                assert type(got) is type(expected)
-                assert np.array_equal(got, expected)
+            assert [eval_state(state, r) for r in rhos] == [eval_state(state, np.float64(r)) for r in rhos]
 
     def test_derivative_matches_differences(self, nr_family):
-        h = 1e-6
+        # d phi/dp and d^2 phi/dp^2 as the wave-equation terms form them, against differences of phi(rho(p))
+        alg = nr_family[0].system.algebra
+
+        def phi(state, p):
+            return eval_state(state, rho_of_p(alg, p))
+
+        h1, h2 = 1e-6, 1e-4
         for n in (0, 1, 4, 8):
             state = nr_family[n]
-            for rho in np.linspace(-0.9, 0.9, 11):
-                fd = (eval_state(state, rho + h) - eval_state(state, rho - h)) / (2 * h)
-                assert eval_state_derivative(state, rho) == pytest.approx(fd, rel=2e-6, abs=1e-8)
+            for p in (-3.1, -0.9, 0.2, 0.7, 1.6, 4.4):
+                second, first, _ = _ode_terms(state, p)
+                slope = first * (1.0 + alg.eta * p * p) / (2.0 * (alg.gamma + alg.eta) * p)
+                fd1 = (phi(state, p + h1) - phi(state, p - h1)) / (2.0 * h1)
+                fd2 = (phi(state, p + h2) - 2.0 * phi(state, p) + phi(state, p - h2)) / (h2 * h2)
+                assert slope == pytest.approx(fd1, rel=2e-6, abs=1e-8), (n, p)
+                assert second == pytest.approx(fd2, rel=2e-6, abs=1e-6), (n, p)
 
 
 class TestInnerProduct:
@@ -224,25 +217,19 @@ class TestInnerProduct:
 
 
 class TestReferenceNorm:
-    def _state_with(self, n, lam):
-        # reference_norm only reads n and lam
-        return OscillatorState(
-            system=system(), branch=NONRELATIVISTIC, n=n, v=0.5 * lam,
-            lam=lam, norm=1.0, energy=1.0,
-        )
+    """The closed-form Gegenbauer normalization that `make_state` takes its norm from."""
 
     def test_unit_order_ground(self):
-        assert reference_norm(self._state_with(0, 1.0)) == pytest.approx(
-            math.sqrt(2.0 / math.pi), rel=1e-13
-        )
+        assert gegenbauer_normalization(0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
 
     def test_unit_order_first(self):
         # n! (n + lam) Gamma(lam)^2 / (2^(1-2 lam) pi Gamma(2 lam + n)) at n=1, lam=1
         expected = math.sqrt(1.0 * 2.0 * 1.0 / (0.5 * math.pi * math.gamma(3.0)))
-        assert reference_norm(self._state_with(1, 1.0)) == pytest.approx(expected, rel=1e-13)
+        assert gegenbauer_normalization(1, 1.0) == pytest.approx(expected, rel=1e-13)
 
     def test_measured_norm_ratio_constant_in_n(self, nr_family):
-        ratios = [state.norm / reference_norm(state) for state in nr_family[:9]]
+        # the state's norm differs from it by the factor 4^v eta^(1/4), which does not depend on n
+        ratios = [state.norm / gegenbauer_normalization(state.n, state.lam) for state in nr_family[:9]]
         for ratio in ratios[1:]:
             assert ratio == pytest.approx(ratios[0], rel=1e-9)
 
@@ -301,14 +288,16 @@ class TestApplyLadder:
     @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
     @pytest.mark.parametrize("eta,gamma", [(0.05, 0.0), (0.7, 0.2), (3.0, 1.0)])
     def test_closed_form_matches_product_rule(self, branch, eta, gamma):
-        # the operator written out from phi' (product rule) and phi, term by term
+        # the operator written out from phi' (product rule, C' = 2 lam C_(n-1)^(lam+1) by DLMF 18.9.19,
+        # independent of the relation 18.9.20 that apply_ladder rests on) and phi, term by term
         rhos = np.linspace(-0.97, 0.97, 45)
         sys = system(mass=1.3, omega=0.8, eta=eta, gamma=gamma)
         for n in range(17):
             state = make_state(sys, n, branch)
             v, lam = state.v, state.lam
-            slope = (1.0 - rhos * rhos) * eval_state_derivative(state, rhos)
             phi = eval_state(state, rhos)
+            c1 = 2.0 * lam * gegenbauer(n - 1, lam + 1.0, rhos) if n >= 1 else 0.0
+            slope = _envelope(state, rhos) * (1.0 - rhos * rhos) * c1 - 2.0 * v * rhos * phi
             cases = [("raise", -slope, (2.0 * lam - 2.0 * v + n) * rhos * phi,
                       math.sqrt((lam + n + 1.0) / (n + lam)))]
             if n >= 1:
@@ -423,6 +412,35 @@ class TestSu11:
             su11_check(1.0, -3)
 
 
+def _terms_by_18_9_19(state, p):
+    """The three wave-equation terms with C' and C'' from DLMF 18.9.19, three recurrences a point.
+
+    C' = 2 lam C_(n-1)^(lam+1) and C'' = 4 lam (lam + 1) C_(n-2)^(lam+2):
+    an independent route to what `_ode_terms` forms from (C_(n-1), C_n)
+    through the derivative relation (DLMF 18.9.20) and the Gegenbauer equation.
+    """
+    system = state.system
+    alg = system.algebra
+    rho = rho_of_p(alg, specfun.as_float(p))
+    w = 1.0 - rho * rho
+    n, v, lam = state.n, state.v, state.lam
+    c0 = gegenbauer(n, lam, rho)
+    c1 = 2.0 * lam * gegenbauer(n - 1, lam + 1.0, rho) if n >= 1 else 0.0 * c0
+    c2 = 4.0 * lam * (lam + 1.0) * gegenbauer(n - 2, lam + 2.0, rho) if n >= 2 else 0.0 * c0
+    if state.branch == NONRELATIVISTIC:
+        a_tilde = (1.0 / (alg.hbar * system.mass * system.omega)) ** 2 - alg.gamma * (alg.gamma + alg.eta)
+        b_tilde = -(2.0 * state.energy / (alg.hbar**2 * system.mass * system.omega**2) + alg.gamma)
+    else:
+        a_tilde, b_tilde = tilde_params(system, state.energy)
+    common = _envelope(state, rho) * w
+    second = common * alg.eta * (
+        w * w * c2 - (4.0 * v + 3.0) * rho * w * c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c0
+    )
+    first = common * 2.0 * (alg.gamma + alg.eta) * rho * (w * c1 - 2.0 * v * rho * c0)
+    zeroth = -common * (b_tilde * w + a_tilde * rho * rho / alg.eta) * c0
+    return second, first, zeroth
+
+
 class TestOdeResidualOnStates:
     @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
     def test_relativistic_states_satisfy_wave_equation(self, eta):
@@ -463,3 +481,54 @@ class TestOdeResidualOnStates:
         whole = ode_residual(state, ps)
         assert whole.dtype == np.float64 and whole.shape == ps.shape
         assert list(whole) == [ode_residual(state, p) for p in ps]
+
+    @pytest.mark.parametrize("branch", [RELATIVISTIC, NONRELATIVISTIC])
+    @pytest.mark.parametrize("eta", [2e-3, 0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("gamma_frac", [0.0, 0.5])
+    def test_terms_match_the_three_recurrence_route(self, branch, eta, gamma_frac):
+        # each term within 1e-13 of the sum of the three magnitudes, on the check's p grid
+        sys = system(eta=eta, gamma=gamma_frac * eta)
+        ps = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
+
+        def assert_close(got, want):
+            got, want = np.array(got, dtype=np.longdouble), np.array(want, dtype=np.longdouble)
+            scale = np.abs(want).sum(axis=0)
+            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+        for n in (0, 1, 2, 5, 16, 40):
+            state = make_state(sys, n, branch)
+            each = [_ode_terms(state, p) for p in ps.tolist()]
+            assert all(type(term) is float for terms in each for term in terms)
+            assert_close(list(zip(*each)), list(zip(*[_terms_by_18_9_19(state, p) for p in ps.tolist()])))
+            assert_close(_ode_terms(state, ps), _terms_by_18_9_19(state, ps))
+            wide = ps.astype(np.longdouble)
+            got = _ode_terms(state, wide)
+            assert all(term.dtype == np.longdouble for term in got)
+            assert_close(got, _terms_by_18_9_19(state, wide))
+
+    def test_one_recurrence_pass_per_call(self, monkeypatch):
+        # ode_residual and eval_state each run the (C_(n-1), C_n) loop once and no other Gegenbauer code
+        sys = system(eta=0.1, gamma=0.05)
+        states = [make_state(sys, n, branch) for n in (0, 1, 7) for branch in (RELATIVISTIC, NONRELATIVISTIC)]
+        pair, calls = specfun._gegenbauer_pair, []
+
+        def counted(*args):
+            calls.append(args[:2])
+            return pair(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a Gegenbauer evaluation outside the one recurrence pass")
+
+        monkeypatch.setattr(specfun, "_gegenbauer_pair", counted)
+        for state in states:
+            for p in (0.3, np.linspace(-4.0, 4.0, 9)):
+                del calls[:]
+                with monkeypatch.context() as patch:
+                    for name, value in vars(specfun).items():
+                        if callable(value) and name not in ("as_float", "_gegenbauer_pair"):
+                            patch.setattr(specfun, name, forbidden)
+                    ode_residual(state, p)
+                assert calls == [(state.n, state.lam)]
+                del calls[:]
+                eval_state(state, rho_of_p(sys.algebra, p))
+                assert calls == [(state.n, state.lam)]
