@@ -27,13 +27,11 @@ from .gup import (
     UndeformedBranchError,
     fm_problem_of,
     minimal_length,
-    nr_parameters,
     p_of_rho,
     rho_of_p,
     scalar_weight,
-    tilde_params,
     uncertainty_bound,
-    v_exponent,
+    wave_params,
 )
 from .spectrum import (
     SolverError,

@@ -17,8 +17,8 @@ from . import specfun, spectrum
 from .gup import (
     DeformedAlgebra,
     OscillatorSystem,
-    fm_problem_of,
-    v_exponent,
+    _fm_problem,
+    wave_params,
 )
 from .fm import fm_exponents, fm_quantization_residual
 from .spectrum import (
@@ -83,7 +83,7 @@ def _check_relativistic_residual(mass, omega, hbar, gamma, etas, n_top) -> Check
         system = _system(mass, omega, hbar, eta, gamma)
         for n in range(n_top + 1):
             res = energy_relativistic(system, n)
-            dev = max(dev, abs(rel_residual(system, n, res.energy)))
+            dev = max(dev, abs(rel_residual(system, n, res.delta)))
     return CheckResult("relativistic_residual", dev, 1e-10)
 
 
@@ -107,26 +107,29 @@ def _check_gamma_invariance(mass, omega, hbar, eta, n_top) -> CheckResult:
     """The gamma = 0 levels must zero the standard-form residual at every gamma.
 
     gamma does not enter the solver's map, but it does enter the reduction to
-    the standard form (k1, A, C), so this route can fail.
+    the standard form (k1, A, C), so this route can fail.  The levels enter
+    through their own delta, which m + delta rounds for a heavy mass.
     """
     flat = _system(mass, omega, hbar, eta, 0.0)
-    energies = [energy_relativistic(flat, n).energy for n in range(n_top + 1)]
+    deltas = [energy_relativistic(flat, n).delta for n in range(n_top + 1)]
     dev = 0.0
     for gamma in (eta / 2.0, eta, 2.0 * eta):
         system = _system(mass, omega, hbar, eta, gamma)
-        for n, energy in enumerate(energies):
-            dev = max(dev, abs(fm_quantization_residual(fm_problem_of(system, energy), n)))
+        for n, delta in enumerate(deltas):
+            problem = _fm_problem(system, delta, 2.0 * mass + delta)
+            dev = max(dev, abs(fm_quantization_residual(problem, n)))
     return CheckResult("gamma_invariance", dev, 1e-10)
 
 
 def _check_fm_exponent_consistency(mass, omega, hbar) -> CheckResult:
+    """v of `wave_params` against k4 and k5 of the standard form, at two trial levels."""
     dev = 0.0
     for eta in _ETA_GRID:
         for gamma in (0.0, eta / 2.0, eta):
             system = _system(mass, omega, hbar, eta, gamma)
-            for energy in (1.1 * mass, 2.0 * mass):
-                v = v_exponent(system, energy)
-                k4, k5 = fm_exponents(fm_problem_of(system, energy))
+            for delta in (0.1 * mass, mass):
+                v, _, _ = wave_params(system, delta, 2.0 * mass + delta)
+                k4, k5 = fm_exponents(_fm_problem(system, delta, 2.0 * mass + delta))
                 dev = max(dev, abs(k4 - v), abs(k5 - v))
     return CheckResult("fm_exponent_consistency", dev, 1e-11)
 
@@ -136,8 +139,9 @@ def _check_fm_quantization_zero(mass, omega, hbar, gamma, n_top) -> CheckResult:
     for eta in _ETA_GRID:
         system = _system(mass, omega, hbar, eta, gamma)
         for n in range(n_top + 1):
-            energy = energy_relativistic(system, n).energy
-            dev = max(dev, abs(fm_quantization_residual(fm_problem_of(system, energy), n)))
+            delta = energy_relativistic(system, n).delta
+            problem = _fm_problem(system, delta, 2.0 * mass + delta)
+            dev = max(dev, abs(fm_quantization_residual(problem, n)))
     return CheckResult("fm_quantization_zero", dev, 1e-9)
 
 

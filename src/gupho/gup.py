@@ -3,8 +3,10 @@
 The commutator [x, p] = i hbar (1 + eta p^2) implies a smallest resolvable
 length hbar sqrt(eta).  In momentum space the position operator carries an
 arbitrary representation parameter gamma that enters only through the weight
-of the scalar product, never the spectrum.  The oscillator problem reduces,
-through the chain p -> rho -> s = (1 - rho)/2, to the standard form of `fm`.
+of the scalar product, never the spectrum.  `wave_params` maps a level of
+either branch, given as delta = E - m and E + m (2m on the nonrelativistic
+branch), onto its momentum-space wave equation (v, A~, B~); through the chain
+p -> rho -> s = (1 - rho)/2 that equation is the standard form of `fm`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ __all__ = [
     "scalar_weight",
     "rho_of_p",
     "p_of_rho",
-    "tilde_params",
+    "wave_params",
     "fm_problem_of",
-    "v_exponent",
-    "nr_parameters",
 ]
 
 
@@ -163,73 +163,67 @@ def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:
     return rho / (math.sqrt(algebra.eta) * math.sqrt(1.0 - rho * rho))
 
 
-def tilde_params(system: OscillatorSystem, energy_rel: float) -> tuple[float, float]:
-    """Coefficient pair (A~, B~) of the reduced momentum-space wave equation.
+def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tuple[float, float, float]:
+    """Map a level onto its momentum-space wave equation: (v, A~, B~).
+
+    delta is the level above the rest mass and e_plus_m is E + m: 2m + delta
+    on the relativistic branch, and 2m on the nonrelativistic one, whose
+    equation is the relativistic one with E + m replaced by 2m (Kempf, Mangano
+    and Mann 1995) and whose delta is the level itself.
 
     A~ = 2 / (hbar^2 m omega^2 (E + m)) - gamma (gamma + eta)
-    B~ = -(2 (E^2 - m^2) / (hbar^2 m omega^2 (E + m)) + gamma)
-       = -(2 (E - m) / (hbar^2 m omega^2) + gamma),
+    B~ = -(2 delta / (hbar^2 m omega^2) + gamma)
+    v = 1/4 + gamma/(2 eta) + (1/2) hypot(1/2, r),  r = sqrt(2m / (E + m)) / (hbar eta m omega)
 
-    formed in the second arrangement, which squares neither E nor m and so
-    stays finite for rest masses up to the double range.
+    v is k4 = k5 of the standard form; nothing squares E, m or eta.  Raises
+    `DegenerateModelError` where a parameter leaves the double range, or
+    where A~'s first term, eta^2 r^2, underflows while r^2 does not.
     """
-    m = system.mass
-    if not energy_rel + m > 0.0:
-        raise ValueError("requires energy_rel + mass > 0")
     alg = system.algebra
+    alg._require_deformed()
+    if not e_plus_m > 0.0:
+        raise ValueError("requires E + m > 0")
+    m = system.mass
     hw2 = alg.hbar**2 * m * system.omega**2
-    a_tilde = 2.0 / (hw2 * (energy_rel + m)) - alg.gamma * (alg.gamma + alg.eta)
-    b_tilde = -(2.0 * (energy_rel - m) / hw2 + alg.gamma)
-    return a_tilde, b_tilde
+    kappa = m * system.omega * alg.eta * alg.hbar
+    if not (hw2 * e_plus_m > 0.0 and kappa > 0.0):
+        raise DegenerateModelError("hbar^2 m omega^2 (E + m) or hbar eta m omega underflows to 0")
+    rest = 2.0 / (hw2 * e_plus_m)
+    r = math.sqrt(2.0 * m / e_plus_m) / kappa
+    v = 0.25 + alg.gamma / (2.0 * alg.eta) + 0.5 * math.hypot(0.5, r)
+    a_tilde = rest - alg.gamma * (alg.gamma + alg.eta)
+    b_tilde = -(2.0 * delta / hw2 + alg.gamma)
+    finite = math.isfinite(v) and math.isfinite(a_tilde) and math.isfinite(b_tilde)
+    if not finite or rest < sys.float_info.min <= r * r:
+        raise DegenerateModelError(
+            f"wave-equation parameters leave the double range at eta = {alg.eta!r}: "
+            f"v = {v!r}, A~ = {a_tilde!r}, B~ = {b_tilde!r}"
+        )
+    return v, a_tilde, b_tilde
 
 
 def fm_problem_of(system: OscillatorSystem, energy_rel: float) -> FmProblem:
-    """Map the oscillator at trial energy onto the standard-form coefficients.
+    """`_fm_problem` at a trial energy E, with delta = E - m (which keeps only the ulp of a heavy m)."""
+    return _fm_problem(system, energy_rel - system.mass, energy_rel + system.mass)
+
+
+def _fm_problem(system: OscillatorSystem, delta: float, e_plus_m: float) -> FmProblem:
+    """Standard-form coefficients of the level (delta, E + m) of `wave_params`.
 
     k1 = 1/2 - gamma/eta, k2 = 2 k1, k3 = 1, A = (B~ eta - A~)/eta^2 = -B,
     C = -A~ / (4 eta^2).
     """
     alg = system.algebra
-    alg._require_deformed()
-    a_tilde, b_tilde = tilde_params(system, energy_rel)
+    _, a_tilde, b_tilde = wave_params(system, delta, e_plus_m)
+    eta2 = alg.eta**2
+    if eta2 == 0.0:
+        raise DegenerateModelError(f"eta^2 underflows at eta = {alg.eta!r}")
     k1 = 0.5 - alg.gamma / alg.eta
-    a_coef = (b_tilde * alg.eta - a_tilde) / alg.eta**2
-    c_coef = -a_tilde / (4.0 * alg.eta**2)
-    if not all(math.isfinite(v) for v in (k1, a_coef, c_coef)):
+    a_coef = (b_tilde * alg.eta - a_tilde) / eta2
+    c_coef = -a_tilde / (4.0 * eta2)
+    if not (math.isfinite(k1) and math.isfinite(a_coef) and math.isfinite(c_coef)):
         raise DegenerateModelError(
             f"standard-form coefficients overflow at eta = {alg.eta!r}: "
             f"k1 = {k1!r}, A = {a_coef!r}, C = {c_coef!r}"
         )
     return FmProblem(k1=k1, k2=2.0 * k1, k3=1.0, A=a_coef, B=-a_coef, C=c_coef)
-
-
-def v_exponent(system: OscillatorSystem, energy_rel: float) -> float:
-    """Closed form of the common exponent k4 = k5 for the oscillator problem.
-
-    1/4 + gamma/(2 eta) + (1/2) sqrt(1/4 + 2/(m omega^2 eta^2 hbar^2 (E + m))).
-    Agrees with `fm_exponents(fm_problem_of(...))` componentwise.
-    """
-    alg = system.algebra
-    alg._require_deformed()
-    m = system.mass
-    if not energy_rel + m > 0.0:
-        raise ValueError("requires energy_rel + mass > 0")
-    rad = 0.25 + 2.0 / (m * system.omega**2 * alg.eta**2 * alg.hbar**2 * (energy_rel + m))
-    return 0.25 + alg.gamma / (2.0 * alg.eta) + 0.5 * math.sqrt(rad)
-
-
-def nr_parameters(system: OscillatorSystem) -> tuple[float, float]:
-    """Nonrelativistic prefactor exponent v and Gegenbauer order lam = 2v - gamma/eta.
-
-    v = 1/4 + gamma/(2 eta) + (1/2) sqrt(1/4 + 1/(mu omega eta hbar)^2); the
-    gamma shift cancels in lam, which is therefore >= 1 for physical inputs.
-    """
-    alg = system.algebra
-    alg._require_deformed()
-    # hypot(1/2, 1/x) = sqrt(1/4 + 1/x^2) without squaring x, which overflows for x >~ 1e154
-    root = math.hypot(0.5, 1.0 / (system.mass * system.omega * alg.eta * alg.hbar))
-    v = 0.25 + alg.gamma / (2.0 * alg.eta) + 0.5 * root
-    lam = 2.0 * v - alg.gamma / alg.eta
-    if lam <= 0.0:
-        raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")
-    return v, lam

@@ -59,23 +59,26 @@ class SpectrumResult:
     residual: float
 
 
-def rel_residual(system: OscillatorSystem, n: int, energy: float) -> float:
-    """Dimensionless quantization condition at a trial relativistic energy.
+def rel_residual(system: OscillatorSystem, n: int, delta: float) -> float:
+    """Dimensionless quantization condition at a trial level delta = E - m.
 
-    2 (E - m) / (hbar^2 eta m omega^2)
-      - (2n+1) sqrt(1/4 + 2 / (hbar^2 eta^2 m omega^2 (E + m)))
+    2 delta / (hbar^2 eta m omega^2)
+      - (2n+1) sqrt(1/4 + 2 / (hbar^2 eta^2 m omega^2 (delta + 2m)))
       - 1/4 - (1/2 + n)^2.
 
-    Strictly increasing in E above the rest mass, so it has a single root.
+    Strictly increasing in delta, so it has a single root.  It takes the
+    level's own delta, which m + delta rounds to the ulp of a heavy m, and
+    forms the root as `gup.wave_params` does, so nothing squares eta.
     """
     alg = system.algebra
     alg._require_deformed()
     m = system.mass
-    if not energy + m > 0.0:
-        raise ValueError("requires energy + mass > 0")
+    if not delta + 2.0 * m > 0.0:
+        raise ValueError("requires delta + 2 mass > 0")
     hw2 = alg.hbar**2 * m * system.omega**2
-    root = math.sqrt(0.25 + 2.0 / (hw2 * alg.eta**2 * (energy + m)))
-    return 2.0 * (energy - m) / (hw2 * alg.eta) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
+    kappa = m * system.omega * alg.eta * alg.hbar
+    root = math.hypot(0.5, math.sqrt(2.0 * m / (delta + 2.0 * m)) / kappa)
+    return 2.0 * delta / (hw2 * alg.eta) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
 
 
 def _displacement(system: OscillatorSystem, n: int, delta: float) -> float:

@@ -1,9 +1,10 @@
 """Normalized momentum-space eigenstates and their su(1,1) ladder structure.
 
 A state is phi_n(rho) = N ((1 - rho^2)/4)^v C_n^lam(rho) with lam = 2v -
-gamma/eta.  In rho the weighted momentum overlap of two states is
-4^(-v_a - v_b) eta^(-1/2) times the integral of C_na C_nb against the
-Gegenbauer weight (1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, and
+gamma/eta, where v is `gup.wave_params` at the state's level delta.  In rho
+the weighted momentum overlap of two states is 4^(-v_a - v_b) eta^(-1/2)
+times the integral of C_na C_nb against the Gegenbauer weight
+(1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, and
 `specfun.gegenbauer_product_integral` gives that integral exactly from the
 Jacobi matrix of the weight in Python floats, so the overlap path calls no
 numpy.  On the diagonal mu = lam, and the norm N follows from the
@@ -40,10 +41,8 @@ from .gup import (
     DegenerateModelError,
     OscillatorSystem,
     QuadratureAccuracyError,
-    nr_parameters,
     rho_of_p,
-    tilde_params,
-    v_exponent,
+    wave_params,
 )
 from .spectrum import energy_nonrel, energy_relativistic
 
@@ -70,7 +69,7 @@ NONRELATIVISTIC = "nonrelativistic"
 
 @dataclass(frozen=True)
 class OscillatorState:
-    """One normalized eigenstate, evaluable at rho in (-1, 1)."""
+    """One normalized eigenstate, evaluable at rho in (-1, 1); energy and delta are its level's."""
 
     system: OscillatorSystem
     branch: str
@@ -79,6 +78,7 @@ class OscillatorState:
     lam: float
     norm: float
     energy: float
+    delta: float
 
 
 @dataclass(frozen=True)
@@ -93,26 +93,24 @@ class LadderCoefficients:
 def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState:
     """Build the normalized state for quantum number n on the chosen branch.
 
-    The relativistic branch takes the level from `energy_relativistic` and
-    derives the exponent from it; the nonrelativistic branch uses
-    the closed-form parameters.  The raw norm integral is
-    4^(-2v) eta^(-1/2) / gegenbauer_normalization(n, lam)^2, formed in double
-    precision; where 4^(-2v) or the integral is not a normal double (first at
-    eta m omega hbar below about 2e-3, where 4^(-2v) underflows)
-    `QuadratureAccuracyError` is raised.
+    The level comes from `energy_relativistic` or `energy_nonrel`, and v from
+    `wave_params` at the level's delta and the branch's E + m.  The raw norm
+    integral is 4^(-2v) eta^(-1/2) / gegenbauer_normalization(n, lam)^2,
+    formed in double precision; where 4^(-2v) or the integral is not a
+    normal double (first at eta m omega hbar below about 2e-3, where 4^(-2v)
+    underflows) `QuadratureAccuracyError` is raised.
     """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     alg = system.algebra
     alg._require_deformed()
     if branch == RELATIVISTIC:
-        energy = energy_relativistic(system, n).energy
-        v = v_exponent(system, energy)
+        level = energy_relativistic(system, n)
     elif branch == NONRELATIVISTIC:
-        energy = energy_nonrel(system, n).energy
-        v, _ = nr_parameters(system)
+        level = energy_nonrel(system, n)
     else:
         raise ValueError(f"unknown branch {branch!r}")
+    v, _, _ = wave_params(system, level.delta, _e_plus_m(system, branch, level.delta))
     lam = 2.0 * v - alg.gamma / alg.eta
     if not lam > 0.0:
         raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")
@@ -125,8 +123,14 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     if not sys.float_info.min <= raw < math.inf:
         raise QuadratureAccuracyError(f"raw norm integral is not a normal double: {raw!r}")
     return OscillatorState(
-        system=system, branch=branch, n=n, v=v, lam=lam, norm=1.0 / math.sqrt(raw), energy=energy,
+        system=system, branch=branch, n=n, v=v, lam=lam, norm=1.0 / math.sqrt(raw),
+        energy=level.energy, delta=level.delta,
     )
+
+
+def _e_plus_m(system: OscillatorSystem, branch: str, delta: float) -> float:
+    """E + m of the branch's wave equation: 2m + delta, or 2m on the nonrelativistic branch."""
+    return 2.0 * system.mass + (delta if branch == RELATIVISTIC else 0.0)
 
 
 def _rho_array(rho):
@@ -165,16 +169,16 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
 
     phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi
 
-    Both branches share this form and differ only in (A~, B~): the
-    relativistic pair is `tilde_params`; the nonrelativistic equation
+    Both branches share this form: the nonrelativistic equation
     -(hbar^2 m omega^2 / 2) D^2 phi + p^2 / (2m) phi = E phi, with
-    D = (1 + eta p^2) d/dp + gamma p (Kempf, Mangano and Mann 1995), reduces
-    to it with A~ = 1/(hbar m omega)^2 - gamma (gamma + eta) and
-    B~ = -(2E / (hbar^2 m omega^2) + gamma).  The terms are taken
-    in closed form through rho(p).  With w = 1 - rho^2 = 1 / (1 + eta p^2),
-    d rho/dp = sqrt(eta) w^(3/2), d^2 rho/dp^2 = -3 eta rho w^2 and the
-    envelope's d/drho (w/4)^v = -2 v rho (w/4)^v / w, every term is
-    N (w/4)^v w times a polynomial in rho, w C' and w^2 C''.  Those two
+    D = (1 + eta p^2) d/dp + gamma p (Kempf, Mangano and Mann 1995), is the
+    relativistic one with E + m replaced by 2m.  (A~, B~) come from
+    `wave_params` at the state's delta and its branch's E + m, so a delta or
+    branch that disagrees with the state's v and lam leaves a residual.  The
+    terms are taken in closed form through rho(p).  With w = 1 - rho^2 =
+    1 / (1 + eta p^2), d rho/dp = sqrt(eta) w^(3/2), d^2 rho/dp^2 =
+    -3 eta rho w^2 and the envelope's d/drho (w/4)^v = -2 v rho (w/4)^v / w,
+    every term is N (w/4)^v w times a polynomial in rho, w C' and w^2 C''.  Those two
     come from the one recurrence pass that gives (C_(n-1), C_n): the
     derivative relation (DLMF 18.9.20) gives w C' and the Gegenbauer
     equation gives w^2 C'', so nothing is divided by w and no pole is left.
@@ -188,11 +192,7 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     c_lo, c = specfun._gegenbauer_pair(n, lam, rho)
     w_c1 = (n + 2.0 * lam - 1.0) * c_lo - n * rho * c
     w2_c2 = (2.0 * lam + 1.0) * rho * w_c1 - n * (n + 2.0 * lam) * w * c
-    if state.branch == NONRELATIVISTIC:
-        a_tilde = (1.0 / (alg.hbar * system.mass * system.omega)) ** 2 - alg.gamma * (alg.gamma + alg.eta)
-        b_tilde = -(2.0 * state.energy / (alg.hbar**2 * system.mass * system.omega**2) + alg.gamma)
-    else:
-        a_tilde, b_tilde = tilde_params(system, state.energy)
+    _, a_tilde, b_tilde = wave_params(system, state.delta, _e_plus_m(system, state.branch, state.delta))
     common = _envelope(state, rho) * w
     second = common * alg.eta * (
         w2_c2 - (4.0 * v + 3.0) * rho * w_c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c

@@ -18,8 +18,8 @@ from gupho.fm import fm_exponents
 from gupho.gup import (
     DeformedAlgebra,
     OscillatorSystem,
-    fm_problem_of,
-    v_exponent,
+    _fm_problem,
+    wave_params,
 )
 from gupho.spectrum import energy_nonrel, energy_relativistic, ratio_sweep
 from gupho.states import NONRELATIVISTIC, RELATIVISTIC, make_state
@@ -131,10 +131,10 @@ def test_criterion_05_gamma_invariance():
 
 
 def test_criterion_05_fails_on_a_wrong_energy(monkeypatch):
-    # a 1e-8 relative energy error leaves a standard-form residual of ~8e-8 here
+    # a 1e-8 relative error in the level's delta, the field the check reads, fails it
     def off_by_1e8(system, n):
         level = energy_relativistic(system, n)
-        return dataclasses.replace(level, energy=level.energy * (1.0 + 1e-8))
+        return dataclasses.replace(level, delta=level.delta * (1.0 + 1e-8))
 
     monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
     result = checks._check_gamma_invariance(1.0, 1.0, 1.0, 0.1, 8)
@@ -149,13 +149,13 @@ def test_criterion_06_fm_pipeline_equivalence():
         checks._check_fm_quantization_zero(1.0, 1.0, 1.0, 0.0, 8),
     ):
         assert result.passed, result
-    # the consistency check uses trial energies; this pins k4 = k5 = v at the solved ones
+    # the consistency check uses trial levels; this pins k4 = k5 = v at the solved ones
     for eta in _ETA_GRID:
         system = _system(eta=eta)
         for n in range(9):
-            energy = energy_relativistic(system, n).energy
-            v = v_exponent(system, energy)
-            k4, k5 = fm_exponents(fm_problem_of(system, energy))
+            delta = energy_relativistic(system, n).delta
+            v, _, _ = wave_params(system, delta, 2.0 + delta)
+            k4, k5 = fm_exponents(_fm_problem(system, delta, 2.0 + delta))
             assert abs(k4 - v) <= 1e-11
             assert abs(k5 - v) <= 1e-11
     _verdict(6, "standard-form pipeline equivalence", started)
@@ -313,7 +313,7 @@ def test_criterion_11_ode_residual():
 
 
 @pytest.mark.parametrize("field, planted", [
-    ("energy", lambda state: state.energy * (1.0 + 1e-8)),
+    ("delta", lambda state: state.delta * (1.0 + 1e-8)),
     ("v", lambda state: state.v + 1e-8),
 ])
 def test_criterion_11_fails_on_a_planted_error(field, planted):
@@ -332,10 +332,11 @@ def _nr_suite_row(monkeypatch, name, value):
 
 @pytest.mark.parametrize("scale", [1e-3, 1e-8])
 def test_criterion_11_nr_fails_on_a_wrong_energy(monkeypatch, scale):
-    # a relative error e in energy_nonrel reads ~6e
+    # a relative error e in energy_nonrel, whose delta is the level itself, reads ~6e
     def planted(system, n):
         level = energy_nonrel(system, n)
-        return dataclasses.replace(level, energy=level.energy * (1.0 + scale))
+        wrong = level.energy * (1.0 + scale)
+        return dataclasses.replace(level, energy=wrong, delta=wrong)
 
     result = _nr_suite_row(monkeypatch, "energy_nonrel", planted)
     assert not result.passed
@@ -344,8 +345,13 @@ def test_criterion_11_nr_fails_on_a_wrong_energy(monkeypatch, scale):
 
 def test_criterion_11_nr_fails_on_a_wrong_exponent(monkeypatch):
     # v 1e-3 too large, and with it lam = 2v at gamma = 0: the state no longer solves its equation
-    exact = states.nr_parameters
-    result = _nr_suite_row(monkeypatch, "nr_parameters", lambda system: (exact(system)[0] * (1.0 + 1e-3), None))
+    exact = states.wave_params
+
+    def planted(system, delta, e_plus_m):
+        v, a_tilde, b_tilde = exact(system, delta, e_plus_m)
+        return v * (1.0 + 1e-3), a_tilde, b_tilde
+
+    result = _nr_suite_row(monkeypatch, "wave_params", planted)
     assert not result.passed
     assert result.max_deviation > 1e-3
 

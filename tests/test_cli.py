@@ -156,6 +156,16 @@ class TestStateCommand:
         assert result.returncode == 2
         assert "numerical failure" in result.stderr
 
+    @pytest.mark.parametrize("flags", [("--eta", "1e-170"), ("--mass", "1e300", "--eta", "1e-300")])
+    def test_tiny_eta_exits_2_without_a_traceback(self, flags):
+        # eta^2 underflows: v squares nothing, so the norm's 4^(-2v) reports the first, and
+        # A~ = eta^2 r^2 underflowing while r ~ 1 does not reports the second
+        result = run_cli("state", *flags)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gupho: numerical failure:")
+
     def test_underflowing_norm_exits_2(self):
         for flags in (("--branch", "nr", "--eta", "1e-200"), ("--eta", "1e-3")):
             result = run_cli("state", *flags)
@@ -209,11 +219,41 @@ class TestVerifyCommand:
         assert "# nmax=12\n" in capsys.readouterr().out
 
     def test_huge_mass_passes(self):
-        # B~ is formed from E - m, so E^2 never overflows
+        # B~ is formed from the level's delta, so E^2 never overflows
         result = run_cli("verify", "--mass", "1e200")
         assert result.returncode == 0, result.stderr
         _, rows = data_rows(result.stdout)
         assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+
+    @pytest.mark.parametrize("mass, eta", [
+        ("1e12", "1e-9"), ("1e10", "1e-7"), ("1e15", "1e-12"), ("1e9", "1e-6"), ("1e8", "1e-5"),
+    ])
+    def test_heavy_mass_passes(self, capsys, mass, eta):
+        # m + delta keeps only the ulp of m here; the wave-equation and standard-form rows read delta
+        assert cli.main(["verify", "--mass", mass, "--eta", eta]) == cli.EXIT_OK
+        _, rows = data_rows(capsys.readouterr().out)
+        assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+
+    def test_heavy_mass_fails_on_a_wrong_delta(self, monkeypatch, capsys):
+        exact = checks.energy_relativistic
+
+        def off_by_1e8(system, n):
+            level = exact(system, n)
+            return dataclasses.replace(level, delta=level.delta * (1.0 + 1e-8))
+
+        monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
+        monkeypatch.setattr("gupho.states.energy_relativistic", off_by_1e8)
+        assert cli.main(["verify", "--mass", "1e12", "--eta", "1e-9"]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        status = {r[0]: r[3] for r in rows}
+        assert status["ode_residual"] == status["gamma_invariance"] == "fail"
+
+    def test_tiny_eta_exits_2_without_a_traceback(self):
+        result = run_cli("verify", "--eta", "1e-170")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gupho: numerical failure:")
 
     def test_huge_mass_undeformed_passes(self):
         # U underflows at eta = 0 here; the level is carried in sigma = hypot(Q, sqrt(U))

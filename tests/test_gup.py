@@ -13,13 +13,11 @@ from gupho.gup import (
     UndeformedBranchError,
     fm_problem_of,
     minimal_length,
-    nr_parameters,
     p_of_rho,
     rho_of_p,
     scalar_weight,
-    tilde_params,
     uncertainty_bound,
-    v_exponent,
+    wave_params,
 )
 from gupho.spectrum import energy_relativistic
 from gupho.specfun import gegenbauer, gegenbauer_product_integral
@@ -31,6 +29,22 @@ def algebra(eta, gamma=0.0, hbar=1.0):
 
 def system(mass=1.0, omega=1.0, eta=0.1, gamma=0.0, hbar=1.0):
     return OscillatorSystem(mass, omega, algebra(eta, gamma, hbar))
+
+
+def tildes_at(sys, energy):
+    """(A~, B~) of `wave_params` at a trial energy E: delta = E - m and E + m."""
+    return wave_params(sys, energy - sys.mass, energy + sys.mass)[1:]
+
+
+def v_at(sys, energy):
+    """v of `wave_params` at a trial energy E."""
+    return wave_params(sys, energy - sys.mass, energy + sys.mass)[0]
+
+
+def nr_v_lam(sys):
+    """v and lam = 2v - gamma/eta on the nonrelativistic branch, where E + m is 2m."""
+    v, _, _ = wave_params(sys, 0.0, 2.0 * sys.mass)
+    return v, 2.0 * v - sys.algebra.gamma / sys.algebra.eta
 
 
 class TestAlgebraType:
@@ -187,33 +201,50 @@ class TestMomentumTransform:
 class TestTildeParams:
     def test_unit_a(self):
         sys = system(eta=0.1, gamma=0.0)
-        a, _ = tilde_params(sys, 1.0)  # E + m = 2
+        a, _ = tildes_at(sys, 1.0)  # E + m = 2
         assert a == pytest.approx(1.0, rel=1e-15)
 
     def test_b_vanishes_at_rest_energy(self):
         sys = system(eta=0.1, gamma=0.0)
-        _, b = tilde_params(sys, 1.0)
+        _, b = tildes_at(sys, 1.0)
         assert b == 0.0
 
     def test_direct_substitution(self):
         sys = system(eta=0.1, gamma=0.05)
-        a, b = tilde_params(sys, 1.6)
+        a, b = tildes_at(sys, 1.6)
         denom = 1.0 * 1.0 * (1.6 + 1.0)
         assert a == pytest.approx(2.0 / denom - 0.05 * (0.05 + 0.1), rel=1e-15)
         assert b == pytest.approx(-(2.0 * (1.6**2 - 1.0) / denom + 0.05), rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tilde_params(system(), -1.0)
+            tildes_at(system(), -1.0)
 
     @pytest.mark.parametrize("mass", [1e100, 1e200])
     def test_huge_mass_stays_finite(self, mass):
-        # E^2 overflows beyond ~1e154; B~ is formed from E - m instead
+        # E^2 overflows beyond ~1e154, and E - m keeps only the ulp of m: B~ takes the level's delta
         sys = system(mass=mass, eta=0.1, gamma=0.05)
-        energy = energy_relativistic(sys, 3).energy
-        a, b = tilde_params(sys, energy)
+        delta = energy_relativistic(sys, 3).delta
+        v, a, b = wave_params(sys, delta, 2.0 * mass + delta)
+        assert all(math.isfinite(x) for x in (v, a, b))
+        assert b == -(2.0 * delta / mass + 0.05)
+
+    def test_tiny_eta_stays_finite(self):
+        # eta^2 underflows below ~1e-162; v is formed as hypot(1/2, r) and squares nothing
+        v, a, b = wave_params(system(eta=1e-170), 0.5, 2.5)
+        assert v == pytest.approx(0.5 / 1e-170 * math.sqrt(2.0 / 2.5), rel=1e-15)
         assert math.isfinite(a) and math.isfinite(b)
-        assert b == -(2.0 * (energy - mass) / mass + 0.05)
+
+    def test_lost_a_tilde_is_a_model_failure(self):
+        # A~ = eta^2 r^2 underflows while r ~ 1 does not: the equation has no double form
+        sys = system(mass=1e300, eta=1e-300)
+        delta = energy_relativistic(sys, 0).delta
+        with pytest.raises(DegenerateModelError, match="double range"):
+            wave_params(sys, delta, 2e300 + delta)
+
+    def test_underflowing_scale_is_a_model_failure(self):
+        with pytest.raises(DegenerateModelError, match="underflows"):
+            wave_params(system(eta=1e-320, mass=1e-10), 0.5, 2.5)
 
 
 class TestFmMapping:
@@ -230,7 +261,7 @@ class TestFmMapping:
 
     def test_c_from_tilde(self):
         sys = system(eta=0.1, gamma=0.0)
-        a, _ = tilde_params(sys, 1.6)
+        a, _ = tildes_at(sys, 1.6)
         problem = fm_problem_of(sys, 1.6)
         assert problem.C == pytest.approx(-a / (4 * 0.1**2), rel=1e-15)
 
@@ -243,20 +274,39 @@ class TestFmMapping:
         with pytest.raises(DegenerateModelError, match="overflow"):
             fm_problem_of(system(eta=1e-160), 1.6)
 
+    def test_underflowing_eta_squared_is_a_model_failure(self):
+        with pytest.raises(DegenerateModelError, match="underflows"):
+            fm_problem_of(system(eta=1e-170), 1.6)
+
+    @pytest.mark.parametrize("mass, energy", [(1.0, 1.6), (1.0, 1.05), (3.0, 7.25), (1e6, 1e6 + 2.5)])
+    def test_matches_the_energy_arrangement_bit_for_bit(self, mass, energy):
+        # fm_problem_of(system, E) forms B~ from E - m, with A~ and the standard form as before
+        for eta, gamma in ((0.1, 0.0), (0.1, 0.05), (3e-3, 3e-3)):
+            sys = system(mass=mass, eta=eta, gamma=gamma)
+            hw2 = mass  # hbar = omega = 1
+            a_tilde = 2.0 / (hw2 * (energy + mass)) - gamma * (gamma + eta)
+            b_tilde = -(2.0 * (energy - mass) / hw2 + gamma)
+            k1 = 0.5 - gamma / eta
+            a_coef = (b_tilde * eta - a_tilde) / eta**2
+            c_coef = -a_tilde / (4.0 * eta**2)
+            problem = fm_problem_of(sys, energy)
+            assert (problem.k1, problem.k2, problem.k3) == (k1, 2.0 * k1, 1.0)
+            assert (problem.A, problem.B, problem.C) == (a_coef, -a_coef, c_coef)
+
 
 class TestVExponent:
     def test_large_deformation_limit(self):
-        assert v_exponent(system(eta=1e12), 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert v_at(system(eta=1e12), 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_direct_value(self):
         # E + m = 2: radicand is 1/4 + 2/(0.01 * 2) = 100.25
-        got = v_exponent(system(eta=0.1, gamma=0.0), 1.0)
+        got = v_at(system(eta=0.1, gamma=0.0), 1.0)
         assert got == pytest.approx(0.25 + 0.5 * math.sqrt(100.25), rel=1e-15)
 
     def test_gamma_shift_is_exact(self):
         for gamma in (0.05, 0.1, 0.2):
-            base = v_exponent(system(eta=0.1, gamma=0.0), 1.6)
-            shifted = v_exponent(system(eta=0.1, gamma=gamma), 1.6)
+            base = v_at(system(eta=0.1, gamma=0.0), 1.6)
+            shifted = v_at(system(eta=0.1, gamma=gamma), 1.6)
             assert shifted - base == pytest.approx(gamma / 0.2, abs=1e-14)
 
     @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
@@ -264,7 +314,7 @@ class TestVExponent:
         for gamma in (0.0, eta / 2, eta):
             for energy in (1.1, 2.0):
                 sys = system(eta=eta, gamma=gamma)
-                v = v_exponent(sys, energy)
+                v = v_at(sys, energy)
                 k4, k5 = fm_exponents(fm_problem_of(sys, energy))
                 assert abs(k4 - v) <= 1e-11
                 assert abs(k5 - v) <= 1e-11
@@ -272,7 +322,7 @@ class TestVExponent:
     def test_matches_fm_route_at_converged_energy(self):
         sys = system(eta=0.1, gamma=0.0)
         energy = energy_relativistic(sys, 0).energy
-        v = v_exponent(sys, energy)
+        v = v_at(sys, energy)
         k4, k5 = fm_exponents(fm_problem_of(sys, energy))
         assert k4 == pytest.approx(v, abs=1e-11)
         assert k5 == pytest.approx(v, abs=1e-11)
@@ -281,19 +331,19 @@ class TestVExponent:
 class TestNrParameters:
     def test_gamma_zero_formula(self):
         sys = system(eta=0.5, gamma=0.0)
-        v, lam = nr_parameters(sys)
+        v, lam = nr_v_lam(sys)
         assert lam == pytest.approx(2 * v, rel=1e-15)
         assert lam == pytest.approx(0.5 + math.sqrt(0.25 + 1.0 / 0.25), rel=1e-15)
 
     def test_golden_ratio_case(self):
-        v, lam = nr_parameters(system(eta=1.0, gamma=0.0))
+        v, lam = nr_v_lam(system(eta=1.0, gamma=0.0))
         assert v == pytest.approx(0.25 + 0.5 * math.sqrt(1.25), rel=1e-15)
         assert lam == pytest.approx(1.618033988749895, rel=1e-12)
 
     def test_lam_independent_of_gamma(self):
-        base = nr_parameters(system(eta=0.4, gamma=0.0))[1]
+        base = nr_v_lam(system(eta=0.4, gamma=0.0))[1]
         for gamma in (0.1, 0.2, 0.4):
-            assert nr_parameters(system(eta=0.4, gamma=gamma))[1] == base
+            assert nr_v_lam(system(eta=0.4, gamma=gamma))[1] == base
 
 
 class TestFmBridge:
@@ -359,7 +409,7 @@ class TestWeightedNormEquivalence:
         # p-side integral computed independently (adaptive quadrature in p),
         # rho-side with the claimed weight; they must agree up to 1/sqrt(eta)
         sys = system(mass=1.0, omega=1.0, eta=eta, gamma=gamma)
-        v, lam = nr_parameters(sys)
+        v, lam = nr_v_lam(sys)
         alpha = gamma / eta
 
         def p_integrand(p):

@@ -20,9 +20,9 @@ EXPORTS = (
     "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",
     "eval_state", "fm", "fm_exponents", "fm_problem_of", "fm_quantization_residual", "gup",
     "inner_product", "ladder_coeffs", "make_state", "minimal_length", "nr_limit_of_relativistic",
-    "nr_parameters", "ode_residual", "p_of_rho", "ratio_sweep", "rel_residual", "rho_of_p",
+    "ode_residual", "p_of_rho", "ratio_sweep", "rel_residual", "rho_of_p",
     "scalar_weight", "specfun",
-    "spectrum", "states", "su11_check", "tilde_params", "uncertainty_bound", "v_exponent",
+    "spectrum", "states", "su11_check", "uncertainty_bound", "wave_params",
     "weighted_overlap",
 )
 
@@ -31,8 +31,8 @@ SUBMODULE_EXPORTS = {
     "fm": ("FmProblem", "NoBoundStateError", "fm_exponents", "fm_quantization_residual"),
     "gup": (
         "DeformedAlgebra", "DegenerateModelError", "OscillatorSystem", "QuadratureAccuracyError",
-        "UndeformedBranchError", "fm_problem_of", "minimal_length", "nr_parameters", "p_of_rho",
-        "rho_of_p", "scalar_weight", "tilde_params", "uncertainty_bound", "v_exponent",
+        "UndeformedBranchError", "fm_problem_of", "minimal_length", "p_of_rho",
+        "rho_of_p", "scalar_weight", "uncertainty_bound", "wave_params",
     ),
     "spectrum": (
         "BOHR_RADIUS", "SolverError", "SpectrumResult", "energy_nonrel", "energy_relativistic",

@@ -58,28 +58,36 @@ class TestRelResidual:
     def test_vanishes_at_converged_energy(self):
         sys = system(eta=0.1)
         for n in range(4):
-            energy = energy_relativistic(sys, n).energy
-            assert abs(rel_residual(sys, n, energy)) <= 1e-10
+            delta = energy_relativistic(sys, n).delta
+            assert abs(rel_residual(sys, n, delta)) <= 1e-10
+
+    def test_vanishes_at_a_heavy_level(self):
+        # m + delta keeps only the ulp of m (~1e-4) of delta ~ 3.5 here: read through
+        # E - m, the closed-form level misses its own condition by ~0.05
+        sys = system(mass=1e12, eta=1e-15)
+        res = energy_relativistic(sys, 3)
+        assert abs(rel_residual(sys, 3, res.delta)) <= 1e-10
+        assert abs(rel_residual(sys, 3, res.energy - 1e12)) > 1e-2
 
     def test_n_difference(self):
-        # residual(n) - residual(n+1) = 2 sqrt(1/4 + 2/(eta^2 (E+m))) + 2n + 2
+        # residual(n) - residual(n+1) = 2 sqrt(1/4 + 2/(eta^2 (delta + 2m))) + 2n + 2
         sys = system(eta=0.1)
-        for energy in (1.2, 1.6, 3.0):
-            root = math.sqrt(0.25 + 2.0 / (0.1**2 * (energy + 1.0)))
+        for delta in (0.2, 0.6, 2.0):
+            root = math.sqrt(0.25 + 2.0 / (0.1**2 * (delta + 2.0)))
             for n in range(5):
-                diff = rel_residual(sys, n, energy) - rel_residual(sys, n + 1, energy)
+                diff = rel_residual(sys, n, delta) - rel_residual(sys, n + 1, delta)
                 assert diff == pytest.approx(2.0 * root + 2 * n + 2, rel=1e-13)
                 assert diff > 0
 
     def test_increasing_in_energy(self):
         sys = system(eta=0.5)
-        values = [rel_residual(sys, 2, e) for e in np.linspace(1.001, 50.0, 200)]
+        values = [rel_residual(sys, 2, d) for d in np.linspace(0.001, 49.0, 200)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 0  # dominates at large energy
 
     def test_undeformed_rejected(self):
         with pytest.raises(UndeformedBranchError):
-            rel_residual(system(eta=0.0), 0, 1.5)
+            rel_residual(system(eta=0.0), 0, 0.5)
 
 
 class TestEnergyRelativistic:

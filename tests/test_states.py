@@ -6,8 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gupho import checks, specfun
-from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, rho_of_p, tilde_params
+from gupho import checks, gup, specfun
+from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of, rho_of_p
+from gupho.spectrum import energy_relativistic
 from gupho.specfun import gegenbauer, gegenbauer_normalization, gegenbauer_product_integral
 from gupho.states import (
     NONRELATIVISTIC,
@@ -55,6 +56,16 @@ class TestMakeState:
         assert state.energy > sys.mass
         assert state.lam == pytest.approx(2 * state.v, abs=1e-12)
         assert weighted_overlap(state, state) == pytest.approx(1.0, abs=1e-10)
+
+    def test_carries_the_level_delta(self):
+        # m + delta rounds delta to the ulp of m here; the state keeps the level's own
+        sys = system(mass=1e12, eta=1e-12)
+        level = energy_relativistic(sys, 2)
+        state = make_state(sys, 2, RELATIVISTIC)
+        assert (state.energy, state.delta) == (level.energy, level.delta)
+        assert state.delta != state.energy - sys.mass
+        nr = make_state(sys, 2, NONRELATIVISTIC)
+        assert nr.delta == nr.energy
 
     def test_flat_weight_changes_norm_not_energy(self):
         plain = make_state(system(eta=1.0, gamma=0.0), 2, NONRELATIVISTIC)
@@ -427,11 +438,13 @@ def _terms_by_18_9_19(state, p):
     c0 = gegenbauer(n, lam, rho)
     c1 = 2.0 * lam * gegenbauer(n - 1, lam + 1.0, rho) if n >= 1 else 0.0 * c0
     c2 = 4.0 * lam * (lam + 1.0) * gegenbauer(n - 2, lam + 2.0, rho) if n >= 2 else 0.0 * c0
+    hw2 = alg.hbar**2 * system.mass * system.omega**2
     if state.branch == NONRELATIVISTIC:
         a_tilde = (1.0 / (alg.hbar * system.mass * system.omega)) ** 2 - alg.gamma * (alg.gamma + alg.eta)
-        b_tilde = -(2.0 * state.energy / (alg.hbar**2 * system.mass * system.omega**2) + alg.gamma)
+        b_tilde = -(2.0 * state.energy / hw2 + alg.gamma)
     else:
-        a_tilde, b_tilde = tilde_params(system, state.energy)
+        a_tilde = 2.0 / (hw2 * (state.energy + system.mass)) - alg.gamma * (alg.gamma + alg.eta)
+        b_tilde = -(2.0 * (state.energy - system.mass) / hw2 + alg.gamma)
     common = _envelope(state, rho) * w
     second = common * alg.eta * (
         w * w * c2 - (4.0 * v + 3.0) * rho * w * c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c0
@@ -468,6 +481,22 @@ class TestOdeResidualOnStates:
         sys = system(mass=mass, omega=omega, eta=eta, gamma=gamma_frac * eta)
         result = checks._check_ode_residual([make_state(sys, n, NONRELATIVISTIC) for n in range(9)])
         assert result.name == "nr_ode_residual"
+        assert result.passed, result
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mass=st.floats(6.0, 15.0).map(lambda e: 10.0**e),
+        kappa=st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+        omega=st.floats(0.5, 2.0),
+        gamma_frac=st.sampled_from([0.0, 0.5]),
+        branch=st.sampled_from([RELATIVISTIC, NONRELATIVISTIC]),
+    )
+    def test_heavy_mass_states_satisfy_their_wave_equation(self, mass, kappa, omega, gamma_frac, branch):
+        # kappa = hbar eta m omega in [1e-2, 10]: E - m keeps only the ulp of m, so B~ must take delta
+        eta = kappa / (mass * omega)
+        sys = system(mass=mass, omega=omega, eta=eta, gamma=gamma_frac * eta)
+        result = checks._check_ode_residual([make_state(sys, n, branch) for n in range(9)])
+        assert result.tolerance == 1e-11
         assert result.passed, result
 
     def test_python_float_p_gives_a_float(self):
@@ -532,3 +561,29 @@ class TestOdeResidualOnStates:
                 del calls[:]
                 eval_state(state, rho_of_p(sys.algebra, p))
                 assert calls == [(state.n, state.lam)]
+
+    def test_one_wave_params_call_per_consumer(self, monkeypatch):
+        # make_state, _ode_terms and fm_problem_of each map their level through wave_params once,
+        # with the level's delta and the branch's E + m
+        sys = system(mass=2.0, eta=0.1, gamma=0.05)
+        exact, calls = gup.wave_params, []
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr("gupho.gup.wave_params", counted)
+        monkeypatch.setattr("gupho.states.wave_params", counted)
+        for branch in (RELATIVISTIC, NONRELATIVISTIC):
+            for n in (0, 1, 7):
+                del calls[:]
+                state = make_state(sys, n, branch)
+                e_plus_m = 4.0 + state.delta if branch == RELATIVISTIC else 4.0
+                assert calls == [(sys, state.delta, e_plus_m)]
+                for p in (0.3, np.linspace(-4.0, 4.0, 9)):
+                    del calls[:]
+                    _ode_terms(state, p)
+                    assert calls == [(sys, state.delta, e_plus_m)]
+        del calls[:]
+        fm_problem_of(sys, 2.5)
+        assert calls == [(sys, 0.5, 4.5)]
