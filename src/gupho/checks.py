@@ -6,6 +6,8 @@ eta = 0 the deformed-only checks are skipped and the undeformed limit checks
 run instead.  The relativistic levels come from the closed-form root of the
 squared quantization condition; `solver_cross_validation` holds them to the
 unsquared one and `relativistic_residual` to its dimensionless arrangement.
+These rows and the standard-form rows read one level table, solved once at
+each kappa = hbar eta m omega of `_KAPPA_GRID`, so they see one problem at any scale.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import specfun, spectrum
+from . import specfun
 from .gup import (
     DeformedAlgebra,
     OscillatorSystem,
@@ -22,6 +24,7 @@ from .gup import (
 )
 from .fm import fm_exponents, fm_quantization_residual
 from .spectrum import (
+    SolverError,
     energy_nonrel,
     energy_relativistic,
     nr_limit_of_relativistic,
@@ -41,7 +44,7 @@ from .states import (
 
 __all__ = ["CheckResult", "run_suite"]
 
-_ETA_GRID = (0.01, 0.1, 1.0)
+_KAPPA_GRID = (0.01, 0.1, 1.0)
 _SU11_LAMBDAS = (0.8, 1.61803, 3.2)
 
 
@@ -60,30 +63,34 @@ def _system(mass, omega, hbar, eta, gamma) -> OscillatorSystem:
     return OscillatorSystem(mass, omega, DeformedAlgebra(eta=eta, gamma=gamma, hbar=hbar))
 
 
-def _check_solver_cross_validation(mass, omega, hbar, gamma, etas, n_top) -> CheckResult:
+def _system_at(mass, omega, hbar, kappa, gamma) -> OscillatorSystem:
+    """The system with hbar eta m omega = kappa; `SolverError` where no double eta gives it."""
+    eta = kappa / (hbar * mass * omega) if hbar * mass * omega > 0.0 else math.inf
+    if math.isinf(eta) or (eta > 0.0) != (kappa > 0.0):
+        raise SolverError(f"no double eta gives hbar eta m omega = {kappa!r} at mass {mass!r}")
+    return _system(mass, omega, hbar, eta, gamma)
+
+
+def _level_table(mass, omega, hbar, gamma, kappas, n_top) -> list:
+    """(system, its relativistic levels n = 0..n_top) at each kappa; each level is solved once."""
+    systems = [_system_at(mass, omega, hbar, kappa, gamma) for kappa in kappas]
+    return [(system, [energy_relativistic(system, n) for n in range(n_top + 1)]) for system in systems]
+
+
+def _check_solver_cross_validation(table) -> CheckResult:
     """The closed-form levels against the unsquared fixed point, |h(delta)| / delta.
 
-    The levels come from the squared condition; h = delta - map(delta) does
-    not square, so a spurious root of the cubic fails here, and h' >= 1 makes
-    |h| / delta a bound on the relative error in delta.  delta is the level's
-    own, not E - m, which is 0 for a heavy mass and would hide any error.
+    The levels come from the squared condition; h = delta - map(delta), the
+    level's residual, does not square, so a spurious root of the cubic fails
+    here, and h' >= 1 makes |h| / delta a bound on the relative error in delta.
+    delta is the level's own, not E - m, which is 0 for a heavy mass.
     """
-    dev = 0.0
-    for eta in etas:
-        system = _system(mass, omega, hbar, eta, gamma)
-        for n in range(n_top + 1):
-            delta = energy_relativistic(system, n).delta
-            dev = max(dev, abs(spectrum._displacement(system, n, delta)) / delta)
+    dev = max(abs(level.residual) / level.delta for _, levels in table for level in levels)
     return CheckResult("solver_cross_validation", dev, 1e-10)
 
 
-def _check_relativistic_residual(mass, omega, hbar, gamma, etas, n_top) -> CheckResult:
-    dev = 0.0
-    for eta in etas:
-        system = _system(mass, omega, hbar, eta, gamma)
-        for n in range(n_top + 1):
-            res = energy_relativistic(system, n)
-            dev = max(dev, abs(rel_residual(system, n, res.delta)))
+def _check_relativistic_residual(table) -> CheckResult:
+    dev = max(abs(rel_residual(system, level.n, level.delta)) for system, levels in table for level in levels)
     return CheckResult("relativistic_residual", dev, 1e-10)
 
 
@@ -96,7 +103,7 @@ def _check_nr_limit(omega, hbar, gamma) -> CheckResult:
     mass = 1e6 * hbar * omega
     dev = 0.0
     for kappa in (0.0, 0.1, 1.0, 10.0):
-        system = _system(mass, omega, hbar, kappa / (hbar * mass * omega), gamma)
+        system = _system_at(mass, omega, hbar, kappa, gamma)
         for n in range(6):
             target = energy_nonrel(system, n).energy
             dev = max(dev, abs(nr_limit_of_relativistic(system, n) - target) / target)
@@ -121,27 +128,26 @@ def _check_gamma_invariance(mass, omega, hbar, eta, n_top) -> CheckResult:
     return CheckResult("gamma_invariance", dev, 1e-10)
 
 
-def _check_fm_exponent_consistency(mass, omega, hbar) -> CheckResult:
-    """v of `wave_params` against k4 and k5 of the standard form, at two trial levels."""
+def _check_fm_exponent_consistency(table) -> CheckResult:
+    """v of `wave_params` against k4 and k5 of the standard form: levels m/10 and m, gamma/eta = 0, 1/2, 1."""
     dev = 0.0
-    for eta in _ETA_GRID:
+    for system, _ in table:
+        mass, eta = system.mass, system.algebra.eta
         for gamma in (0.0, eta / 2.0, eta):
-            system = _system(mass, omega, hbar, eta, gamma)
+            trial = _system(mass, system.omega, system.algebra.hbar, eta, gamma)
             for delta in (0.1 * mass, mass):
-                v, _, _ = wave_params(system, delta, 2.0 * mass + delta)
-                k4, k5 = fm_exponents(_fm_problem(system, delta, 2.0 * mass + delta))
+                v, _, _ = wave_params(trial, delta, 2.0 * mass + delta)
+                k4, k5 = fm_exponents(_fm_problem(trial, delta, 2.0 * mass + delta))
                 dev = max(dev, abs(k4 - v), abs(k5 - v))
     return CheckResult("fm_exponent_consistency", dev, 1e-11)
 
 
-def _check_fm_quantization_zero(mass, omega, hbar, gamma, n_top) -> CheckResult:
+def _check_fm_quantization_zero(table) -> CheckResult:
     dev = 0.0
-    for eta in _ETA_GRID:
-        system = _system(mass, omega, hbar, eta, gamma)
-        for n in range(n_top + 1):
-            delta = energy_relativistic(system, n).delta
-            problem = _fm_problem(system, delta, 2.0 * mass + delta)
-            dev = max(dev, abs(fm_quantization_residual(problem, n)))
+    for system, levels in table:
+        for level in levels:
+            problem = _fm_problem(system, level.delta, 2.0 * system.mass + level.delta)
+            dev = max(dev, abs(fm_quantization_residual(problem, level.n)))
     return CheckResult("fm_quantization_zero", dev, 1e-9)
 
 
@@ -156,7 +162,7 @@ def _check_orthonormality(states) -> CheckResult:
 
 
 def _check_normalization_reference(states) -> CheckResult:
-    """Closed-form norms against the quadrature diagonal, where v changes with n."""
+    """Closed-form norms against the exact Jacobi-matrix diagonal, where v changes with n."""
     dev = max(abs(weighted_overlap(s, s) - 1.0) for s in states)
     return CheckResult("normalization_reference", dev, 1e-9)
 
@@ -248,7 +254,7 @@ def _check_undeformed_continuity(mass, omega, hbar, gamma) -> CheckResult:
     away for a heavy mass.
     """
     flat = _system(mass, omega, hbar, 0.0, gamma)
-    tiny = _system(mass, omega, hbar, 1e-12 / (hbar * mass * omega), gamma)
+    tiny = _system_at(mass, omega, hbar, 1e-12, gamma)
     dev = 0.0
     for n in range(4):
         d0 = energy_relativistic(flat, n).delta
@@ -279,14 +285,14 @@ def run_suite(
     states go up to max(n_max, 1), so the ladder identity always compares
     at least the 0 <-> 1 pair.
     """
-    results = []
+    table = _level_table(mass, omega, hbar, gamma, _KAPPA_GRID if eta > 0.0 else (0.0,), n_max)
+    results = [_check_solver_cross_validation(table)]
     if eta > 0.0:
-        results.append(_check_solver_cross_validation(mass, omega, hbar, gamma, _ETA_GRID, n_max))
-        results.append(_check_relativistic_residual(mass, omega, hbar, gamma, _ETA_GRID, n_max))
+        results.append(_check_relativistic_residual(table))
         results.append(_check_nr_limit(omega, hbar, gamma))
         results.append(_check_gamma_invariance(mass, omega, hbar, eta, n_max))
-        results.append(_check_fm_exponent_consistency(mass, omega, hbar))
-        results.append(_check_fm_quantization_zero(mass, omega, hbar, gamma, n_max))
+        results.append(_check_fm_exponent_consistency(table))
+        results.append(_check_fm_quantization_zero(table))
         system = _system(mass, omega, hbar, eta, gamma)
         nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(max(n_max, 1) + 1)]
         rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
@@ -299,7 +305,6 @@ def run_suite(
         results.append(_check_weight_orthogonality())
         results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))
     else:
-        results.append(_check_solver_cross_validation(mass, omega, hbar, gamma, (0.0,), n_max))
         results.append(_check_nr_limit(omega, hbar, gamma))
         results.extend(_check_su11_algebra())
         results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))

@@ -5,8 +5,10 @@ length hbar sqrt(eta).  In momentum space the position operator carries an
 arbitrary representation parameter gamma that enters only through the weight
 of the scalar product, never the spectrum.  `wave_params` maps a level of
 either branch, given as delta = E - m and E + m (2m on the nonrelativistic
-branch), onto its momentum-space wave equation (v, A~, B~); through the chain
-p -> rho -> s = (1 - rho)/2 that equation is the standard form of `fm`.
+branch), onto its momentum-space wave equation (v, A^, B^), which sees the
+system only through kappa = hbar eta m omega, alpha = gamma / eta and
+delta / (hbar omega); through the chain p -> rho -> s = (1 - rho)/2 that
+equation is the standard form of `fm`.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ class UndeformedBranchError(ValueError):
 class DegenerateModelError(ValueError):
     """Derived model parameters are unusable.
 
-    The weight order or prefactor exponent is not positive, or a standard-form
-    coefficient overflows (chiefly where eta^2 underflows).
+    The weight order or prefactor exponent is not positive, or a coefficient
+    overflows (chiefly where kappa = hbar eta m omega is below about 1e-154).
     """
 
 
@@ -164,42 +166,41 @@ def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:
 
 
 def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tuple[float, float, float]:
-    """Map a level onto its momentum-space wave equation: (v, A~, B~).
+    """Map a level onto its scale-free momentum-space wave equation: (v, A^, B^).
 
     delta is the level above the rest mass and e_plus_m is E + m: 2m + delta
     on the relativistic branch, and 2m on the nonrelativistic one, whose
     equation is the relativistic one with E + m replaced by 2m (Kempf, Mangano
-    and Mann 1995) and whose delta is the level itself.
+    and Mann 1995).  With kappa = hbar eta m omega and alpha = gamma / eta,
 
-    A~ = 2 / (hbar^2 m omega^2 (E + m)) - gamma (gamma + eta)
-    B~ = -(2 delta / (hbar^2 m omega^2) + gamma)
-    v = 1/4 + gamma/(2 eta) + (1/2) hypot(1/2, r),  r = sqrt(2m / (E + m)) / (hbar eta m omega)
+    r = sqrt(2m / (E + m)) / kappa,  v = 1/4 + alpha / 2 + (1/2) hypot(1/2, r)
+    A^ = A~ / eta^2 = r^2 - alpha (alpha + 1)
+    B^ = B~ / eta = -(2 delta / (hbar omega kappa) + alpha)
 
+    where A~ = 2 / (hbar^2 m omega^2 (E + m)) - gamma (gamma + eta) and
+    B~ = -(2 delta / (hbar^2 m omega^2) + gamma) are the coefficients in p.
     v is k4 = k5 of the standard form; nothing squares E, m or eta.  Raises
-    `DegenerateModelError` where a parameter leaves the double range, or
-    where A~'s first term, eta^2 r^2, underflows while r^2 does not.
+    `DegenerateModelError` where kappa underflows to 0 or a parameter
+    overflows, A^ first, at kappa below about 1e-154.
     """
     alg = system.algebra
-    alg._require_deformed()
+    alpha = alg.alpha  # UndeformedBranchError at eta = 0
     if not e_plus_m > 0.0:
         raise ValueError("requires E + m > 0")
     m = system.mass
-    hw2 = alg.hbar**2 * m * system.omega**2
     kappa = m * system.omega * alg.eta * alg.hbar
-    if not (hw2 * e_plus_m > 0.0 and kappa > 0.0):
-        raise DegenerateModelError("hbar^2 m omega^2 (E + m) or hbar eta m omega underflows to 0")
-    rest = 2.0 / (hw2 * e_plus_m)
+    if not kappa > 0.0:
+        raise DegenerateModelError("hbar eta m omega underflows to 0")
     r = math.sqrt(2.0 * m / e_plus_m) / kappa
-    v = 0.25 + alg.gamma / (2.0 * alg.eta) + 0.5 * math.hypot(0.5, r)
-    a_tilde = rest - alg.gamma * (alg.gamma + alg.eta)
-    b_tilde = -(2.0 * delta / hw2 + alg.gamma)
-    finite = math.isfinite(v) and math.isfinite(a_tilde) and math.isfinite(b_tilde)
-    if not finite or rest < sys.float_info.min <= r * r:
+    v = 0.25 + 0.5 * alpha + 0.5 * math.hypot(0.5, r)
+    a_hat = r * r - alpha * (alpha + 1.0)
+    b_hat = -(2.0 * delta / (alg.hbar * system.omega * kappa) + alpha)
+    if not (math.isfinite(v) and math.isfinite(a_hat) and math.isfinite(b_hat)):
         raise DegenerateModelError(
-            f"wave-equation parameters leave the double range at eta = {alg.eta!r}: "
-            f"v = {v!r}, A~ = {a_tilde!r}, B~ = {b_tilde!r}"
+            f"wave-equation parameters overflow at kappa = {kappa!r}: "
+            f"v = {v!r}, A^ = {a_hat!r}, B^ = {b_hat!r}"
         )
-    return v, a_tilde, b_tilde
+    return v, a_hat, b_hat
 
 
 def fm_problem_of(system: OscillatorSystem, energy_rel: float) -> FmProblem:
@@ -210,20 +211,11 @@ def fm_problem_of(system: OscillatorSystem, energy_rel: float) -> FmProblem:
 def _fm_problem(system: OscillatorSystem, delta: float, e_plus_m: float) -> FmProblem:
     """Standard-form coefficients of the level (delta, E + m) of `wave_params`.
 
-    k1 = 1/2 - gamma/eta, k2 = 2 k1, k3 = 1, A = (B~ eta - A~)/eta^2 = -B,
-    C = -A~ / (4 eta^2).
+    k1 = 1/2 - alpha, k2 = 2 k1, k3 = 1, A = B^ - A^ = -B, C = -A^ / 4.
     """
-    alg = system.algebra
-    _, a_tilde, b_tilde = wave_params(system, delta, e_plus_m)
-    eta2 = alg.eta**2
-    if eta2 == 0.0:
-        raise DegenerateModelError(f"eta^2 underflows at eta = {alg.eta!r}")
-    k1 = 0.5 - alg.gamma / alg.eta
-    a_coef = (b_tilde * alg.eta - a_tilde) / eta2
-    c_coef = -a_tilde / (4.0 * eta2)
-    if not (math.isfinite(k1) and math.isfinite(a_coef) and math.isfinite(c_coef)):
-        raise DegenerateModelError(
-            f"standard-form coefficients overflow at eta = {alg.eta!r}: "
-            f"k1 = {k1!r}, A = {a_coef!r}, C = {c_coef!r}"
-        )
-    return FmProblem(k1=k1, k2=2.0 * k1, k3=1.0, A=a_coef, B=-a_coef, C=c_coef)
+    _, a_hat, b_hat = wave_params(system, delta, e_plus_m)
+    k1 = 0.5 - system.algebra.alpha
+    a_coef = b_hat - a_hat
+    if not math.isfinite(a_coef):
+        raise DegenerateModelError(f"standard-form A = B^ - A^ overflows: B^ = {b_hat!r}, A^ = {a_hat!r}")
+    return FmProblem(k1=k1, k2=2.0 * k1, k3=1.0, A=a_coef, B=-a_coef, C=-0.25 * a_hat)

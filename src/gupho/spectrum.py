@@ -68,17 +68,17 @@ def rel_residual(system: OscillatorSystem, n: int, delta: float) -> float:
 
     Strictly increasing in delta, so it has a single root.  It takes the
     level's own delta, which m + delta rounds to the ulp of a heavy m, and
-    forms the root as `gup.wave_params` does, so nothing squares eta.
+    forms both terms as `gup.wave_params` does, from kappa = hbar eta m omega,
+    so nothing squares eta, m or omega.
     """
     alg = system.algebra
     alg._require_deformed()
     m = system.mass
     if not delta + 2.0 * m > 0.0:
         raise ValueError("requires delta + 2 mass > 0")
-    hw2 = alg.hbar**2 * m * system.omega**2
     kappa = m * system.omega * alg.eta * alg.hbar
     root = math.hypot(0.5, math.sqrt(2.0 * m / (delta + 2.0 * m)) / kappa)
-    return 2.0 * delta / (hw2 * alg.eta) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
+    return 2.0 * delta / (alg.hbar * system.omega * kappa) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
 
 
 def _displacement(system: OscillatorSystem, n: int, delta: float) -> float:

@@ -172,9 +172,10 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     Both branches share this form: the nonrelativistic equation
     -(hbar^2 m omega^2 / 2) D^2 phi + p^2 / (2m) phi = E phi, with
     D = (1 + eta p^2) d/dp + gamma p (Kempf, Mangano and Mann 1995), is the
-    relativistic one with E + m replaced by 2m.  (A~, B~) come from
-    `wave_params` at the state's delta and its branch's E + m, so a delta or
-    branch that disagrees with the state's v and lam leaves a residual.  The
+    relativistic one with E + m replaced by 2m.  (A^, B^) = (A~ / eta^2, B~ / eta)
+    come from `wave_params` at the state's delta and its branch's E + m, so a
+    delta or branch that disagrees with the state's v and lam leaves a
+    residual; the zeroth-order term is -eta w (B^ w + A^ rho^2) phi.  The
     terms are taken in closed form through rho(p).  With w = 1 - rho^2 =
     1 / (1 + eta p^2), d rho/dp = sqrt(eta) w^(3/2), d^2 rho/dp^2 =
     -3 eta rho w^2 and the envelope's d/drho (w/4)^v = -2 v rho (w/4)^v / w,
@@ -192,13 +193,13 @@ def _ode_terms(state: OscillatorState, p) -> tuple:
     c_lo, c = specfun._gegenbauer_pair(n, lam, rho)
     w_c1 = (n + 2.0 * lam - 1.0) * c_lo - n * rho * c
     w2_c2 = (2.0 * lam + 1.0) * rho * w_c1 - n * (n + 2.0 * lam) * w * c
-    _, a_tilde, b_tilde = wave_params(system, state.delta, _e_plus_m(system, state.branch, state.delta))
+    _, a_hat, b_hat = wave_params(system, state.delta, _e_plus_m(system, state.branch, state.delta))
     common = _envelope(state, rho) * w
     second = common * alg.eta * (
         w2_c2 - (4.0 * v + 3.0) * rho * w_c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c
     )
     first = common * 2.0 * (alg.gamma + alg.eta) * rho * (w_c1 - 2.0 * v * rho * c)
-    zeroth = -common * (b_tilde * w + a_tilde * rho * rho / alg.eta) * c
+    zeroth = -common * alg.eta * (b_hat * w + a_hat * rho * rho) * c
     return second, first, zeroth
 
 

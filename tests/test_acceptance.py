@@ -74,11 +74,17 @@ def test_criterion_02_ratio_anchors():
     assert elapsed < 10e-3
 
 
+def _unit_table(kappas=checks._KAPPA_GRID):
+    """The suite's level table at m = omega = hbar = 1, gamma = 0 and n <= 8."""
+    return checks._level_table(1.0, 1.0, 1.0, 0.0, kappas, 8)
+
+
 def test_criterion_03_solver_agreement():
     started = time.perf_counter()
+    table = _unit_table()
     for result in (
-        checks._check_solver_cross_validation(1.0, 1.0, 1.0, 0.0, _ETA_GRID, 8),
-        checks._check_relativistic_residual(1.0, 1.0, 1.0, 0.0, _ETA_GRID, 8),
+        checks._check_solver_cross_validation(table),
+        checks._check_relativistic_residual(table),
     ):
         assert result.passed, result
     elapsed = _verdict(3, "closed-form cubic vs unsquared fixed point", started)
@@ -94,8 +100,8 @@ def test_criterion_03_fails_on_a_wrong_route(monkeypatch):
         return disp - 1e-8 * (delta - disp)
 
     monkeypatch.setattr(spectrum, "_displacement", map_off_by_1e8)
-    for etas in (_ETA_GRID, (0.0,)):
-        result = checks._check_solver_cross_validation(1.0, 1.0, 1.0, 0.0, etas, 8)
+    for kappas in (checks._KAPPA_GRID, (0.0,)):
+        result = checks._check_solver_cross_validation(_unit_table(kappas))
         assert not result.passed
         assert result.max_deviation > 1e-9
 
@@ -144,9 +150,10 @@ def test_criterion_05_fails_on_a_wrong_energy(monkeypatch):
 
 def test_criterion_06_fm_pipeline_equivalence():
     started = time.perf_counter()
+    table = _unit_table()
     for result in (
-        checks._check_fm_exponent_consistency(1.0, 1.0, 1.0),
-        checks._check_fm_quantization_zero(1.0, 1.0, 1.0, 0.0, 8),
+        checks._check_fm_exponent_consistency(table),
+        checks._check_fm_quantization_zero(table),
     ):
         assert result.passed, result
     # the consistency check uses trial levels; this pins k4 = k5 = v at the solved ones
@@ -197,7 +204,7 @@ def test_criterion_08_normalization_reference(rel_states):
     started = time.perf_counter()
     result = checks._check_normalization_reference(rel_states)
     assert result.passed, result
-    _verdict(8, "closed-form norms against the quadrature diagonal", started)
+    _verdict(8, "closed-form norms against the exact Jacobi-matrix diagonal", started)
 
 
 def _plant_wrong_normalization(monkeypatch):

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gupho import checks, cli
+from gupho import checks, cli, spectrum
 
 
 def run_cli(*args, env=None):
@@ -22,6 +24,29 @@ def run_cli(*args, env=None):
 def data_rows(stdout):
     lines = [ln for ln in stdout.splitlines() if ln and not ln.startswith("#")]
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def _fed_e_minus_m(exact):
+    """rel_residual fed E - m, which keeps only the ulp of a heavy m, in place of the level's delta."""
+    return lambda system, n, delta: exact(system, n, system.mass + delta - system.mass)
+
+
+def _v_off_by_1e8(exact):
+    """wave_params with v 1e-8 relative too large."""
+    def planted(*args):
+        v, a_hat, b_hat = exact(*args)
+        return v * (1.0 + 1e-8), a_hat, b_hat
+
+    return planted
+
+
+def _v_at_a_wrong_e_plus_m(exact):
+    """wave_params with v formed at E + m 1e-8 relative too large: only r = sqrt(2m / (E + m)) / kappa moves."""
+    def planted(system, delta, e_plus_m):
+        _, a_hat, b_hat = exact(system, delta, e_plus_m)
+        return exact(system, delta, e_plus_m * (1.0 + 1e-8))[0], a_hat, b_hat
+
+    return planted
 
 
 class TestSpectrumCommand:
@@ -156,15 +181,31 @@ class TestStateCommand:
         assert result.returncode == 2
         assert "numerical failure" in result.stderr
 
-    @pytest.mark.parametrize("flags", [("--eta", "1e-170"), ("--mass", "1e300", "--eta", "1e-300")])
+    @pytest.mark.parametrize("flags", [("--eta", "1e-170")])
     def test_tiny_eta_exits_2_without_a_traceback(self, flags):
-        # eta^2 underflows: v squares nothing, so the norm's 4^(-2v) reports the first, and
-        # A~ = eta^2 r^2 underflowing while r ~ 1 does not reports the second
+        # kappa = hbar eta m omega = 1e-170: r = sqrt(2m / (E + m)) / kappa squares past the double range
         result = run_cli("state", *flags)
         assert result.returncode == 2
         assert result.stdout == ""
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("gupho: numerical failure:")
+
+    def test_heavy_mass_tiny_eta_is_the_scaled_unit_state(self, capsys):
+        # eta^2 underflows at eta = 1e-300, but kappa = hbar eta m omega = 1 as at m = eta = 1, and
+        # hbar omega / m = 1e-300 puts the level on the nr branch: the same v, lam and rho grid,
+        # with phi scaled by eta^(1/4) = 1e-75
+        def state(*flags):
+            assert cli.main(["state", *flags, "--samples", "9"]) == cli.EXIT_OK
+            out = capsys.readouterr().out
+            meta = dict(ln[2:].split("=", 1) for ln in out.splitlines() if ln.startswith("# ") and "=" in ln)
+            return meta, data_rows(out)[1]
+
+        heavy_meta, heavy = state("--mass", "1e300", "--eta", "1e-300")
+        unit_meta, unit = state("--eta", "1", "--branch", "nr")
+        assert (heavy_meta["v"], heavy_meta["lambda"]) == (unit_meta["v"], unit_meta["lambda"])
+        for (_, rho, phi), (_, unit_rho, unit_phi) in zip(heavy, unit):
+            assert rho == unit_rho
+            assert float(phi) / 1e-75 == pytest.approx(float(unit_phi), rel=1e-15)
 
     def test_underflowing_norm_exits_2(self):
         for flags in (("--branch", "nr", "--eta", "1e-200"), ("--eta", "1e-3")):
@@ -234,6 +275,68 @@ class TestVerifyCommand:
         _, rows = data_rows(capsys.readouterr().out)
         assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
 
+    @pytest.mark.parametrize("flags", [
+        ("--mass", "0.01", "--omega", "0.1", "--hbar", "0.1", "--eta", "1000"),
+        ("--mass", "1e200", "--eta", "1e-198"),
+        ("--mass", "1e150", "--omega", "1e80", "--eta", "1e-230"),
+    ])
+    def test_kappa_held_level_rows_pass(self, capsys, flags):
+        # the level rows run at kappa = hbar eta m omega in (0.01, 0.1, 1), whatever the user's scale:
+        # at a fixed eta grid the first read kappa = 1e-3..0.1 and failed, the second lost A~, and
+        # the third needs rel_residual to divide by hbar omega kappa, not by hbar^2 m omega^2 eta
+        assert cli.main(["verify", *flags]) == cli.EXIT_OK
+        _, rows = data_rows(capsys.readouterr().out)
+        assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mass=st.floats(-2.0, 15.0).map(lambda e: 10.0**e),
+        omega=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        hbar=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
+        kappa=st.floats(math.log10(3e-3), 1.0).map(lambda e: 10.0**e),
+        gamma_frac=st.sampled_from([0.0, 0.5]),
+    )
+    def test_every_row_passes_on_the_domain(self, mass, omega, hbar, kappa, gamma_frac):
+        # kappa >= 3e-3 keeps the states inside their domain (README, "Domain of the states")
+        eta = kappa / (hbar * mass * omega)
+        results = checks.run_suite(mass, omega, hbar, eta, gamma_frac * eta)
+        assert [r.name for r in results if not r.passed] == []
+
+    def test_level_table_is_solved_once(self, monkeypatch):
+        # the four level rows read one table: each (system, n) on the kappa grid is solved once,
+        # and h(delta) comes only from the solver, never re-formed by a check
+        exact, solved = checks.energy_relativistic, []
+        displacement = spectrum._displacement
+
+        def counted(system, n):
+            solved.append((system, n))
+            return exact(system, n)
+
+        def from_the_solver(system, n, delta):
+            assert sys._getframe(1).f_code.co_name == "energy_relativistic"
+            return displacement(system, n, delta)
+
+        monkeypatch.setattr(checks, "energy_relativistic", counted)
+        monkeypatch.setattr(spectrum, "_displacement", from_the_solver)
+        mass, omega, hbar = 2.0, 0.5, 3.0
+        checks.run_suite(mass, omega, hbar, eta=0.3, n_max=8)
+        for kappa in checks._KAPPA_GRID:
+            system = checks._system_at(mass, omega, hbar, kappa, 0.0)
+            assert [solved.count((system, n)) for n in range(9)] == [1] * 9
+
+    @pytest.mark.parametrize("name, planted, row", [
+        ("rel_residual", _fed_e_minus_m, "relativistic_residual"),
+        ("wave_params", _v_off_by_1e8, "fm_exponent_consistency"),
+        ("wave_params", _v_at_a_wrong_e_plus_m, "fm_exponent_consistency"),
+    ])
+    def test_heavy_mass_fails_on_a_wrong_level_row(self, monkeypatch, capsys, name, planted, row):
+        # at a fixed eta grid, m = 1e12 put kappa >= 1e10, where r ~ 1e-10 rounds away: both rows
+        # then read 0 with the first and third errors
+        monkeypatch.setattr(checks, name, planted(getattr(checks, name)))
+        assert cli.main(["verify", "--mass", "1e12", "--eta", "1e-9"]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        assert [r[0] for r in rows if r[3] == "fail"] == [row]
+
     def test_heavy_mass_fails_on_a_wrong_delta(self, monkeypatch, capsys):
         exact = checks.energy_relativistic
 
@@ -263,12 +366,14 @@ class TestVerifyCommand:
         assert len(rows) == 6 and all(r[3] == "pass" for r in rows)
 
     def test_huge_mass_undeformed_fails_on_a_wrong_delta(self, monkeypatch, capsys):
-        # m + delta rounds to m here, so only the level's own delta can show a 1e-8 error in it
+        # m + delta rounds to m here, so only the level's own delta can show a 1e-8 error in it;
+        # the planted level carries the residual h(delta) the solver forms at its delta
         exact = checks.energy_relativistic
 
         def off_by_1e8(system, n):
             level = exact(system, n)
-            return dataclasses.replace(level, delta=level.delta * (1.0 + 1e-8))
+            wrong = level.delta * (1.0 + 1e-8)
+            return dataclasses.replace(level, delta=wrong, residual=spectrum._displacement(system, n, wrong))
 
         monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
         assert cli.main(["verify", "--eta", "0", "--mass", "1e200"]) == cli.EXIT_VERIFY

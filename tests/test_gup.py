@@ -32,7 +32,7 @@ def system(mass=1.0, omega=1.0, eta=0.1, gamma=0.0, hbar=1.0):
 
 
 def tildes_at(sys, energy):
-    """(A~, B~) of `wave_params` at a trial energy E: delta = E - m and E + m."""
+    """(A^, B^) = (A~ / eta^2, B~ / eta) of `wave_params` at a trial energy E: delta = E - m and E + m."""
     return wave_params(sys, energy - sys.mass, energy + sys.mass)[1:]
 
 
@@ -201,8 +201,8 @@ class TestMomentumTransform:
 class TestTildeParams:
     def test_unit_a(self):
         sys = system(eta=0.1, gamma=0.0)
-        a, _ = tildes_at(sys, 1.0)  # E + m = 2
-        assert a == pytest.approx(1.0, rel=1e-15)
+        a, _ = tildes_at(sys, 1.0)  # E + m = 2: A~ = 1, so A^ = 1 / eta^2
+        assert a == pytest.approx(1.0 / 0.1**2, rel=1e-15)
 
     def test_b_vanishes_at_rest_energy(self):
         sys = system(eta=0.1, gamma=0.0)
@@ -213,8 +213,8 @@ class TestTildeParams:
         sys = system(eta=0.1, gamma=0.05)
         a, b = tildes_at(sys, 1.6)
         denom = 1.0 * 1.0 * (1.6 + 1.0)
-        assert a == pytest.approx(2.0 / denom - 0.05 * (0.05 + 0.1), rel=1e-15)
-        assert b == pytest.approx(-(2.0 * (1.6**2 - 1.0) / denom + 0.05), rel=1e-15)
+        assert a == pytest.approx((2.0 / denom - 0.05 * (0.05 + 0.1)) / 0.1**2, rel=1e-15)
+        assert b == pytest.approx(-(2.0 * (1.6**2 - 1.0) / denom + 0.05) / 0.1, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -227,20 +227,14 @@ class TestTildeParams:
         delta = energy_relativistic(sys, 3).delta
         v, a, b = wave_params(sys, delta, 2.0 * mass + delta)
         assert all(math.isfinite(x) for x in (v, a, b))
-        assert b == -(2.0 * delta / mass + 0.05)
+        assert b == -(2.0 * delta / (0.1 * mass) + 0.5)  # B~ / eta, with hbar omega kappa = 0.1 m
 
     def test_tiny_eta_stays_finite(self):
-        # eta^2 underflows below ~1e-162; v is formed as hypot(1/2, r) and squares nothing
-        v, a, b = wave_params(system(eta=1e-170), 0.5, 2.5)
-        assert v == pytest.approx(0.5 / 1e-170 * math.sqrt(2.0 / 2.5), rel=1e-15)
-        assert math.isfinite(a) and math.isfinite(b)
-
-    def test_lost_a_tilde_is_a_model_failure(self):
-        # A~ = eta^2 r^2 underflows while r ~ 1 does not: the equation has no double form
-        sys = system(mass=1e300, eta=1e-300)
-        delta = energy_relativistic(sys, 0).delta
-        with pytest.raises(DegenerateModelError, match="double range"):
-            wave_params(sys, delta, 2e300 + delta)
+        # eta^2 underflows below ~1e-162; at kappa = 1e-150 nothing squares eta, so all three are finite
+        v, a, b = wave_params(system(mass=1e20, eta=1e-170), 0.5, 2e20 + 0.5)
+        assert v == pytest.approx(0.5 / 1e-150, rel=1e-15)
+        assert a == pytest.approx(1e300, rel=1e-15)
+        assert math.isfinite(b)
 
     def test_underflowing_scale_is_a_model_failure(self):
         with pytest.raises(DegenerateModelError, match="underflows"):
@@ -263,32 +257,30 @@ class TestFmMapping:
         sys = system(eta=0.1, gamma=0.0)
         a, _ = tildes_at(sys, 1.6)
         problem = fm_problem_of(sys, 1.6)
-        assert problem.C == pytest.approx(-a / (4 * 0.1**2), rel=1e-15)
+        assert problem.C == -a / 4  # -A~ / (4 eta^2)
 
     def test_undeformed_rejected(self):
         with pytest.raises(UndeformedBranchError):
             fm_problem_of(system(eta=0.0), 1.6)
 
     def test_overflowing_coefficients_are_a_model_failure(self):
-        # eta^2 is subnormal, so A and C overflow to -inf
-        with pytest.raises(DegenerateModelError, match="overflow"):
-            fm_problem_of(system(eta=1e-160), 1.6)
-
-    def test_underflowing_eta_squared_is_a_model_failure(self):
-        with pytest.raises(DegenerateModelError, match="underflows"):
-            fm_problem_of(system(eta=1e-170), 1.6)
+        # kappa = 1e-160 and 1e-170 (where eta^2 also underflows): r^2, and with it A^, overflows
+        for eta in (1e-160, 1e-170):
+            with pytest.raises(DegenerateModelError, match="overflow"):
+                fm_problem_of(system(eta=eta), 1.6)
 
     @pytest.mark.parametrize("mass, energy", [(1.0, 1.6), (1.0, 1.05), (3.0, 7.25), (1e6, 1e6 + 2.5)])
     def test_matches_the_energy_arrangement_bit_for_bit(self, mass, energy):
-        # fm_problem_of(system, E) forms B~ from E - m, with A~ and the standard form as before
+        # fm_problem_of(system, E) forms B^ from E - m, and A = B^ - A^, C = -A^ / 4
         for eta, gamma in ((0.1, 0.0), (0.1, 0.05), (3e-3, 3e-3)):
             sys = system(mass=mass, eta=eta, gamma=gamma)
-            hw2 = mass  # hbar = omega = 1
-            a_tilde = 2.0 / (hw2 * (energy + mass)) - gamma * (gamma + eta)
-            b_tilde = -(2.0 * (energy - mass) / hw2 + gamma)
-            k1 = 0.5 - gamma / eta
-            a_coef = (b_tilde * eta - a_tilde) / eta**2
-            c_coef = -a_tilde / (4.0 * eta**2)
+            kappa, alpha = mass * eta, gamma / eta  # hbar = omega = 1
+            r = math.sqrt(2.0 * mass / (energy + mass)) / kappa
+            a_hat = r * r - alpha * (alpha + 1.0)
+            b_hat = -(2.0 * (energy - mass) / kappa + alpha)
+            k1 = 0.5 - alpha
+            a_coef = b_hat - a_hat
+            c_coef = -0.25 * a_hat
             problem = fm_problem_of(sys, energy)
             assert (problem.k1, problem.k2, problem.k3) == (k1, 2.0 * k1, 1.0)
             assert (problem.A, problem.B, problem.C) == (a_coef, -a_coef, c_coef)

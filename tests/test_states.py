@@ -74,6 +74,23 @@ class TestMakeState:
         assert flat.norm != pytest.approx(plain.norm, rel=1e-3)
         assert flat.energy == plain.energy
 
+    @pytest.mark.parametrize("branch", [RELATIVISTIC, NONRELATIVISTIC])
+    def test_scale_free_at_fixed_kappa(self, branch):
+        # kappa = hbar eta m omega and alpha = gamma / eta fix the state in rho, so v and lam do not
+        # move with m and phi scales as eta^(1/4); hbar omega = 1e-20 keeps the relativistic shift
+        # hbar omega / m below rounding at m = 1
+        rho = np.linspace(-0.99, 0.99, 41)
+        for kappa in (0.01, 3.0):
+            found = []
+            for mass in (1.0, 1e100, 1e300):
+                eta = kappa / (mass * 1e-20)
+                state = make_state(system(mass=mass, omega=1e-20, eta=eta, gamma=0.5 * eta), 3, branch)
+                found.append((state.v, state.lam, eval_state(state, rho) / eta**0.25))
+            v, lam, phi = found[0]
+            for other_v, other_lam, other_phi in found[1:]:
+                assert (other_v, other_lam) == (v, lam)
+                assert np.max(np.abs(other_phi - phi)) <= 4 * np.finfo(float).eps * np.max(np.abs(phi))
+
     def test_undeformed_rejected(self):
         with pytest.raises(UndeformedBranchError):
             make_state(system(eta=0.0), 0, NONRELATIVISTIC)
@@ -492,7 +509,7 @@ class TestOdeResidualOnStates:
         branch=st.sampled_from([RELATIVISTIC, NONRELATIVISTIC]),
     )
     def test_heavy_mass_states_satisfy_their_wave_equation(self, mass, kappa, omega, gamma_frac, branch):
-        # kappa = hbar eta m omega in [1e-2, 10]: E - m keeps only the ulp of m, so B~ must take delta
+        # kappa = hbar eta m omega in [1e-2, 10]: E - m keeps only the ulp of m, so B^ must take delta
         eta = kappa / (mass * omega)
         sys = system(mass=mass, omega=omega, eta=eta, gamma=gamma_frac * eta)
         result = checks._check_ode_residual([make_state(sys, n, branch) for n in range(9)])
