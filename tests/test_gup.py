@@ -264,10 +264,14 @@ class TestFmMapping:
             fm_problem_of(system(eta=0.0), 1.6)
 
     def test_overflowing_coefficients_are_a_model_failure(self):
-        # kappa = 1e-160 and 1e-170 (where eta^2 also underflows): r^2, and with it A^, overflows
-        for eta in (1e-160, 1e-170):
-            with pytest.raises(DegenerateModelError, match="overflow"):
-                fm_problem_of(system(eta=eta), 1.6)
+        # kappa = 1e-160: r^2, and with it A^, overflows
+        with pytest.raises(DegenerateModelError, match="overflow"):
+            fm_problem_of(system(eta=1e-160), 1.6)
+
+    def test_underflowing_eta_squared_is_a_model_failure(self):
+        # nothing squares eta, but at kappa = 1e-170 r^2 overflows: still a model failure, not a ZeroDivisionError
+        with pytest.raises(DegenerateModelError, match="overflow"):
+            fm_problem_of(system(eta=1e-170), 1.6)
 
     @pytest.mark.parametrize("mass, energy", [(1.0, 1.6), (1.0, 1.05), (3.0, 7.25), (1e6, 1e6 + 2.5)])
     def test_matches_the_energy_arrangement_bit_for_bit(self, mass, energy):
