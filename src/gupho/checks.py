@@ -7,7 +7,9 @@ run instead.  The relativistic levels come from the closed-form root of the
 squared quantization condition; `solver_cross_validation` holds them to the
 unsquared one and `relativistic_residual` to its dimensionless arrangement.
 These rows and the standard-form rows read one level table, solved once at
-each kappa = hbar eta m omega of `_KAPPA_GRID`, so they see one problem at any scale.
+each kappa = hbar eta m omega of `_KAPPA_GRID`, so they see one problem at any scale;
+`gamma_invariance` reads the levels of the relativistic states at the user's
+eta, and the wave-equation rows read the states' three coefficient relations.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .states import (
     make_state,
     su11_check,
     weighted_overlap,
-    _ode_terms,
+    _wave_relations,
 )
 
 __all__ = ["CheckResult", "run_suite"]
@@ -110,21 +112,22 @@ def _check_nr_limit(omega, hbar, gamma) -> CheckResult:
     return CheckResult("nr_limit", dev, 1e-5)
 
 
-def _check_gamma_invariance(mass, omega, hbar, eta, n_top) -> CheckResult:
-    """The gamma = 0 levels must zero the standard-form residual at every gamma.
+def _check_gamma_invariance(states) -> CheckResult:
+    """The relativistic states' levels must zero the standard-form residual at every gamma.
 
-    gamma does not enter the solver's map, but it does enter the reduction to
-    the standard form (k1, A, C), so this route can fail.  The levels enter
-    through their own delta, which m + delta rounds for a heavy mass.
+    gamma does not enter the solver's map, so each state's delta is its
+    level at any gamma, but it does enter the reduction to the standard form
+    (k1, A, C), so this route can fail.  The levels enter through their own
+    delta, which m + delta rounds for a heavy mass.
     """
-    flat = _system(mass, omega, hbar, eta, 0.0)
-    deltas = [energy_relativistic(flat, n).delta for n in range(n_top + 1)]
     dev = 0.0
-    for gamma in (eta / 2.0, eta, 2.0 * eta):
-        system = _system(mass, omega, hbar, eta, gamma)
-        for n, delta in enumerate(deltas):
-            problem = _fm_problem(system, delta, 2.0 * mass + delta)
-            dev = max(dev, abs(fm_quantization_residual(problem, n)))
+    for state in states:
+        system, delta = state.system, state.delta
+        alg = system.algebra
+        for gamma in (alg.eta / 2.0, alg.eta, 2.0 * alg.eta):
+            trial = _system(system.mass, system.omega, alg.hbar, alg.eta, gamma)
+            problem = _fm_problem(trial, delta, 2.0 * system.mass + delta)
+            dev = max(dev, abs(fm_quantization_residual(problem, state.n)))
     return CheckResult("gamma_invariance", dev, 1e-10)
 
 
@@ -212,20 +215,15 @@ def _check_su11_algebra() -> list[CheckResult]:
 
 
 def _check_ode_residual(states) -> CheckResult:
-    """The wave-equation residual, relative to the sum of its three terms' magnitudes.
+    """The wave equation's three coefficient relations, each defect relative to its terms' magnitudes.
 
-    The states' branch picks the equation and names the row: `ode_residual`
-    or `nr_ode_residual`.
+    A state solves its equation at every momentum when the weight order,
+    quantization and exponent relations of `states._wave_relations` hold,
+    and for n >= 2 only then, so the row reads them directly, on no momentum
+    grid.  The states' branch picks the equation and names the row:
+    `ode_residual` or `nr_ode_residual`.
     """
-    eta = states[0].system.algebra.eta
-    p_grid = _linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
-    dev = 0.0
-    for state in states:
-        for p in p_grid:
-            terms = _ode_terms(state, p)
-            scale = sum(abs(term) for term in terms)
-            if scale > 0.0:
-                dev = max(dev, abs(sum(terms)) / scale)
+    dev = max(abs(defect) / scale for state in states for defect, scale in _wave_relations(state))
     prefix = "nr_" if states[0].branch == NONRELATIVISTIC else ""
     return CheckResult(prefix + "ode_residual", dev, 1e-11)
 
@@ -290,12 +288,12 @@ def run_suite(
     if eta > 0.0:
         results.append(_check_relativistic_residual(table))
         results.append(_check_nr_limit(omega, hbar, gamma))
-        results.append(_check_gamma_invariance(mass, omega, hbar, eta, n_max))
+        system = _system(mass, omega, hbar, eta, gamma)
+        rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
+        results.append(_check_gamma_invariance(rel_states))
         results.append(_check_fm_exponent_consistency(table))
         results.append(_check_fm_quantization_zero(table))
-        system = _system(mass, omega, hbar, eta, gamma)
         nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(max(n_max, 1) + 1)]
-        rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
         results.append(_check_orthonormality(nr_states))
         results.append(_check_normalization_reference(rel_states))
         results.append(_check_ladder_identity(nr_states))

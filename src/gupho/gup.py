@@ -72,10 +72,6 @@ class DeformedAlgebra:
             raise ValueError("gamma must be finite")
 
     @property
-    def deformed(self) -> bool:
-        return self.eta > 0.0
-
-    @property
     def alpha(self) -> float:
         """Weight exponent gamma/eta of the momentum-space scalar product."""
         self._require_deformed()

@@ -110,7 +110,7 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     directly when it is >= 1/3; below, the level follows from the most
     negative root z0 and the quadratic left, scaled by sigma, without
     cancellation.  The returned residual is h at the level; h' >= 1 makes it a
-    bound on the error in delta.  Raises `SolverError` where the level, U^2
+    bound on the error in delta.  Raises `SolverError` where the level, P, U^2
     or sigma leaves the double range, which includes rest masses below about
     4e-78 (2n + 1) hbar omega, so no level or residual is ever inf or NaN.
     """
@@ -121,7 +121,9 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     b = hw * system.algebra.eta
     k = 2 * n + 1
     abc = m * (0.5 * hw * b * (n * n + n + 0.5))
-    half_p = 0.5 * abc + m  # P / 2, finite wherever the level is
+    half_p = 0.5 * abc + m  # P / 2, finite wherever the level is; not finite where abc is not
+    if not math.isfinite(half_p):
+        raise SolverError(f"level n={n} overflows at mass {m!r}: a b c = {abc!r}")
     a_p = 0.25 * hw * (m / half_p)  # a / P
     q = 0.5 * a_p * k * b
     w = q * q

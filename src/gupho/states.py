@@ -24,10 +24,10 @@ branch, to one neighbouring polynomial:
 
 so `apply_ladder` evaluates them in closed form.
 
-The same derivative relation, with the Gegenbauer equation for the second
-derivative, gives phi' and phi'' exactly from one recurrence pass for
-(C_(n-1), C_n), so `ode_residual` evaluates the momentum-space wave
-equation of either branch without numerical differentiation.
+With the envelope (w/4)^v, w = 1 - rho^2, factored out, the wave equation
+of either branch is the Gegenbauer equation exactly when three scalar
+relations hold (`_wave_relations`), so `ode_residual` needs one recurrence
+pass for (C_(n-1), C_n) and no numerical differentiation.
 """
 
 from __future__ import annotations
@@ -164,53 +164,51 @@ def eval_state(state: OscillatorState, rho):
     return _envelope(state, x) * specfun.gegenbauer(state.n, state.lam, x)
 
 
-def _ode_terms(state: OscillatorState, p) -> tuple:
-    """The three terms of the reduced wave equation for the state at momentum p.
+def _wave_relations(state: OscillatorState) -> tuple:
+    """The wave equation's three coefficient relations, as (defect, scale) pairs.
 
-    phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi
-
-    Both branches share this form: the nonrelativistic equation
-    -(hbar^2 m omega^2 / 2) D^2 phi + p^2 / (2m) phi = E phi, with
-    D = (1 + eta p^2) d/dp + gamma p (Kempf, Mangano and Mann 1995), is the
-    relativistic one with E + m replaced by 2m.  (A^, B^) = (A~ / eta^2, B~ / eta)
-    come from `wave_params` at the state's delta and its branch's E + m, so a
-    delta or branch that disagrees with the state's v and lam leaves a
-    residual; the zeroth-order term is -eta w (B^ w + A^ rho^2) phi.  The
-    terms are taken in closed form through rho(p).  With w = 1 - rho^2 =
-    1 / (1 + eta p^2), d rho/dp = sqrt(eta) w^(3/2), d^2 rho/dp^2 =
-    -3 eta rho w^2 and the envelope's d/drho (w/4)^v = -2 v rho (w/4)^v / w,
-    every term is N (w/4)^v w times a polynomial in rho, w C' and w^2 C''.  Those two
-    come from the one recurrence pass that gives (C_(n-1), C_n): the
-    derivative relation (DLMF 18.9.20) gives w C' and the Gegenbauer
-    equation gives w^2 C'', so nothing is divided by w and no pole is left.
-    Returns (phi'', the first-order term, the zeroth-order term).
+    With w = 1 - rho^2, C = C_n^lam(rho), alpha = gamma / eta and w^2 C'' from
+    the Gegenbauer equation, the equation of `ode_residual` is, at any state,
+    N (w/4)^v w eta [2 e_lam rho (w C') - e_n w C + e_v rho^2 C], which
+    vanishes at every rho when the weight order e_lam = lam - 2v + alpha,
+    the quantization e_n = n (n + 2 lam) + 2v + B^ and the exponent
+    e_v = 4v (v - 1/2 - alpha) - A^ all vanish, and for n >= 2 only then
+    (at n = 0 C' = 0, and at n = 1 w C' = w C / rho).  (A^, B^) come from
+    `wave_params` at the state's delta and its branch's E + m, so a delta or
+    branch that disagrees with v and lam leaves a defect.  Each scale is the
+    sum of the magnitudes of its relation's terms.
     """
     system = state.system
-    alg = system.algebra
-    rho = rho_of_p(alg, specfun.as_float(p))
-    w = 1.0 - rho * rho
+    alpha = system.algebra.alpha
     n, v, lam = state.n, state.v, state.lam
-    c_lo, c = specfun._gegenbauer_pair(n, lam, rho)
-    w_c1 = (n + 2.0 * lam - 1.0) * c_lo - n * rho * c
-    w2_c2 = (2.0 * lam + 1.0) * rho * w_c1 - n * (n + 2.0 * lam) * w * c
     _, a_hat, b_hat = wave_params(system, state.delta, _e_plus_m(system, state.branch, state.delta))
-    common = _envelope(state, rho) * w
-    second = common * alg.eta * (
-        w2_c2 - (4.0 * v + 3.0) * rho * w_c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c
+    eigenvalue = n * (n + 2.0 * lam)  # of the Gegenbauer operator
+    return (
+        (lam - 2.0 * v + alpha, lam + 2.0 * v + abs(alpha)),
+        (eigenvalue + 2.0 * v + b_hat, eigenvalue + 2.0 * v + abs(b_hat)),
+        (4.0 * v * (v - 0.5 - alpha) - a_hat, 4.0 * v * (v + 0.5 + abs(alpha)) + abs(a_hat)),
     )
-    first = common * 2.0 * (alg.gamma + alg.eta) * rho * (w_c1 - 2.0 * v * rho * c)
-    zeroth = -common * alg.eta * (b_hat * w + a_hat * rho * rho) * c
-    return second, first, zeroth
 
 
 def ode_residual(state: OscillatorState, p):
     """Residual of the reduced momentum-space wave equation for the state at p.
 
-    The sum of the three terms of `_ode_terms`; zero up to rounding for a
-    state of either branch.  ``p`` may be a finite scalar (a scalar is
-    returned) or an ndarray (one residual per point).
+    phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi,
+    on either branch: the nonrelativistic equation (Kempf, Mangano and Mann
+    1995) is the relativistic one with E + m replaced by 2m.  It is formed
+    as the bracket of `_wave_relations`, with w C' from the derivative
+    relation (DLMF 18.9.20) on one recurrence pass for (C_(n-1), C_n).  A
+    scalar p gives a scalar, an ndarray one residual per point.
     """
-    return sum(_ode_terms(state, p))
+    alg = state.system.algebra
+    rho = rho_of_p(alg, specfun.as_float(p))
+    w = 1.0 - rho * rho
+    n, lam = state.n, state.lam
+    c_lo, c = specfun._gegenbauer_pair(n, lam, rho)
+    w_c1 = (n + 2.0 * lam - 1.0) * c_lo - n * rho * c
+    (e_lam, _), (e_n, _), (e_v, _) = _wave_relations(state)
+    bracket = 2.0 * e_lam * rho * w_c1 - e_n * w * c + e_v * rho * rho * c
+    return _envelope(state, rho) * w * alg.eta * bracket
 
 
 def _require_compatible(a: OscillatorState, b: OscillatorState) -> None:

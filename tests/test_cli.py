@@ -304,7 +304,8 @@ class TestVerifyCommand:
 
     def test_level_table_is_solved_once(self, monkeypatch):
         # the four level rows read one table: each (system, n) on the kappa grid is solved once,
-        # and h(delta) comes only from the solver, never re-formed by a check
+        # and h(delta) comes only from the solver, never re-formed by a check; at the user's eta,
+        # gamma_invariance reads the relativistic states' levels, so each of those is solved once too
         exact, solved = checks.energy_relativistic, []
         displacement = spectrum._displacement
 
@@ -317,12 +318,15 @@ class TestVerifyCommand:
             return displacement(system, n, delta)
 
         monkeypatch.setattr(checks, "energy_relativistic", counted)
+        monkeypatch.setattr("gupho.states.energy_relativistic", counted)
         monkeypatch.setattr(spectrum, "_displacement", from_the_solver)
         mass, omega, hbar = 2.0, 0.5, 3.0
         checks.run_suite(mass, omega, hbar, eta=0.3, n_max=8)
         for kappa in checks._KAPPA_GRID:
             system = checks._system_at(mass, omega, hbar, kappa, 0.0)
             assert [solved.count((system, n)) for n in range(9)] == [1] * 9
+        user = checks._system(mass, omega, hbar, 0.3, 0.0)
+        assert [solved.count((user, n)) for n in range(9)] == [1] * 9
 
     @pytest.mark.parametrize("name, planted, row", [
         ("rel_residual", _fed_e_minus_m, "relativistic_residual"),
@@ -428,6 +432,17 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "numerical failure" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify"])
+def test_level_range_edges_are_named(command):
+    # kappa = 1e259 at eta = 0.1: the level itself overflows (a b c = inf), and the message says so;
+    # a tiny mass is the other edge, where U^2 leaves the double range
+    over = run_cli(command, "--mass", "1e200", "--omega", "1e60")
+    assert over.returncode == 2 and over.stdout == ""
+    assert "overflows" in over.stderr and "underflow" not in over.stderr
+    under = run_cli(command, "--mass", "1e-200")
+    assert under.returncode == 2 and "U^2 leaves the double range" in under.stderr
 
 
 class TestFmCommand:

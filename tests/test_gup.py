@@ -31,22 +31,6 @@ def system(mass=1.0, omega=1.0, eta=0.1, gamma=0.0, hbar=1.0):
     return OscillatorSystem(mass, omega, algebra(eta, gamma, hbar))
 
 
-def tildes_at(sys, energy):
-    """(A^, B^) = (A~ / eta^2, B~ / eta) of `wave_params` at a trial energy E: delta = E - m and E + m."""
-    return wave_params(sys, energy - sys.mass, energy + sys.mass)[1:]
-
-
-def v_at(sys, energy):
-    """v of `wave_params` at a trial energy E."""
-    return wave_params(sys, energy - sys.mass, energy + sys.mass)[0]
-
-
-def nr_v_lam(sys):
-    """v and lam = 2v - gamma/eta on the nonrelativistic branch, where E + m is 2m."""
-    v, _, _ = wave_params(sys, 0.0, 2.0 * sys.mass)
-    return v, 2.0 * v - sys.algebra.gamma / sys.algebra.eta
-
-
 class TestAlgebraType:
     def test_rejects_negative_eta(self):
         with pytest.raises(ValueError):
@@ -198,27 +182,30 @@ class TestMomentumTransform:
             assert rho_of_p(alg, p) == pytest.approx(math.sin(arc * math.sqrt(alg.eta)), abs=1e-14)
 
 
-class TestTildeParams:
+class TestWaveParams:
+    """(v, A^, B^) of `wave_params` at a level (delta, E + m); mass 1 unless stated, so E + m = E + 1."""
+
     def test_unit_a(self):
         sys = system(eta=0.1, gamma=0.0)
-        a, _ = tildes_at(sys, 1.0)  # E + m = 2: A~ = 1, so A^ = 1 / eta^2
+        _, a, _ = wave_params(sys, 0.0, 2.0)  # E + m = 2: A~ = 1, so A^ = 1 / eta^2
         assert a == pytest.approx(1.0 / 0.1**2, rel=1e-15)
 
     def test_b_vanishes_at_rest_energy(self):
         sys = system(eta=0.1, gamma=0.0)
-        _, b = tildes_at(sys, 1.0)
+        _, _, b = wave_params(sys, 0.0, 2.0)
         assert b == 0.0
 
     def test_direct_substitution(self):
         sys = system(eta=0.1, gamma=0.05)
-        a, b = tildes_at(sys, 1.6)
+        energy = 1.6
+        _, a, b = wave_params(sys, energy - 1.0, energy + 1.0)
         denom = 1.0 * 1.0 * (1.6 + 1.0)
         assert a == pytest.approx((2.0 / denom - 0.05 * (0.05 + 0.1)) / 0.1**2, rel=1e-15)
         assert b == pytest.approx(-(2.0 * (1.6**2 - 1.0) / denom + 0.05) / 0.1, rel=1e-15)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            tildes_at(system(), -1.0)
+            wave_params(system(), -2.0, 0.0)  # E = -1
 
     @pytest.mark.parametrize("mass", [1e100, 1e200])
     def test_huge_mass_stays_finite(self, mass):
@@ -240,6 +227,60 @@ class TestTildeParams:
         with pytest.raises(DegenerateModelError, match="underflows"):
             wave_params(system(eta=1e-320, mass=1e-10), 0.5, 2.5)
 
+    def test_large_deformation_limit(self):
+        v, _, _ = wave_params(system(eta=1e12), 0.0, 2.0)
+        assert v == pytest.approx(0.5, abs=1e-12)
+
+    def test_direct_value(self):
+        # E + m = 2: radicand is 1/4 + 2/(0.01 * 2) = 100.25
+        got, _, _ = wave_params(system(eta=0.1, gamma=0.0), 0.0, 2.0)
+        assert got == pytest.approx(0.25 + 0.5 * math.sqrt(100.25), rel=1e-15)
+
+    def test_gamma_shift_is_exact(self):
+        energy = 1.6
+        for gamma in (0.05, 0.1, 0.2):
+            base, _, _ = wave_params(system(eta=0.1, gamma=0.0), energy - 1.0, energy + 1.0)
+            shifted, _, _ = wave_params(system(eta=0.1, gamma=gamma), energy - 1.0, energy + 1.0)
+            assert shifted - base == pytest.approx(gamma / 0.2, abs=1e-14)
+
+    @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
+    def test_matches_fm_route(self, eta):
+        for gamma in (0.0, eta / 2, eta):
+            for energy in (1.1, 2.0):
+                sys = system(eta=eta, gamma=gamma)
+                v, _, _ = wave_params(sys, energy - 1.0, energy + 1.0)
+                k4, k5 = fm_exponents(fm_problem_of(sys, energy))
+                assert abs(k4 - v) <= 1e-11
+                assert abs(k5 - v) <= 1e-11
+
+    def test_matches_fm_route_at_converged_energy(self):
+        sys = system(eta=0.1, gamma=0.0)
+        energy = energy_relativistic(sys, 0).energy
+        v, _, _ = wave_params(sys, energy - 1.0, energy + 1.0)
+        k4, k5 = fm_exponents(fm_problem_of(sys, energy))
+        assert k4 == pytest.approx(v, abs=1e-11)
+        assert k5 == pytest.approx(v, abs=1e-11)
+
+    # the nonrelativistic branch maps its level with E + m = 2m, and lam = 2v - gamma / eta
+
+    def test_gamma_zero_formula(self):
+        v, _, _ = wave_params(system(eta=0.5, gamma=0.0), 0.0, 2.0)
+        lam = 2.0 * v
+        assert lam == pytest.approx(2 * v, rel=1e-15)
+        assert lam == pytest.approx(0.5 + math.sqrt(0.25 + 1.0 / 0.25), rel=1e-15)
+
+    def test_golden_ratio_case(self):
+        v, _, _ = wave_params(system(eta=1.0, gamma=0.0), 0.0, 2.0)
+        lam = 2.0 * v
+        assert v == pytest.approx(0.25 + 0.5 * math.sqrt(1.25), rel=1e-15)
+        assert lam == pytest.approx(1.618033988749895, rel=1e-12)
+
+    def test_lam_independent_of_gamma(self):
+        base, _, _ = wave_params(system(eta=0.4, gamma=0.0), 0.0, 2.0)
+        for gamma in (0.1, 0.2, 0.4):
+            v, _, _ = wave_params(system(eta=0.4, gamma=gamma), 0.0, 2.0)
+            assert 2.0 * v - gamma / 0.4 == 2.0 * base
+
 
 class TestFmMapping:
     def test_k_constants_at_gamma_zero(self):
@@ -255,7 +296,7 @@ class TestFmMapping:
 
     def test_c_from_tilde(self):
         sys = system(eta=0.1, gamma=0.0)
-        a, _ = tildes_at(sys, 1.6)
+        _, a, _ = wave_params(sys, 1.6 - 1.0, 1.6 + 1.0)
         problem = fm_problem_of(sys, 1.6)
         assert problem.C == -a / 4  # -A~ / (4 eta^2)
 
@@ -288,58 +329,6 @@ class TestFmMapping:
             problem = fm_problem_of(sys, energy)
             assert (problem.k1, problem.k2, problem.k3) == (k1, 2.0 * k1, 1.0)
             assert (problem.A, problem.B, problem.C) == (a_coef, -a_coef, c_coef)
-
-
-class TestVExponent:
-    def test_large_deformation_limit(self):
-        assert v_at(system(eta=1e12), 1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_direct_value(self):
-        # E + m = 2: radicand is 1/4 + 2/(0.01 * 2) = 100.25
-        got = v_at(system(eta=0.1, gamma=0.0), 1.0)
-        assert got == pytest.approx(0.25 + 0.5 * math.sqrt(100.25), rel=1e-15)
-
-    def test_gamma_shift_is_exact(self):
-        for gamma in (0.05, 0.1, 0.2):
-            base = v_at(system(eta=0.1, gamma=0.0), 1.6)
-            shifted = v_at(system(eta=0.1, gamma=gamma), 1.6)
-            assert shifted - base == pytest.approx(gamma / 0.2, abs=1e-14)
-
-    @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
-    def test_matches_fm_route(self, eta):
-        for gamma in (0.0, eta / 2, eta):
-            for energy in (1.1, 2.0):
-                sys = system(eta=eta, gamma=gamma)
-                v = v_at(sys, energy)
-                k4, k5 = fm_exponents(fm_problem_of(sys, energy))
-                assert abs(k4 - v) <= 1e-11
-                assert abs(k5 - v) <= 1e-11
-
-    def test_matches_fm_route_at_converged_energy(self):
-        sys = system(eta=0.1, gamma=0.0)
-        energy = energy_relativistic(sys, 0).energy
-        v = v_at(sys, energy)
-        k4, k5 = fm_exponents(fm_problem_of(sys, energy))
-        assert k4 == pytest.approx(v, abs=1e-11)
-        assert k5 == pytest.approx(v, abs=1e-11)
-
-
-class TestNrParameters:
-    def test_gamma_zero_formula(self):
-        sys = system(eta=0.5, gamma=0.0)
-        v, lam = nr_v_lam(sys)
-        assert lam == pytest.approx(2 * v, rel=1e-15)
-        assert lam == pytest.approx(0.5 + math.sqrt(0.25 + 1.0 / 0.25), rel=1e-15)
-
-    def test_golden_ratio_case(self):
-        v, lam = nr_v_lam(system(eta=1.0, gamma=0.0))
-        assert v == pytest.approx(0.25 + 0.5 * math.sqrt(1.25), rel=1e-15)
-        assert lam == pytest.approx(1.618033988749895, rel=1e-12)
-
-    def test_lam_independent_of_gamma(self):
-        base = nr_v_lam(system(eta=0.4, gamma=0.0))[1]
-        for gamma in (0.1, 0.2, 0.4):
-            assert nr_v_lam(system(eta=0.4, gamma=gamma))[1] == base
 
 
 class TestFmBridge:
@@ -405,8 +394,9 @@ class TestWeightedNormEquivalence:
         # p-side integral computed independently (adaptive quadrature in p),
         # rho-side with the claimed weight; they must agree up to 1/sqrt(eta)
         sys = system(mass=1.0, omega=1.0, eta=eta, gamma=gamma)
-        v, lam = nr_v_lam(sys)
+        v, _, _ = wave_params(sys, 0.0, 2.0)  # the nonrelativistic branch: E + m = 2m
         alpha = gamma / eta
+        lam = 2.0 * v - alpha
 
         def p_integrand(p):
             rho = rho_of_p(sys.algebra, p)

@@ -23,7 +23,7 @@ from gupho.states import (
     su11_check,
     weighted_overlap,
     _envelope,
-    _ode_terms,
+    _wave_relations,
 )
 from node_rule import gegenbauer_rule
 
@@ -152,7 +152,7 @@ class TestEvalState:
                 eval_state(nr_family[2], bad)
 
     def test_derivative_nan_rejected(self, nr_family):
-        # phi' and phi'' are evaluated only inside the wave-equation terms, which reject a NaN momentum
+        # the state's derivatives enter only ode_residual, which rejects a NaN momentum
         for bad in (math.nan, np.float64(math.nan), np.array([0.2, math.nan])):
             with pytest.raises(ValueError):
                 ode_residual(nr_family[2], bad)
@@ -177,22 +177,25 @@ class TestEvalState:
             assert [eval_state(state, r) for r in rhos] == [eval_state(state, np.float64(r)) for r in rhos]
 
     def test_derivative_matches_differences(self, nr_family):
-        # d phi/dp and d^2 phi/dp^2 as the wave-equation terms form them, against differences of phi(rho(p))
+        # ode_residual of states that miss their equation, against the p-space equation with
+        # phi' and phi'' from central differences of phi(rho(p))
         alg = nr_family[0].system.algebra
-
-        def phi(state, p):
-            return eval_state(state, rho_of_p(alg, p))
-
-        h1, h2 = 1e-6, 1e-4
+        h1, h2 = 1e-5, 3e-4
         for n in (0, 1, 4, 8):
-            state = nr_family[n]
-            for p in (-3.1, -0.9, 0.2, 0.7, 1.6, 4.4):
-                second, first, _ = _ode_terms(state, p)
-                slope = first * (1.0 + alg.eta * p * p) / (2.0 * (alg.gamma + alg.eta) * p)
-                fd1 = (phi(state, p + h1) - phi(state, p - h1)) / (2.0 * h1)
-                fd2 = (phi(state, p + h2) - 2.0 * phi(state, p) + phi(state, p - h2)) / (h2 * h2)
-                assert slope == pytest.approx(fd1, rel=2e-6, abs=1e-8), (n, p)
-                assert second == pytest.approx(fd2, rel=2e-6, abs=1e-6), (n, p)
+            for state in _planted(nr_family[n]):
+                a_tilde, b_tilde = _tildes(state)
+
+                def phi(p):
+                    return eval_state(state, rho_of_p(alg, p))
+
+                for p in (-3.1, -0.9, 0.2, 0.7, 1.6, 4.4):
+                    g = 1.0 + alg.eta * p * p
+                    fd1 = (phi(p + h1) - phi(p - h1)) / (2.0 * h1)
+                    fd2 = (phi(p + h2) - 2.0 * phi(p) + phi(p - h2)) / (h2 * h2)
+                    first = 2.0 * (alg.gamma + alg.eta) * p / g * fd1
+                    terms = (fd2, first, -(b_tilde + p * p * a_tilde) / g**2 * phi(p))
+                    # the differences are good to ~5e-7 of the terms; the planted residuals reach 3e-5..7e-4
+                    assert abs(ode_residual(state, p) - sum(terms)) <= 5e-6 * sum(map(abs, terms)), (n, p)
 
 
 class TestInnerProduct:
@@ -440,21 +443,10 @@ class TestSu11:
             su11_check(1.0, -3)
 
 
-def _terms_by_18_9_19(state, p):
-    """The three wave-equation terms with C' and C'' from DLMF 18.9.19, three recurrences a point.
-
-    C' = 2 lam C_(n-1)^(lam+1) and C'' = 4 lam (lam + 1) C_(n-2)^(lam+2):
-    an independent route to what `_ode_terms` forms from (C_(n-1), C_n)
-    through the derivative relation (DLMF 18.9.20) and the Gegenbauer equation.
-    """
+def _tildes(state):
+    """(A~, B~) of the state's wave equation, written from its energy E, independently of `wave_params`."""
     system = state.system
     alg = system.algebra
-    rho = rho_of_p(alg, specfun.as_float(p))
-    w = 1.0 - rho * rho
-    n, v, lam = state.n, state.v, state.lam
-    c0 = gegenbauer(n, lam, rho)
-    c1 = 2.0 * lam * gegenbauer(n - 1, lam + 1.0, rho) if n >= 1 else 0.0 * c0
-    c2 = 4.0 * lam * (lam + 1.0) * gegenbauer(n - 2, lam + 2.0, rho) if n >= 2 else 0.0 * c0
     hw2 = alg.hbar**2 * system.mass * system.omega**2
     if state.branch == NONRELATIVISTIC:
         a_tilde = (1.0 / (alg.hbar * system.mass * system.omega)) ** 2 - alg.gamma * (alg.gamma + alg.eta)
@@ -462,6 +454,41 @@ def _terms_by_18_9_19(state, p):
     else:
         a_tilde = 2.0 / (hw2 * (state.energy + system.mass)) - alg.gamma * (alg.gamma + alg.eta)
         b_tilde = -(2.0 * (state.energy - system.mass) / hw2 + alg.gamma)
+    return a_tilde, b_tilde
+
+
+def _planted(state):
+    """The state, then copies with its level (delta and E), its exponent v and its order lam moved off.
+
+    Each copy misses the state's wave equation, except the order at n = 0
+    and 1, where lam scales C_n by a constant and the copy still solves it.
+    """
+    delta = state.delta * (1.0 + 1e-3)
+    energy = delta if state.branch == NONRELATIVISTIC else state.system.mass + delta
+    return [
+        state,
+        dataclasses.replace(state, delta=delta, energy=energy),
+        dataclasses.replace(state, v=state.v * (1.0 + 1e-4)),
+        dataclasses.replace(state, lam=state.lam + 1e-3),
+    ]
+
+
+def _terms_by_18_9_19(state, p):
+    """The three wave-equation terms with C' and C'' from DLMF 18.9.19, three recurrences a point.
+
+    C' = 2 lam C_(n-1)^(lam+1) and C'' = 4 lam (lam + 1) C_(n-2)^(lam+2), with
+    (A~, B~) from the state's energy: a route independent of `ode_residual`,
+    which forms the residual from (C_(n-1), C_n) and the three relations of
+    `states._wave_relations`.
+    """
+    alg = state.system.algebra
+    rho = rho_of_p(alg, specfun.as_float(p))
+    w = 1.0 - rho * rho
+    n, v, lam = state.n, state.v, state.lam
+    c0 = gegenbauer(n, lam, rho)
+    c1 = 2.0 * lam * gegenbauer(n - 1, lam + 1.0, rho) if n >= 1 else 0.0 * c0
+    c2 = 4.0 * lam * (lam + 1.0) * gegenbauer(n - 2, lam + 2.0, rho) if n >= 2 else 0.0 * c0
+    a_tilde, b_tilde = _tildes(state)
     common = _envelope(state, rho) * w
     second = common * alg.eta * (
         w * w * c2 - (4.0 * v + 3.0) * rho * w * c1 + 2.0 * v * ((2.0 * v + 1.0) * rho * rho - w) * c0
@@ -516,6 +543,20 @@ class TestOdeResidualOnStates:
         assert result.tolerance == 1e-11
         assert result.passed, result
 
+    @pytest.mark.parametrize("moved, plant", [
+        (0, lambda state: dataclasses.replace(state, lam=state.lam * (1.0 + 1e-9))),
+        (1, lambda state: dataclasses.replace(state, delta=state.delta * (1.0 + 1e-9))),
+        (2, lambda state: dataclasses.replace(state, branch=RELATIVISTIC)),
+    ], ids=["weight_order", "quantization", "exponent"])
+    def test_each_relation_reads_its_own_plant(self, moved, plant):
+        # at n = 0 the order enters only the weight order, the NR level only B^, and E + m only A^
+        state = make_state(system(eta=0.1, gamma=0.05), 0, NONRELATIVISTIC)
+        exact = [abs(defect) / scale for defect, scale in _wave_relations(state)]
+        readings = [abs(defect) / scale for defect, scale in _wave_relations(plant(state))]
+        assert readings[moved] > 1e-10
+        del exact[moved], readings[moved]
+        assert readings == exact
+
     def test_python_float_p_gives_a_float(self):
         state = make_state(system(eta=0.1, gamma=0.05), 3, RELATIVISTIC)
         for p in (-40.0, 0.0, 0.3, 1):
@@ -532,25 +573,25 @@ class TestOdeResidualOnStates:
     @pytest.mark.parametrize("eta", [2e-3, 0.01, 1.0, 100.0])
     @pytest.mark.parametrize("gamma_frac", [0.0, 0.5])
     def test_terms_match_the_three_recurrence_route(self, branch, eta, gamma_frac):
-        # each term within 1e-13 of the sum of the three magnitudes, on the check's p grid
+        # ode_residual of true and planted states within 1e-13 of the sum of the three terms'
+        # magnitudes of the independent route, on a 101-point p grid
         sys = system(eta=eta, gamma=gamma_frac * eta)
         ps = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
 
-        def assert_close(got, want):
-            got, want = np.array(got, dtype=np.longdouble), np.array(want, dtype=np.longdouble)
-            scale = np.abs(want).sum(axis=0)
-            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        def assert_close(got, terms):
+            got, terms = np.array(got, dtype=np.longdouble), np.array(terms, dtype=np.longdouble)
+            assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-13 * np.abs(terms).sum(axis=0))
 
         for n in (0, 1, 2, 5, 16, 40):
-            state = make_state(sys, n, branch)
-            each = [_ode_terms(state, p) for p in ps.tolist()]
-            assert all(type(term) is float for terms in each for term in terms)
-            assert_close(list(zip(*each)), list(zip(*[_terms_by_18_9_19(state, p) for p in ps.tolist()])))
-            assert_close(_ode_terms(state, ps), _terms_by_18_9_19(state, ps))
-            wide = ps.astype(np.longdouble)
-            got = _ode_terms(state, wide)
-            assert all(term.dtype == np.longdouble for term in got)
-            assert_close(got, _terms_by_18_9_19(state, wide))
+            for state in _planted(make_state(sys, n, branch)):
+                each = [ode_residual(state, p) for p in ps.tolist()]
+                assert all(type(value) is float for value in each)
+                assert_close(each, list(zip(*[_terms_by_18_9_19(state, p) for p in ps.tolist()])))
+                assert_close(ode_residual(state, ps), _terms_by_18_9_19(state, ps))
+                wide = ps.astype(np.longdouble)
+                got = ode_residual(state, wide)
+                assert got.dtype == np.longdouble
+                assert_close(got, _terms_by_18_9_19(state, wide))
 
     def test_one_recurrence_pass_per_call(self, monkeypatch):
         # ode_residual and eval_state each run the (C_(n-1), C_n) loop once and no other Gegenbauer code
@@ -580,7 +621,7 @@ class TestOdeResidualOnStates:
                 assert calls == [(state.n, state.lam)]
 
     def test_one_wave_params_call_per_consumer(self, monkeypatch):
-        # make_state, _ode_terms and fm_problem_of each map their level through wave_params once,
+        # make_state, ode_residual and fm_problem_of each map their level through wave_params once,
         # with the level's delta and the branch's E + m
         sys = system(mass=2.0, eta=0.1, gamma=0.05)
         exact, calls = gup.wave_params, []
@@ -599,8 +640,32 @@ class TestOdeResidualOnStates:
                 assert calls == [(sys, state.delta, e_plus_m)]
                 for p in (0.3, np.linspace(-4.0, 4.0, 9)):
                     del calls[:]
-                    _ode_terms(state, p)
+                    ode_residual(state, p)
                     assert calls == [(sys, state.delta, e_plus_m)]
         del calls[:]
         fm_problem_of(sys, 2.5)
         assert calls == [(sys, 0.5, 4.5)]
+
+    def test_check_reads_the_relations_alone(self, monkeypatch):
+        # the rows evaluate no state: one map call per state, and no Gegenbauer value, momentum or envelope
+        sys = system(mass=2.0, eta=0.1, gamma=0.05)
+        exact, calls = gup.wave_params, []
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the wave-equation check evaluated a state")
+
+        for branch in (RELATIVISTIC, NONRELATIVISTIC):
+            family = [make_state(sys, n, branch) for n in range(9)]
+            with monkeypatch.context() as patch:
+                patch.setattr("gupho.states.wave_params", counted)
+                patch.setattr(specfun, "_gegenbauer_pair", forbidden)
+                patch.setattr("gupho.states.rho_of_p", forbidden)
+                patch.setattr("gupho.states._envelope", forbidden)
+                del calls[:]
+                assert checks._check_ode_residual(family).passed
+            e_plus_m = [4.0 + s.delta if branch == RELATIVISTIC else 4.0 for s in family]
+            assert calls == [(sys, s.delta, e) for s, e in zip(family, e_plus_m)]
