@@ -9,7 +9,8 @@ unsquared one and `relativistic_residual` to its dimensionless arrangement.
 These rows and the standard-form rows read one level table, solved once at
 each kappa = hbar eta m omega of `_KAPPA_GRID`, so they see one problem at any scale;
 `gamma_invariance` reads the levels of the relativistic states at the user's
-eta, and the wave-equation rows read the states' three coefficient relations.
+eta; the wave-equation and ladder rows read scalar relations of the states,
+at no rho.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from .spectrum import (
 from .states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
-    apply_ladder,
-    eval_state,
     ladder_coeffs,
     make_state,
     su11_check,
     weighted_overlap,
+    _ladder_factor,
     _wave_relations,
 )
 
@@ -66,8 +66,9 @@ def _system(mass, omega, hbar, eta, gamma) -> OscillatorSystem:
 
 
 def _system_at(mass, omega, hbar, kappa, gamma) -> OscillatorSystem:
-    """The system with hbar eta m omega = kappa; `SolverError` where no double eta gives it."""
-    eta = kappa / (hbar * mass * omega) if hbar * mass * omega > 0.0 else math.inf
+    """The system with hbar eta m omega = kappa, eta = 0 at kappa = 0; `SolverError` if no eta gives it."""
+    scale = hbar * mass * omega
+    eta = 0.0 if kappa == 0.0 else kappa / scale if scale > 0.0 else math.inf
     if math.isinf(eta) or (eta > 0.0) != (kappa > 0.0):
         raise SolverError(f"no double eta gives hbar eta m omega = {kappa!r} at mass {mass!r}")
     return _system(mass, omega, hbar, eta, gamma)
@@ -170,36 +171,24 @@ def _check_normalization_reference(states) -> CheckResult:
     return CheckResult("normalization_reference", dev, 1e-9)
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``numpy.linspace(start, stop, num)`` as Python floats, bit for bit."""
-    step = (stop - start) / (num - 1)
-    return [i * step + start for i in range(num - 1)] + [stop]
-
-
-def _relative_gap(got: list[float], target: list[float]) -> float:
-    """max |got - target| over max |target|."""
-    return max(abs(g - t) for g, t in zip(got, target)) / max(abs(t) for t in target)
-
-
 def _check_ladder_identity(states) -> CheckResult:
-    """L+- phi_n against l+- phi_(n +- 1) on a rho grid, relative to the target's peak.
+    """L+- phi_n = l+- phi_(n +- 1) as one scalar relation per neighbour pair, at no rho.
 
-    Needs at least two states: with one, no pair is compared and the
-    deviation would read 0 by construction.
+    `apply_ladder` is f N_n ((1 - rho^2)/4)^v C_(n +- 1)^lam with f from
+    `states._ladder_factor`, so the identity holds at every rho exactly when
+    f N_n = l+- N_(n +- 1) and the neighbours share v and lam; each pair reads
+    that relation's relative defect, |dv| / v and |dlam| / lam.  Needs at
+    least two states: with one, no pair is compared and the row reads 0.
     """
-    rho_grid = _linspace(-0.95, 0.95, 39)
     dev = 0.0
     for state in states:
-        n = state.n
-        coeffs = ladder_coeffs(n, state.lam)
-        if n + 1 < len(states):
-            target = [coeffs.l_plus * eval_state(states[n + 1], rho) for rho in rho_grid]
-            got = [apply_ladder(state, "raise", rho) for rho in rho_grid]
-            dev = max(dev, _relative_gap(got, target))
-        if n >= 1:
-            target = [coeffs.l_minus * eval_state(states[n - 1], rho) for rho in rho_grid]
-            got = [apply_ladder(state, "lower", rho) for rho in rho_grid]
-            dev = max(dev, _relative_gap(got, target))
+        n, v, lam = state.n, state.v, state.lam
+        coeffs = ladder_coeffs(n, lam)
+        for direction, k, l_shift in (("raise", n + 1, coeffs.l_plus), ("lower", n - 1, coeffs.l_minus)):
+            if 0 <= k < len(states):
+                target = l_shift * states[k].norm
+                relation = abs(_ladder_factor(state, direction)[1] * state.norm - target) / target
+                dev = max(dev, relation, abs(states[k].v - v) / v, abs(states[k].lam - lam) / lam)
     return CheckResult("ladder_identity", dev, 1e-8)
 
 

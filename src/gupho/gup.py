@@ -46,8 +46,10 @@ class UndeformedBranchError(ValueError):
 class DegenerateModelError(ValueError):
     """Derived model parameters are unusable.
 
-    The weight order or prefactor exponent is not positive, or a coefficient
-    overflows (chiefly where kappa = hbar eta m omega is below about 1e-154).
+    The prefactor exponent v is not positive, or a coefficient overflows
+    (chiefly where kappa = hbar eta m omega is below about 1e-154).  The
+    weight order lam = 2v - gamma/eta = 1/2 + hypot(1/2, r) is at least 1,
+    and rounds below that only where 4^(-2v) has long underflowed.
     """
 
 

@@ -22,7 +22,8 @@ branch, to one neighbouring polynomial:
     raise: -(1 - rho^2) phi' + (2 lam - 2v + n) rho phi
            = N ((1 - rho^2)/4)^v (n + 1) C_{n+1}^lam(rho)
 
-so `apply_ladder` evaluates them in closed form.
+so `apply_ladder` evaluates them in closed form, and the ladder identity
+is one scalar relation per neighbour pair (`_ladder_factor`).
 
 With the envelope (w/4)^v, w = 1 - rho^2, factored out, the wave equation
 of either branch is the Gegenbauer equation exactly when three scalar
@@ -112,8 +113,6 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
         raise ValueError(f"unknown branch {branch!r}")
     v, _, _ = wave_params(system, level.delta, _e_plus_m(system, branch, level.delta))
     lam = 2.0 * v - alg.gamma / alg.eta
-    if not lam > 0.0:
-        raise DegenerateModelError(f"weight order lam = {lam!r} must be positive")
     if not v > 0.0:
         raise DegenerateModelError(f"prefactor exponent v = {v!r} must be positive")
     weight = 4.0 ** (-2.0 * v)
@@ -260,16 +259,33 @@ def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
     )
 
 
+def _ladder_factor(state: OscillatorState, direction: str) -> tuple:
+    """(degree, f): the operator on the state is f N ((1 - rho^2)/4)^v C_degree^lam(rho).
+
+    The one place the closed form's scalar is formed, for `apply_ladder` and
+    the ladder-identity check; lowering n = 0 gives (0, 0.0).
+    """
+    n, lam = state.n, state.lam
+    if direction == "lower":
+        if n == 0:
+            return 0, 0.0  # annihilated, l-(0) = 0
+        return n - 1, math.sqrt((lam + n - 1.0) / (n + lam)) * (n + 2.0 * lam - 1.0)
+    if direction == "raise":
+        return n + 1, math.sqrt((lam + n + 1.0) / (n + lam)) * (n + 1.0)
+    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+
+
 def apply_ladder(state: OscillatorState, direction: str, rho):
     """Evaluate the raising or lowering operator on the state at rho.
 
     lower: [ (1 - rho^2) d/drho + (2v + n) rho ] sqrt((lam + n - 1)/(n + lam))
     raise: [ -(1 - rho^2) d/drho + (2 lam - 2v + n) rho ] sqrt((lam + n + 1)/(n + lam))
 
-    Both brackets are evaluated in closed form, on either branch:
+    Both brackets are evaluated in closed form, on either branch, as
+    f N ((1 - rho^2)/4)^v C_(n +- 1)^lam(rho) with f of `_ladder_factor`:
 
-    lower: N ((1 - rho^2)/4)^v (n + 2 lam - 1) C_{n-1}^lam(rho), zero at n = 0
-    raise: N ((1 - rho^2)/4)^v (n + 1) C_{n+1}^lam(rho)
+    lower: f = sqrt((lam + n - 1)/(n + lam)) (n + 2 lam - 1), zero at n = 0
+    raise: f = sqrt((lam + n + 1)/(n + lam)) (n + 1)
 
     so each call runs one Gegenbauer recurrence.  ``rho`` is validated and
     typed as in `eval_state`: a Python ``float`` or ``int`` is evaluated in
@@ -280,16 +296,8 @@ def apply_ladder(state: OscillatorState, direction: str, rho):
     states carry different exponents and no such identity holds.
     """
     x = _rho_array(rho)
-    n, lam = state.n, state.lam
-    if direction == "lower":
-        if n == 0:
-            return 0.0 * specfun.gegenbauer(0, lam, x)  # annihilated, l-(0) = 0: a zero of rho's kind
-        poly = (n + 2.0 * lam - 1.0) * specfun.gegenbauer(n - 1, lam, x)
-        return math.sqrt((lam + n - 1.0) / (n + lam)) * _envelope(state, x) * poly
-    if direction == "raise":
-        bracket = _envelope(state, x) * ((n + 1.0) * specfun.gegenbauer(n + 1, lam, x))
-        return math.sqrt((lam + n + 1.0) / (n + lam)) * bracket
-    raise ValueError(f"direction must be 'raise' or 'lower', got {direction!r}")
+    degree, factor = _ladder_factor(state, direction)
+    return factor * _envelope(state, x) * specfun.gegenbauer(degree, state.lam, x)
 
 
 @dataclass(frozen=True)

@@ -207,10 +207,10 @@ def test_criterion_08_normalization_reference(rel_states):
     _verdict(8, "closed-form norms against the exact Jacobi-matrix diagonal", started)
 
 
-def _plant_wrong_normalization(monkeypatch):
-    """The closed-form normalization 1e-8 n relative too large."""
+def _plant_wrong_normalization(monkeypatch, scale=1e-8):
+    """The closed-form normalization scale n relative too large."""
     exact = specfun.gegenbauer_normalization
-    monkeypatch.setattr(specfun, "gegenbauer_normalization", lambda n, lam: exact(n, lam) * (1.0 + 1e-8 * n))
+    monkeypatch.setattr(specfun, "gegenbauer_normalization", lambda n, lam: exact(n, lam) * (1.0 + scale * n))
 
 
 def test_criterion_08_fails_on_a_wrong_norm(monkeypatch):
@@ -228,69 +228,70 @@ def test_criterion_09_ladder_identity(nr_states):
     _verdict(9, "ladder identity", started)
 
 
-def _printed_raise(state, direction, rho):
-    """The paper's printed raising form, whose diagonal term is a constant instead of rho.
-
-    It adds (2 lam - 2v + n) (1 - rho) phi to the raising bracket.
-    """
-    got = states.apply_ladder(state, direction, rho)
-    if direction == "raise":
-        n, v, lam = state.n, state.v, state.lam
-        extra = (2.0 * lam - 2.0 * v + n) * (1.0 - rho) * states.eval_state(state, rho)
-        got = got + math.sqrt((lam + n + 1.0) / (n + lam)) * extra
-    return got
-
-
-def test_criterion_09_fails_on_the_printed_raising_form(monkeypatch):
-    # the erratum: at the `verify` defaults the printed form misses the identity by ~2.85
-    monkeypatch.setattr(checks, "apply_ladder", _printed_raise)
-    result = checks._check_ladder_identity([make_state(_system(), n, NONRELATIVISTIC) for n in range(9)])
-    assert not result.passed
-    assert result.max_deviation == pytest.approx(2.855, rel=1e-3)
-
-
 def test_criterion_09_fails_on_a_wrong_norm(monkeypatch):
-    # neighbouring norms then disagree by ~1e-8 relative; the closed-form bracket must not hide it
-    _plant_wrong_normalization(monkeypatch)
+    # neighbouring norms then disagree by ~1e-7 relative; the closed-form bracket must not hide it
+    _plant_wrong_normalization(monkeypatch, 1e-7)
     system = _system(eta=0.1, gamma=0.0)
     result = checks._check_ladder_identity([make_state(system, n, NONRELATIVISTIC) for n in range(9)])
     assert not result.passed
+    assert result.max_deviation == pytest.approx(1e-7, rel=1e-3)
 
 
 def test_criterion_09_fails_at_nmax_0_on_a_wrong_raise(monkeypatch):
-    # one state has no neighbour, so the suite must still compare the 0 <-> 1 pair
-    def raise_off_by_1e6(state, direction, rho):
-        got = states.apply_ladder(state, direction, rho)
-        return got * (1.0 + 1e-6) if direction == "raise" else got
+    # one state has no neighbour, so the suite must still compare the 0 <-> 1 pair; apply_ladder and
+    # the row read the one raising factor, so the error is planted there for both
+    exact = states._ladder_factor
+
+    def raise_off_by_1e6(state, direction):
+        degree, factor = exact(state, direction)
+        return degree, factor * (1.0 + 1e-6) if direction == "raise" else factor
 
     clean = {r.name: r for r in checks.run_suite(n_max=0)}
     assert clean["ladder_identity"].passed
-    monkeypatch.setattr(checks, "apply_ladder", raise_off_by_1e6)
+    monkeypatch.setattr(states, "_ladder_factor", raise_off_by_1e6)
+    monkeypatch.setattr(checks, "_ladder_factor", raise_off_by_1e6)
     planted = {r.name: r for r in checks.run_suite(n_max=0)}
     assert not planted["ladder_identity"].passed
     assert planted["ladder_identity"].max_deviation == pytest.approx(1e-6, rel=1e-3)
 
 
-def _recorded_points(monkeypatch, name):
-    """Patch checks.<name> to record the point (its last argument) of every call."""
-    points = []
-    original = getattr(checks, name)
-
-    def recording(*args):
-        points.append(args[-1])
-        return original(*args)
-
-    monkeypatch.setattr(checks, name, recording)
-    return points
+@pytest.mark.parametrize("field", ["v", "lam"])
+def test_criterion_09_fails_on_a_neighbour_with_another_exponent(nr_states, field):
+    # the relation f N_n = l N_(n+-1) holds pointwise only if the neighbours share v and lam
+    wrong = dataclasses.replace(nr_states[1], **{field: getattr(nr_states[1], field) * (1.0 + 1e-6)})
+    result = checks._check_ladder_identity([nr_states[0], wrong, *nr_states[2:]])
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(1e-6, rel=1e-3)
 
 
-def test_criterion_09_grid_is_numpy_linspace(monkeypatch):
-    points = _recorded_points(monkeypatch, "apply_ladder")
-    checks._check_ladder_identity([make_state(_system(), n, NONRELATIVISTIC) for n in range(2)])
-    grid = np.linspace(-0.95, 0.95, 39)
-    assert all(type(rho) is float for rho in points)
-    # one raise (n = 0) and one lower (n = 1) walk the grid
-    assert np.array(points).tobytes() == np.concatenate([grid, grid]).tobytes()
+def test_criterion_09_fails_on_relativistic_states(rel_states):
+    # neighbouring relativistic states carry different exponents, so no pointwise identity holds
+    result = checks._check_ladder_identity(rel_states)
+    assert not result.passed
+    assert result.max_deviation > 1e-2
+
+
+def test_criterion_09_reads_one_relation_per_pair(monkeypatch, nr_states):
+    # the row shares only the ladder factor with apply_ladder and evaluates no state at any rho
+    read = []
+    exact = checks._ladder_factor
+
+    def recording(state, direction):
+        read.append((state.n, direction))
+        return exact(state, direction)
+
+    def forbidden(*args):
+        raise AssertionError("the ladder row evaluates no state value")
+
+    monkeypatch.setattr(checks, "_ladder_factor", recording)
+    for name in ("eval_state", "apply_ladder", "_envelope"):
+        monkeypatch.setattr(states, name, forbidden)
+    for name in ("gegenbauer", "_gegenbauer_pair"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    assert checks._check_ladder_identity(nr_states).passed
+    last = len(nr_states) - 1
+    assert sorted(read) == sorted([(n, "raise") for n in range(last)] + [(n, "lower") for n in range(1, last + 1)])
+    assert not hasattr(checks, "eval_state") and not hasattr(checks, "apply_ladder")
 
 
 def test_criterion_10_su11_algebra():

@@ -213,6 +213,16 @@ class TestStateCommand:
             assert result.returncode == 2
             assert "numerical failure" in result.stderr
 
+    def test_extreme_gamma_names_what_fails(self):
+        # lam = 2v - gamma/eta = 1/2 + hypot(1/2, r) >= 1 rounds to 0 only where 4^(-2v) has
+        # long underflowed, so the message names the norm and not the weight order; v can be negative
+        huge = run_cli("state", "--gamma", "1e17")
+        assert huge.returncode == 2
+        assert huge.stderr == "gupho: numerical failure: raw norm integral is not a normal double: 0.0\n"
+        negative = run_cli("state", "--gamma=-1e3")
+        assert negative.returncode == 2
+        assert "prefactor exponent v = " in negative.stderr
+
 
 class TestVerifyCommand:
     def test_default_config_passes(self):
@@ -328,6 +338,13 @@ class TestVerifyCommand:
         user = checks._system(mass, omega, hbar, 0.3, 0.0)
         assert [solved.count((user, n)) for n in range(9)] == [1] * 9
 
+    def test_zero_kappa_is_eta_0_at_any_scale(self):
+        # hbar m omega = 1e-325 underflows to 0; kappa / 0 is not eta, but kappa = 0 is eta = 0
+        system = checks._system_at(1e-165, 1e-160, 1.0, 0.0, 0.0)
+        assert system.algebra.eta == 0.0
+        with pytest.raises(spectrum.SolverError, match="no double eta"):
+            checks._system_at(1e-165, 1e-160, 1.0, 0.1, 0.0)
+
     @pytest.mark.parametrize("name, planted, row", [
         ("rel_residual", _fed_e_minus_m, "relativistic_residual"),
         ("wave_params", _v_off_by_1e8, "fm_exponent_consistency"),
@@ -426,6 +443,14 @@ class TestVerifyCommand:
         names = [r[0] for r in rows]
         assert "undeformed_closed_form" in names
         assert "orthonormality" not in names  # deformed-only checks skipped
+
+    def test_undeformed_tiny_scale_names_the_failing_row(self):
+        # hbar m omega underflows to 0, but kappa = 0 is eta = 0 at any scale: the undeformed table is
+        # solved, and the failure is nr_limit's kappa = 0.1 at mass 1e6 hbar omega = 1e-154
+        result = run_cli("verify", "--eta", "0", "--omega", "1e-160", "--mass", "1e-165")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "hbar eta m omega = 0.1 at mass 1e-154" in result.stderr
 
     def test_overflowing_eta_exits_2(self):
         result = run_cli("verify", "--eta", "1e-160")

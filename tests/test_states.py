@@ -303,18 +303,42 @@ class TestApplyLadder:
         got = apply_ladder(nr_family[0], "raise", rhos)
         np.testing.assert_allclose(got, coeff * eval_state(nr_family[1], rhos), rtol=0, atol=1e-9)
 
-    def test_pointwise_identity_supnorm(self, nr_family):
+    @pytest.mark.parametrize("eta", [1.0, 0.1, 2e-3])
+    def test_pointwise_identity_supnorm(self, eta):
+        # `verify` reads the identity as one scalar relation per pair; here it is held pointwise
+        family = [make_state(system(eta=eta), n, NONRELATIVISTIC) for n in range(10)]
         rhos = np.linspace(-0.95, 0.95, 39)
         for n in range(9):
-            state = nr_family[n]
+            state = family[n]
             coeffs = ladder_coeffs(n, state.lam)
-            up_target = coeffs.l_plus * eval_state(nr_family[n + 1], rhos)
+            up_target = coeffs.l_plus * eval_state(family[n + 1], rhos)
             up_got = apply_ladder(state, "raise", rhos)
             assert np.max(np.abs(up_got - up_target)) <= 1e-8 * np.max(np.abs(up_target))
             if n >= 1:
-                down_target = coeffs.l_minus * eval_state(nr_family[n - 1], rhos)
+                down_target = coeffs.l_minus * eval_state(family[n - 1], rhos)
                 down_got = apply_ladder(state, "lower", rhos)
                 assert np.max(np.abs(down_got - down_target)) <= 1e-8 * np.max(np.abs(down_target))
+
+    def test_printed_raising_form_misses_the_identity(self):
+        # the paper's printed raising bracket has the diagonal (2 lam - 2v + n) constant instead of
+        # times rho; built from the product-rule terms below, at the `verify` defaults it misses
+        # l+ phi_(n+1) by ~2.855 of the peak, while apply_ladder meets it
+        rhos = np.linspace(-0.95, 0.95, 39)
+        family = [make_state(system(eta=0.1), n, NONRELATIVISTIC) for n in range(9)]
+        printed_gap = closed_gap = 0.0
+        for n in range(8):
+            state = family[n]
+            v, lam = state.v, state.lam
+            phi = eval_state(state, rhos)
+            c1 = 2.0 * lam * gegenbauer(n - 1, lam + 1.0, rhos) if n >= 1 else 0.0
+            slope = _envelope(state, rhos) * (1.0 - rhos * rhos) * c1 - 2.0 * v * rhos * phi
+            printed = math.sqrt((lam + n + 1.0) / (n + lam)) * (-slope + (2.0 * lam - 2.0 * v + n) * phi)
+            target = ladder_coeffs(n, lam).l_plus * eval_state(family[n + 1], rhos)
+            peak = np.max(np.abs(target))
+            printed_gap = max(printed_gap, np.max(np.abs(printed - target)) / peak)
+            closed_gap = max(closed_gap, np.max(np.abs(apply_ladder(state, "raise", rhos) - target)) / peak)
+        assert printed_gap == pytest.approx(2.855, rel=1e-3)
+        assert closed_gap <= 1e-8
 
     @pytest.mark.parametrize("branch", [NONRELATIVISTIC, RELATIVISTIC])
     @pytest.mark.parametrize("eta,gamma", [(0.05, 0.0), (0.7, 0.2), (3.0, 1.0)])
