@@ -10,13 +10,12 @@ failure, 64 usage error.
 
 No command imports numpy.  The `state` and `verify` handlers import
 `states` and `checks` when they run, so `spectrum`, `figure1` and `fm` also
-skip loading those modules.
+skip loading those modules; `json` is imported only for `--format json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .fm import FmProblem, NoBoundStateError, fm_exponents, fm_quantization_residual
@@ -130,6 +129,8 @@ def _emit(args, command: str, meta: dict, columns: list[str], rows: list) -> Non
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
     else:
+        import json
+
         doc = {
             "meta": {"command": command, **meta, "columns": columns},
             "rows": [list(row) for row in rows],

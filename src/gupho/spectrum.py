@@ -194,7 +194,9 @@ def nr_limit_of_relativistic(system: OscillatorSystem, n: int) -> float:
 
     The level's own delta, which m + delta would round away for a heavy mass.
     Meaningful when the rest energy dominates; warns if mass < 1e3 hbar omega.
-    The gap to `energy_nonrel` falls like 1/m at fixed hbar eta m omega.
+    The bare gap to `energy_nonrel` falls like 1/m at fixed hbar eta m omega;
+    `verify`'s `nr_limit` row holds the level to the first-order target
+    E_nr (1 - hbar omega (n + 1/2) / (4 m hypot(1, hbar eta m omega / 2))).
     """
     alg = system.algebra
     if system.mass < 1e3 * alg.hbar * system.omega:

@@ -1,7 +1,10 @@
 """Acceptance suite: one test per criterion, each timed and printing a verdict line.
 
-Criteria 3-12 are also what the `verify` CLI command executes; the final test
-confirms that and the cumulative runtime budget.
+Criteria 1 and 3-12 are also what the `verify` CLI command executes:
+criterion 01 is the kappa = 0 part of `nr_limit`, which holds the
+relativistic level to the first-order nonrelativistic one, and criterion 04
+is the whole row.  The final test confirms that and the cumulative runtime
+budget.
 """
 
 import dataclasses
@@ -40,21 +43,27 @@ def _verdict(num, name, started):
 
 
 def test_criterion_01_undeformed_limit():
-    checks._check_undeformed_closed_form(1.0, 1.0, 1.0, 0.0)  # warm the path before timing
+    # nr_limit's kappa = 0 entries hold energy_nonrel at eta = 0, hbar omega (n + 1/2), against the solver
+    checks._check_nr_limit(1.0, 1.0, 0.0)  # warm the path before timing
     started = time.perf_counter()
-    result = checks._check_undeformed_closed_form(1.0, 1.0, 1.0, 0.0)
+    result = checks._check_nr_limit(1.0, 1.0, 0.0)
     assert result.passed, result
     elapsed = _verdict(1, "undeformed limit", started)
     assert elapsed < 1e-3
 
 
 def test_criterion_01_fails_on_a_wrong_level(monkeypatch):
+    # 1e-13 added at eta = 0 alone, the kappa = 0 entries: 1e-13 / (hbar omega / 2) at n = 0
     def off_by_1e13(system, n):
         level = energy_nonrel(system, n)
+        if system.algebra.eta > 0.0:
+            return level
         return dataclasses.replace(level, energy=level.energy + 1e-13)
 
     monkeypatch.setattr(checks, "energy_nonrel", off_by_1e13)
-    assert not checks._check_undeformed_closed_form(1.0, 1.0, 1.0, 0.0).passed
+    result = checks._check_nr_limit(1.0, 1.0, 0.0)
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(2e-13, rel=0.05)
 
 
 def test_criterion_02_ratio_anchors():
@@ -117,7 +126,7 @@ def test_criterion_04_nr_limit():
 
 
 def test_criterion_04_fails_on_a_wrong_nr_level(monkeypatch):
-    # the deformed rows compare against energy_nonrel itself, so a 1e-3 error in it reads ~1e-3
+    # the target is energy_nonrel times a first-order factor, so a 1e-3 error in it reads ~1e-3
     def off_by_1e3(system, n):
         level = energy_nonrel(system, n)
         return dataclasses.replace(level, energy=level.energy * (1.0 + 1e-3))

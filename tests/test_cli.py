@@ -240,7 +240,7 @@ class TestVerifyCommand:
         ]),
         (("--eta", "0"), [
             "solver_cross_validation", "nr_limit", "su11_algebra", "su11_casimir_commutant",
-            "undeformed_continuity", "undeformed_closed_form",
+            "undeformed_continuity",
         ]),
     ])
     def test_row_names_are_pinned(self, capsys, flags, names):
@@ -384,7 +384,7 @@ class TestVerifyCommand:
         result = run_cli("verify", "--eta", "0", "--mass", "1e200")
         assert result.returncode == 0, result.stderr
         _, rows = data_rows(result.stdout)
-        assert len(rows) == 6 and all(r[3] == "pass" for r in rows)
+        assert len(rows) == 5 and all(r[3] == "pass" for r in rows)
 
     def test_huge_mass_undeformed_fails_on_a_wrong_delta(self, monkeypatch, capsys):
         # m + delta rounds to m here, so only the level's own delta can show a 1e-8 error in it;
@@ -415,7 +415,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("mass", ["1", "1e200"])
     def test_undeformed_continuity_fails_on_a_wrong_delta(self, monkeypatch, capsys, mass):
-        # E = m + delta hides the error at m = 1e200; the check reads delta
+        # E = m + delta hides the error at m = 1e200; the check reads delta.  nr_limit's kappa > 0
+        # entries are deformed levels too, so it fails with it
         exact = checks.energy_relativistic
 
         def off_by_1e8(system, n):
@@ -428,7 +429,24 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--eta", "0", "--mass", mass]) == cli.EXIT_VERIFY
         _, rows = data_rows(capsys.readouterr().out)
         failed = [r[0] for r in rows if r[3] == "fail"]
-        assert failed == ["undeformed_continuity"]
+        assert failed == ["nr_limit", "undeformed_continuity"]
+
+    @pytest.mark.parametrize("mass", ["1", "1e200"])
+    def test_undeformed_nr_limit_fails_on_a_wrong_delta(self, monkeypatch, capsys, mass):
+        # every relativistic delta 1e-8 too large, at eta = 0 as well: undeformed_continuity compares two
+        # planted levels and solver_cross_validation reads the stored residual, so nr_limit alone sees it
+        exact = checks.energy_relativistic
+
+        def off_by_1e8(system, n):
+            level = exact(system, n)
+            return dataclasses.replace(level, delta=level.delta * (1.0 + 1e-8))
+
+        monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
+        assert cli.main(["verify", "--eta", "0", "--mass", mass]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        assert [r[0] for r in rows if r[3] == "fail"] == ["nr_limit"]
+        row = next(r for r in rows if r[0] == "nr_limit")
+        assert float(row[1]) == pytest.approx(1e-8, rel=1e-3)
 
     def test_tiny_mass_exits_2(self):
         result = run_cli("verify", "--mass", "1e-150")
@@ -441,16 +459,25 @@ class TestVerifyCommand:
         assert result.returncode == 0
         _, rows = data_rows(result.stdout)
         names = [r[0] for r in rows]
-        assert "undeformed_closed_form" in names
+        assert len(names) == 5 and "nr_limit" in names
         assert "orthonormality" not in names  # deformed-only checks skipped
 
     def test_undeformed_tiny_scale_names_the_failing_row(self):
         # hbar m omega underflows to 0, but kappa = 0 is eta = 0 at any scale: the undeformed table is
-        # solved, and the failure is nr_limit's kappa = 0.1 at mass 1e6 hbar omega = 1e-154
+        # solved, and the failure is nr_limit's kappa = 0.1 at mass 1e8 hbar omega = 1e-152
         result = run_cli("verify", "--eta", "0", "--omega", "1e-160", "--mass", "1e-165")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert "hbar eta m omega = 0.1 at mass 1e-154" in result.stderr
+        assert "hbar eta m omega = 0.1 at mass 1e-152" in result.stderr
+
+    def test_overflowing_nr_limit_mass_exits_2(self):
+        # the user's mass is 1, but nr_limit's own mass 1e8 hbar omega overflows; the message names it
+        result = run_cli("verify", "--hbar", "1e150", "--omega", "1e155")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "gupho: numerical failure: nr_limit's mass 1e8 hbar omega = inf leaves the double range\n"
+        )
 
     def test_overflowing_eta_exits_2(self):
         result = run_cli("verify", "--eta", "1e-160")
