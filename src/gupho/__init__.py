@@ -38,7 +38,6 @@ from .spectrum import (
     SpectrumResult,
     energy_nonrel,
     energy_relativistic,
-    nr_limit_of_relativistic,
     ratio_sweep,
     rel_residual,
 )

@@ -141,13 +141,18 @@ def _check_gamma_invariance(states) -> CheckResult:
 
 
 def _check_fm_exponent_consistency(table) -> CheckResult:
-    """v of `wave_params` against k4 and k5 of the standard form: levels m/10 and m, gamma/eta = 0, 1/2, 1."""
+    """v of `wave_params` against k4 and k5 of the standard form, at gamma/eta = 0, 1/2, 1.
+
+    At the table's solved levels and at the trial levels m/10 and m, far
+    above them.
+    """
     dev = 0.0
-    for system, _ in table:
+    for system, levels in table:
         mass, eta = system.mass, system.algebra.eta
+        deltas = [0.1 * mass, mass] + [level.delta for level in levels]
         for gamma in (0.0, eta / 2.0, eta):
             trial = _system(mass, system.omega, system.algebra.hbar, eta, gamma)
-            for delta in (0.1 * mass, mass):
+            for delta in deltas:
                 v, _, _ = wave_params(trial, delta, 2.0 * mass + delta)
                 k4, k5 = fm_exponents(_fm_problem(trial, delta, 2.0 * mass + delta))
                 dev = max(dev, abs(k4 - v), abs(k5 - v))

@@ -92,21 +92,23 @@ def _coerce(key: str, value: str):
 
 
 def _resolve(args) -> None:
-    """Fill each unset common flag from the config file, then the default; validate.
+    """Fill each unset option of the command from the config file, then the default; validate.
 
-    Builds the model once, as ``args.system``, which also rejects bad
-    physical parameters, NaN included.
+    A config key that only other commands take is ignored, unparsed.  For
+    the commands that take ``--eta`` the model is built once, as
+    ``args.system``, which also rejects bad physical parameters, NaN included.
     """
     file_values = _read_config_file(args.config) if args.config else {}
     for key, default in _DEFAULTS.items():
-        if getattr(args, key) is None:
+        if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, _coerce(key, file_values[key]) if key in file_values else default)
-    args.system = OscillatorSystem(
-        args.mass, args.omega, DeformedAlgebra(eta=args.eta, gamma=args.gamma, hbar=args.hbar)
-    )
-    if args.nmax < 0:
+    if hasattr(args, "eta"):
+        args.system = OscillatorSystem(
+            args.mass, args.omega, DeformedAlgebra(eta=args.eta, gamma=args.gamma, hbar=args.hbar)
+        )
+    if getattr(args, "nmax", 0) < 0:
         raise UsageError("nmax must be >= 0")
-    if args.branch not in _BRANCHES:
+    if getattr(args, "branch", "rel") not in _BRANCHES:
         raise UsageError(f"branch must be one of {sorted(_BRANCHES)}")
     if args.format not in ("csv", "json"):
         raise UsageError("format must be csv or json")
@@ -147,7 +149,8 @@ def _emit(args, command: str, meta: dict, columns: list[str], rows: list) -> Non
 
 
 def _config_meta(args) -> dict:
-    return {key: getattr(args, key) for key in ("mass", "omega", "hbar", "eta", "gamma")}
+    keys = ("mass", "omega", "hbar", "eta", "gamma")
+    return {key: getattr(args, key) for key in keys if hasattr(args, key)}
 
 
 def _cmd_spectrum(args) -> int:
@@ -181,7 +184,6 @@ def _cmd_figure1(args) -> int:
     ]
     rows = ratio_sweep(args.mass, args.omega, args.hbar, args.gamma, n_list, xi_grid)
     meta = _config_meta(args)
-    del meta["eta"]  # eta is derived from xi here
     meta["units"] = "a0=1 (natural units)"
     meta["branch"] = "nr"
     _emit(args, "figure1", meta, ["xi", "n", "E_n", "E_0", "ratio"], rows)
@@ -242,24 +244,25 @@ def _cmd_fm(args) -> int:
 
 def _make_parser() -> _Parser:
     parser = _Parser(prog="gupho", description=__doc__.splitlines()[0])
-    common = _Parser(add_help=False)
-    common.add_argument("--mass", type=float)
-    common.add_argument("--omega", type=float)
-    common.add_argument("--hbar", type=float)
-    common.add_argument("--eta", type=float)
-    common.add_argument("--gamma", type=float)
-    common.add_argument("--nmax", type=int)
-    common.add_argument("--branch", choices=sorted(_BRANCHES))
-    common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--out", metavar="PATH")
-    common.add_argument("--config", metavar="PATH", help="key=value file; flags take precedence")
+    # nested parents, so each command takes exactly the options its handler reads
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=["csv", "json"])
+    output.add_argument("--out", metavar="PATH")
+    output.add_argument("--config", metavar="PATH", help="key=value file; flags take precedence")
+    model = _Parser(add_help=False, parents=[output])
+    for flag in ("--mass", "--omega", "--hbar", "--gamma"):
+        model.add_argument(flag, type=float)
+    deformed = _Parser(add_help=False, parents=[model])
+    deformed.add_argument("--eta", type=float)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="energy levels for n = 0..nmax")
+    p = sub.add_parser("spectrum", parents=[deformed], help="energy levels for n = 0..nmax")
+    p.add_argument("--nmax", type=int)
+    p.add_argument("--branch", choices=sorted(_BRANCHES))
     p.set_defaults(handler=_cmd_spectrum)
 
-    p = sub.add_parser("figure1", parents=[common],
+    p = sub.add_parser("figure1", parents=[model],
                        help="level-to-ground-state ratio sweep over the minimal length")
     p.add_argument("--xi-min", type=float, default=0.0)
     p.add_argument("--xi-max", type=float, default=50.0)
@@ -267,15 +270,17 @@ def _make_parser() -> _Parser:
     p.add_argument("--n-list", default="1,2,3")
     p.set_defaults(handler=_cmd_figure1)
 
-    p = sub.add_parser("state", parents=[common], help="sample a normalized state on a rho grid")
+    p = sub.add_parser("state", parents=[deformed], help="sample a normalized state on a rho grid")
+    p.add_argument("--branch", choices=sorted(_BRANCHES))
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--samples", type=int, default=101)
     p.set_defaults(handler=_cmd_state)
 
-    p = sub.add_parser("verify", parents=[common], help="run the invariant suite")
+    p = sub.add_parser("verify", parents=[deformed], help="run the invariant suite")
+    p.add_argument("--nmax", type=int)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("fm", parents=[common],
+    p = sub.add_parser("fm", parents=[output],
                        help="exponents and quantization residual for raw standard-form coefficients")
     for flag in ("--k1", "--k2", "--k3", "--A", "--B", "--C"):
         p.add_argument(flag, type=float, required=True, dest=flag.lstrip("-"))

@@ -73,6 +73,12 @@ def fm_exponents(problem: FmProblem) -> tuple[float, float]:
     return k4, k5
 
 
+def _require_n(n) -> None:
+    """The one check of a quantum number: an integer >= 0, numpy integers included, floats not."""
+    if not (hasattr(n, "__index__") and n >= 0):
+        raise ValueError("n must be a nonnegative integer")
+
+
 def _quantization_target(problem: FmProblem, n: int) -> float:
     rad = (problem.k3 - problem.k2) ** 2 - 4.0 * problem.A
     if rad < 0.0:
@@ -86,7 +92,6 @@ def fm_quantization_residual(problem: FmProblem, n: int) -> float:
     Shifting n -> n + 1 raises the residual by exactly 1, so roots in the
     energy-like parameters hidden in (A, B, C) separate cleanly by n.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _require_n(n)
     k4, k5 = fm_exponents(problem)
     return (k4 + k5) - _quantization_target(problem, n)

@@ -111,8 +111,8 @@ def uncertainty_bound(algebra: DeformedAlgebra, delta_p: float) -> float:
 
     Minimized over delta_p (at 1/sqrt(eta)) this reproduces `minimal_length`.
     """
-    if not delta_p > 0.0:
-        raise ValueError("delta_p must be > 0")
+    if not 0.0 < delta_p < math.inf:
+        raise ValueError("delta_p must be finite and > 0")
     return 0.5 * algebra.hbar * (1.0 / delta_p + algebra.eta * delta_p)
 
 
@@ -183,8 +183,8 @@ def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tupl
     """
     alg = system.algebra
     alpha = alg.alpha  # UndeformedBranchError at eta = 0
-    if not e_plus_m > 0.0:
-        raise ValueError("requires E + m > 0")
+    if not 0.0 < e_plus_m < math.inf:
+        raise ValueError("requires finite E + m > 0")
     m = system.mass
     kappa = m * system.omega * alg.eta * alg.hbar
     if not kappa > 0.0:

@@ -92,11 +92,11 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     the product, and only rows up to (n_a + n_b) // 2 reach those.  An odd
     n_a + n_b gives exactly 0.0 by parity.
     """
-    if not mu > 0.0:
+    if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive")
     if n_a < 0 or n_b < 0:
         raise ValueError("degree n must be a nonnegative integer")
-    if not (lam_a > 0.0 and lam_b > 0.0):
+    if not (0.0 < lam_a < math.inf and 0.0 < lam_b < math.inf):
         raise ValueError("Gegenbauer order lam must be positive")
     last = n_a + n_b
     if last % 2:
@@ -117,7 +117,7 @@ def gegenbauer_normalization(n: int, lam: float) -> float:
     """
     if n < 0:
         raise ValueError("degree n must be a nonnegative integer")
-    if not lam > 0.0:
+    if not 0.0 < lam < math.inf:
         raise ValueError("Gegenbauer order lam must be positive")
     log_val = (
         math.lgamma(n + 1.0)
@@ -144,7 +144,7 @@ def _gegenbauer_pair(n: int, lam: float, x) -> tuple:
     """
     if n < 0:
         raise ValueError("degree n must be a nonnegative integer")
-    if not lam > 0.0:
+    if not 0.0 < lam < math.inf:
         raise ValueError("Gegenbauer order lam must be positive")
     x = as_float(x)
     if n == 0:

@@ -17,10 +17,10 @@ for deformations down to eta = 0.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .gup import DeformedAlgebra, OscillatorSystem
+from .fm import _require_n
+from .gup import DeformedAlgebra, DegenerateModelError, OscillatorSystem
 
 __all__ = [
     "SpectrumResult",
@@ -28,7 +28,6 @@ __all__ = [
     "rel_residual",
     "energy_relativistic",
     "energy_nonrel",
-    "nr_limit_of_relativistic",
     "ratio_sweep",
     "BOHR_RADIUS",
 ]
@@ -69,16 +68,23 @@ def rel_residual(system: OscillatorSystem, n: int, delta: float) -> float:
     Strictly increasing in delta, so it has a single root.  It takes the
     level's own delta, which m + delta rounds to the ulp of a heavy m, and
     forms both terms as `gup.wave_params` does, from kappa = hbar eta m omega,
-    so nothing squares eta, m or omega.
+    so nothing squares eta, m or omega.  Raises `DegenerateModelError` where
+    kappa underflows to 0 or the condition overflows.
     """
     alg = system.algebra
     alg._require_deformed()
+    _require_n(n)
     m = system.mass
-    if not delta + 2.0 * m > 0.0:
-        raise ValueError("requires delta + 2 mass > 0")
+    if not (math.isfinite(delta) and delta + 2.0 * m > 0.0):
+        raise ValueError("requires finite delta with delta + 2 mass > 0")
     kappa = m * system.omega * alg.eta * alg.hbar
+    if not kappa > 0.0:
+        raise DegenerateModelError("hbar eta m omega underflows to 0")
     root = math.hypot(0.5, math.sqrt(2.0 * m / (delta + 2.0 * m)) / kappa)
-    return 2.0 * delta / (alg.hbar * system.omega * kappa) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
+    value = 2.0 * delta / (alg.hbar * system.omega * kappa) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
+    if not math.isfinite(value):
+        raise DegenerateModelError(f"dimensionless condition overflows at kappa = {kappa!r}: {value!r}")
+    return value
 
 
 def _displacement(system: OscillatorSystem, n: int, delta: float) -> float:
@@ -114,8 +120,7 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     or sigma leaves the double range, which includes rest masses below about
     4e-78 (2n + 1) hbar omega, so no level or residual is ever inf or NaN.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _require_n(n)
     m = system.mass
     hw = system.algebra.hbar * system.omega
     b = hw * system.algebra.eta
@@ -181,31 +186,11 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
     which is hbar omega (n + 1/2) at eta = 0 and grows like (n + 1)^2 for
     large deformation.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _require_n(n)
     alg = system.algebra
     half = 0.5 * alg.hbar * alg.eta * system.mass * system.omega
     energy = _nr_level(alg.hbar * system.omega, half, math.hypot(half, 1.0), n)
     return SpectrumResult(n=n, energy=energy, delta=energy, residual=0.0)
-
-
-def nr_limit_of_relativistic(system: OscillatorSystem, n: int) -> float:
-    """E_R - m from the relativistic solver, for comparison with `energy_nonrel`.
-
-    The level's own delta, which m + delta would round away for a heavy mass.
-    Meaningful when the rest energy dominates; warns if mass < 1e3 hbar omega.
-    The bare gap to `energy_nonrel` falls like 1/m at fixed hbar eta m omega;
-    `verify`'s `nr_limit` row holds the level to the first-order target
-    E_nr (1 - hbar omega (n + 1/2) / (4 m hypot(1, hbar eta m omega / 2))).
-    """
-    alg = system.algebra
-    if system.mass < 1e3 * alg.hbar * system.omega:
-        warnings.warn(
-            "mass is not large compared to hbar*omega; the nonrelativistic "
-            "limit will be inaccurate",
-            stacklevel=2,
-        )
-    return energy_relativistic(system, n).delta
 
 
 def ratio_sweep(
@@ -230,8 +215,8 @@ def ratio_sweep(
     """
     # built only for its checks of mass, omega, hbar and gamma
     OscillatorSystem(mass, omega, DeformedAlgebra(eta=0.0, gamma=gamma, hbar=hbar))
-    if any(n < 0 for n in n_values):
-        raise ValueError("n must be a nonnegative integer")
+    for n in n_values:
+        _require_n(n)
     hw = hbar * omega
     rows = []
     for xi in xi_grid:

@@ -38,6 +38,7 @@ import sys
 from dataclasses import dataclass
 
 from . import specfun
+from .fm import _require_n
 from .gup import (
     DegenerateModelError,
     OscillatorSystem,
@@ -101,8 +102,7 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     normal double (first at eta m omega hbar below about 2e-3, where 4^(-2v)
     underflows) `QuadratureAccuracyError` is raised.
     """
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _require_n(n)
     alg = system.algebra
     alg._require_deformed()
     if branch == RELATIVISTIC:
@@ -248,9 +248,8 @@ inner_product = weighted_overlap
 
 def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
     """l- = sqrt(n (2 lam + n - 1)), l+ = sqrt((n+1) (2 lam + n)), l0 = lam + n."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if not lam > 0.0:
+    _require_n(n)
+    if not 0.0 < lam < math.inf:
         raise ValueError("lam must be positive")
     return LadderCoefficients(
         l_minus=math.sqrt(n * (2.0 * lam + n - 1.0)),
@@ -323,7 +322,7 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
     Casimir eigenvalue l0 (l0 - 1) - l+ l- equals lam (lam - 1) for every n
     and therefore commutes with the ladder operators.
     """
-    if not lam > 0.0:
+    if not 0.0 < lam < math.inf:
         raise ValueError("lam must be positive")
     if n_max < 0:
         raise ValueError("n_max must be a nonnegative integer")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -528,12 +529,65 @@ class TestFmCommand:
         assert result.stdout == ""
 
     def test_nan_model_parameter_exits_64(self):
-        # fm ignores the oscillator parameters, but the shared validation still rejects them
+        # fm reads no oscillator parameter, so it takes none
         for flag in ("--eta=nan", "--mass=nan", "--gamma=nan"):
             result = run_cli("fm", "--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2", flag)
             assert result.returncode == 64, flag
             assert result.stdout == ""
-            assert "must be finite" in result.stderr
+            assert "unrecognized arguments" in result.stderr
+
+
+FM_COEFFS = ["--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2"]
+
+# the options each command takes: exactly those its handler reads
+COMMAND_OPTIONS = {
+    "spectrum": {"mass", "omega", "hbar", "eta", "gamma", "nmax", "branch", "format", "out", "config"},
+    "figure1": {"mass", "omega", "hbar", "gamma", "xi-min", "xi-max", "steps", "n-list",
+                "format", "out", "config"},
+    "state": {"mass", "omega", "hbar", "eta", "gamma", "branch", "n", "samples", "format", "out", "config"},
+    "verify": {"mass", "omega", "hbar", "eta", "gamma", "nmax", "format", "out", "config"},
+    "fm": {"k1", "k2", "k3", "A", "B", "C", "n", "format", "out", "config"},
+}
+_VALUES = {"branch": "nr", "nmax": "2"}
+
+
+class TestCommandOptions:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+    def test_help_lists_exactly_the_commands_options(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        flags = set(re.findall(r"--([A-Za-z0-9-]+)", capsys.readouterr().out)) - {"help"}
+        assert flags == COMMAND_OPTIONS[command]
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option)
+        for command in sorted(COMMAND_OPTIONS)
+        for option in ("mass", "omega", "hbar", "eta", "gamma", "nmax", "branch")
+        if option not in COMMAND_OPTIONS[command]
+    ])
+    def test_option_of_another_command_exits_64(self, command, option, capsys):
+        argv = [command, *(FM_COEFFS if command == "fm" else []), f"--{option}={_VALUES.get(option, '1')}"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("command, line", [
+        (["fm", *FM_COEFFS], "mass = abc"),
+        (["state", "--samples=3"], "nmax = -1"),
+        (["figure1", "--steps=3"], "branch = xx"),
+    ])
+    def test_config_key_of_another_command_is_ignored(self, tmp_path, command, line, capsys):
+        # a known key that this command does not take is not parsed; an unknown key still exits 64
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main([*command, "--config", str(cfg)]) == cli.EXIT_OK
+        cfg.write_text(line + "\ntau = 3\n")
+        assert cli.main([*command, "--config", str(cfg)]) == cli.EXIT_USAGE
+        assert "unknown key 'tau'" in capsys.readouterr().err
 
 
 class TestOutputDiscipline:

@@ -80,6 +80,11 @@ class TestUncertaintyBound:
         with pytest.raises(ValueError):
             uncertainty_bound(algebra(1.0), 0.0)
 
+    @pytest.mark.parametrize("delta_p", [math.inf, math.nan])
+    def test_rejects_non_finite_delta_p(self, delta_p):
+        with pytest.raises(ValueError, match="finite"):
+            uncertainty_bound(algebra(1.0), delta_p)
+
 
 class TestScalarWeight:
     def test_unity_at_origin(self):
@@ -189,6 +194,12 @@ class TestWaveParams:
         sys = system(eta=0.1, gamma=0.0)
         _, a, _ = wave_params(sys, 0.0, 2.0)  # E + m = 2: A~ = 1, so A^ = 1 / eta^2
         assert a == pytest.approx(1.0 / 0.1**2, rel=1e-15)
+
+    @pytest.mark.parametrize("e_plus_m", [math.inf, math.nan, 0.0])
+    def test_rejects_e_plus_m_outside_the_doubles(self, e_plus_m):
+        # E + m = inf would give r = 0, so (v, A^, B^) = (1/2, 0, -20) here without the check
+        with pytest.raises(ValueError, match="finite E"):
+            wave_params(system(eta=0.1), 1.0, e_plus_m)
 
     def test_b_vanishes_at_rest_energy(self):
         sys = system(eta=0.1, gamma=0.0)

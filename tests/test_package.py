@@ -19,7 +19,7 @@ EXPORTS = (
     "QuadratureAccuracyError", "RELATIVISTIC", "SolverError", "SpectrumResult", "Su11Report",
     "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",
     "eval_state", "fm", "fm_exponents", "fm_problem_of", "fm_quantization_residual", "gup",
-    "inner_product", "ladder_coeffs", "make_state", "minimal_length", "nr_limit_of_relativistic",
+    "inner_product", "ladder_coeffs", "make_state", "minimal_length",
     "ode_residual", "p_of_rho", "ratio_sweep", "rel_residual", "rho_of_p",
     "scalar_weight", "specfun",
     "spectrum", "states", "su11_check", "uncertainty_bound", "wave_params",
@@ -36,7 +36,7 @@ SUBMODULE_EXPORTS = {
     ),
     "spectrum": (
         "BOHR_RADIUS", "SolverError", "SpectrumResult", "energy_nonrel", "energy_relativistic",
-        "nr_limit_of_relativistic", "ratio_sweep", "rel_residual",
+        "ratio_sweep", "rel_residual",
     ),
     "states": (
         "LadderCoefficients", "NONRELATIVISTIC", "OscillatorState", "QuadratureAccuracyError",

@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import math
 import random
-import warnings
 
 import mpmath as mp
 import numpy as np
@@ -12,12 +11,17 @@ from hypothesis import strategies as st
 
 from gupho import spectrum
 from gupho.fm import fm_quantization_residual
-from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of
+from gupho.gup import (
+    DeformedAlgebra,
+    DegenerateModelError,
+    OscillatorSystem,
+    UndeformedBranchError,
+    fm_problem_of,
+)
 from gupho.spectrum import (
     SolverError,
     energy_nonrel,
     energy_relativistic,
-    nr_limit_of_relativistic,
     ratio_sweep,
     rel_residual,
 )
@@ -88,6 +92,22 @@ class TestRelResidual:
     def test_undeformed_rejected(self):
         with pytest.raises(UndeformedBranchError):
             rel_residual(system(eta=0.0), 0, 0.5)
+
+    def test_underflowing_kappa_is_a_model_failure(self):
+        # hbar eta m omega = 1e-600 underflows to 0, as in `wave_params`; not a ZeroDivisionError
+        sys = OscillatorSystem(1e-200, 1e-200, DeformedAlgebra(eta=1e-200))
+        with pytest.raises(DegenerateModelError, match="underflows"):
+            rel_residual(sys, 0, 1.0)
+
+    def test_overflowing_condition_is_a_model_failure(self):
+        # kappa = 1e-310 is subnormal: both terms overflow, and their difference would be NaN
+        with pytest.raises(DegenerateModelError, match="overflows"):
+            rel_residual(system(eta=1e-310), 0, 1.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="finite delta"):
+            rel_residual(system(eta=0.1), 0, delta)
 
 
 class TestEnergyRelativistic:
@@ -214,38 +234,12 @@ class TestEnergyNonrel:
 
 
 class TestNrLimit:
-    def test_undeformed_match(self):
-        sys = system(mass=1e6, omega=1.0, eta=0.0)
-        nr = system(mass=1e6, omega=1.0, eta=0.0)
-        for n in range(6):
-            gap = nr_limit_of_relativistic(sys, n)
-            assert gap == pytest.approx(energy_nonrel(nr, n).energy, rel=1e-5)
-
-    def test_small_deformation_match(self):
-        sys = system(mass=1e6, omega=1.0, eta=1e-6)
-        for n in range(4):
-            gap = nr_limit_of_relativistic(sys, n)
-            target = energy_nonrel(sys, n).energy
-            assert gap == pytest.approx(target, rel=1e-3)
-
-    def test_ground_state_positive(self):
-        assert nr_limit_of_relativistic(system(mass=1e6, eta=0.0), 0) > 0
-
     @pytest.mark.parametrize("mass", [1e17, 1e200])
     def test_heavy_mass_keeps_the_gap(self, mass):
         # m + delta rounds to m here, so E - m would read 0.0; the level's own delta is the gap
         sys = system(mass=mass, eta=0.0)
         for n in range(3):
-            assert nr_limit_of_relativistic(sys, n) == pytest.approx(n + 0.5, rel=1e-12)
-
-    def test_warns_for_light_mass(self):
-        with pytest.warns(UserWarning):
-            nr_limit_of_relativistic(system(mass=1.0, eta=0.1), 0)
-
-    def test_no_warning_for_heavy_mass(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            nr_limit_of_relativistic(system(mass=1e6, eta=0.0), 0)
+            assert energy_relativistic(sys, n).delta == pytest.approx(n + 0.5, rel=1e-12)
 
 
 class TestRatioSweep:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from gupho import checks, gup, specfun
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of, rho_of_p
-from gupho.spectrum import energy_relativistic
+from gupho.fm import FmProblem, fm_quantization_residual
+from gupho.spectrum import energy_nonrel, energy_relativistic, ratio_sweep, rel_residual
 from gupho.specfun import gegenbauer, gegenbauer_normalization, gegenbauer_product_integral
 from gupho.states import (
     NONRELATIVISTIC,
@@ -465,6 +466,39 @@ class TestSu11:
     def test_rejects_negative_n_max(self):
         with pytest.raises(ValueError):
             su11_check(1.0, -3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda lam: specfun.gegenbauer(2, lam, 0.3),
+    lambda lam: specfun.gegenbauer_normalization(2, lam),
+    lambda lam: specfun.gegenbauer_product_integral(lam, 1, 1.0, 1, 1.0),
+    lambda lam: specfun.gegenbauer_product_integral(1.0, 1, lam, 1, 1.0),
+    lambda lam: ladder_coeffs(2, lam),
+    lambda lam: su11_check(lam, 3),
+], ids=["gegenbauer", "normalization", "product_mu", "product_lam", "ladder_coeffs", "su11_check"])
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+def test_non_finite_order_rejected(call, lam):
+    # inf passed a bare lam > 0 guard: nan, inf, or an all-zero su(1,1) report came back
+    with pytest.raises(ValueError, match="must be positive"):
+        call(lam)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: energy_relativistic(system(), n),
+    lambda n: energy_nonrel(system(), n),
+    lambda n: rel_residual(system(), n, 1.0),
+    lambda n: make_state(system(), n, RELATIVISTIC),
+    lambda n: make_state(system(), n, NONRELATIVISTIC),
+    lambda n: ladder_coeffs(n, 1.0),
+    lambda n: fm_quantization_residual(FmProblem(0.5, 1.0, 1.0, -3.0, 3.0, -2.0), n),
+    lambda n: ratio_sweep(1.0, 1.0, 1.0, 0.0, [n], [0.5]),
+], ids=["energy_relativistic", "energy_nonrel", "rel_residual", "make_state_rel", "make_state_nr",
+        "ladder_coeffs", "fm_quantization_residual", "ratio_sweep"])
+def test_non_integer_n_rejected(call):
+    for n in (1.5, 2.0, np.float64(2.0), -1):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            call(n)
+    assert call(np.int64(2)) == call(2)  # numpy integers are integers
 
 
 def _tildes(state):
