@@ -179,7 +179,7 @@ def _check_orthonormality(states) -> CheckResult:
 
 
 def _check_normalization_reference(states) -> CheckResult:
-    """Closed-form norms against the exact Jacobi-matrix diagonal, where v changes with n."""
+    """Closed-form norms against the overlap kernel's diagonal, mass times norm ratios; v changes with n."""
     dev = max(abs(weighted_overlap(s, s) - 1.0) for s in states)
     return CheckResult("normalization_reference", dev, 1e-9)
 
@@ -230,11 +230,33 @@ def _check_ode_residual(states) -> CheckResult:
     return CheckResult(prefix + "ode_residual", dev, 1e-11)
 
 
-def _check_weight_orthogonality() -> CheckResult:
-    """The overlap kernel against the closed-form Gegenbauer orthogonality integrals.
+def _power_series(n, lam) -> list:
+    """(power, coefficient) of each term of C_n^lam, a route that shares no code with the overlap kernel.
 
-    Every product of two degree <= 8 polynomials must meet its closed form:
-    0 off the diagonal, 1 / gegenbauer_normalization^2 on it.
+    C_n^lam(x) = sum_k (-1)^k (lam)_(n-k) (2x)^(n-2k) / (k! (n-2k)!) (DLMF 18.5.10).
+    """
+    coeff = 2.0 ** n
+    for k in range(n):
+        coeff *= (lam + k) / (k + 1.0)
+    terms = [(n, coeff)]
+    for k in range(n // 2):
+        coeff *= -(n - 2 * k) * (n - 2 * k - 1) / (4.0 * (k + 1.0) * (lam + n - k - 1.0))
+        terms.append((n - 2 * k - 2, coeff))
+    return terms
+
+
+def _check_weight_orthogonality() -> CheckResult:
+    """The overlap kernel against the closed-form Gegenbauer orthogonality integrals, then at mixed orders.
+
+    Every product of two degree <= 8 polynomials of order t = mu must meet
+    its closed form: 0 off the diagonal, 1 / gegenbauer_normalization^2 on
+    it.  There every connection coefficient past the leading one is exactly
+    0, so the even products at the mixed orders (lam_a, lam_b, mu) =
+    (t, 1.5t, 1.2t), (1.5t, t, t) and (t, t, 1.3t) are also held to the
+    `_power_series` of both factors against the moments of the weight,
+    x^(2k) to mass (1/2)_k / (mu + 1)_k, summed by `math.fsum`.  Each of
+    those reads relative to sqrt(I_aa I_bb): the series cancels, so its
+    absolute rounding grows with the integrals' size.
     """
     dev = 0.0
     for t in (0.75, 1.0, 2.5):
@@ -243,6 +265,23 @@ def _check_weight_orthogonality() -> CheckResult:
                 got = specfun.gegenbauer_product_integral(t, n, t, m, t)
                 target = specfun.gegenbauer_normalization(n, t) ** -2 if n == m else 0.0
                 dev = max(dev, abs(got - target))
+        for lam_a, lam_b, mu in ((t, 1.5 * t, 1.2 * t), (1.5 * t, t, t), (t, t, 1.3 * t)):
+            moments = [math.sqrt(math.pi) * math.gamma(mu + 0.5) / math.gamma(mu + 1.0)]
+            for k in range(1, 9):
+                moments.append(moments[-1] * (k - 0.5) / (mu + k))
+
+            def integral(a, b):
+                return math.fsum([x * y * moments[(i + j) // 2] for i, x in a for j, y in b])
+
+            series_a = [_power_series(n, lam_a) for n in range(9)]
+            series_b = [_power_series(n, lam_b) for n in range(9)]
+            norms_b = [integral(b, b) for b in series_b]
+            for n, a in enumerate(series_a):
+                norm_a = integral(a, a)
+                for m in range(n & 1, 9, 2):
+                    got = specfun.gegenbauer_product_integral(mu, n, lam_a, m, lam_b)
+                    scale = math.sqrt(norm_a * norms_b[m])
+                    dev = max(dev, abs(got - integral(a, series_b[m])) / scale)
     return CheckResult("weight_orthogonality", dev, 1e-10)
 
 

@@ -5,10 +5,10 @@ gamma/eta, where v is `gup.wave_params` at the state's level delta.  In rho
 the weighted momentum overlap of two states is 4^(-v_a - v_b) eta^(-1/2)
 times the integral of C_na C_nb against the Gegenbauer weight
 (1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, and
-`specfun.gegenbauer_product_integral` gives that integral exactly from the
-Jacobi matrix of the weight in Python floats, so the overlap path calls no
-numpy.  On the diagonal mu = lam, and the norm N follows from the
-closed-form Gegenbauer normalization `specfun.gegenbauer_normalization`.
+`specfun.gegenbauer_product_integral` gives that integral exactly from
+connection coefficients in O(n_a + n_b) Python-float steps, so the overlap
+path calls no numpy.  On the diagonal mu = lam, and the norm N follows from
+the closed-form Gegenbauer normalization `specfun.gegenbauer_normalization`.
 
 First-order ladder operators shift n by one with coefficients
 l- = sqrt(n (2 lam + n - 1)) and l+ = sqrt((n+1) (2 lam + n)); together with
@@ -223,9 +223,10 @@ def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
     integrand is 4^(-v_a - v_b) eta^(-1/2) (1 - rho^2)^(mu - 1/2) C_na C_nb
     with mu = v_a + v_b - alpha, a polynomial of degree n_a + n_b times the
     Gegenbauer weight.  `specfun.gegenbauer_product_integral` gives that
-    integral exactly from the Jacobi matrix in Python floats, with no numpy
-    call.  Each norm is paired with its own 4^(-v), so no intermediate
-    product leaves the double range.  C_n has parity (-1)^n, so an odd
+    integral exactly from closed-form connection coefficients in
+    O(n_a + n_b) Python-float steps, with no numpy call.  Each norm is
+    paired with its own 4^(-v), so no intermediate product leaves the
+    double range.  C_n has parity (-1)^n, so an odd
     n_a + n_b gives exactly 0.0.  A value that is not finite raises
     `QuadratureAccuracyError`.
     """
@@ -324,8 +325,7 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
     """
     if not 0.0 < lam < math.inf:
         raise ValueError("lam must be positive")
-    if n_max < 0:
-        raise ValueError("n_max must be a nonnegative integer")
+    _require_n(n_max)
     casimir_target = lam * (lam - 1.0)
     dev_comm = dev_weight = dev_cas = dev_cc = 0.0
     casimir_prev = None

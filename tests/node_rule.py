@@ -1,8 +1,10 @@
-"""Node-based Gauss-Gegenbauer rule: the reference for the Jacobi-matrix overlap kernel.
+"""Node-based Gauss-Gegenbauer rule: a reference for the overlap kernel.
 
 Tests compare `gupho.specfun.gegenbauer_product_integral`, which forms the
-quadrature value from the Jacobi matrix without nodes or weights, with the
-same rule built the classical way.
+weighted integral of a product of two Gegenbauer polynomials from
+closed-form connection coefficients (DLMF 18.18.16) without nodes or
+weights, with the value of a rule built the classical way, exact for that
+product.
 """
 
 import math

@@ -174,10 +174,31 @@ def rel_states():
     return [make_state(system, n, RELATIVISTIC) for n in range(9)]
 
 
-def _plant_short_jacobi_matrix(monkeypatch):
-    """Zero J's last off-diagonal entry: the kernel then works with one row too few."""
-    exact = specfun._jacobi_offdiagonal
-    monkeypatch.setattr(specfun, "_jacobi_offdiagonal", lambda mu, size: exact(mu, size)[:-2] + [0.0, 0.0])
+def _plant_missing_term(monkeypatch):
+    """Zero the last term of every connection column, its j = min(n_a, n_b) term."""
+    exact = specfun._connection_column
+    monkeypatch.setattr(specfun, "_connection_column", lambda *args: exact(*args)[:-1] + [0.0])
+
+
+def _plant_kernel_piece(monkeypatch, piece):
+    """One piece of the overlap kernel 1e-8 relative too large, wherever the kernel forms it.
+
+    Column entries and norms come in ascending j of one parity, and T(l) at
+    j = n - 2l is T(0) times l connection ratios, h_j the mass times j norm
+    ratios, so a ratio that is too large compounds to (1 + 1e-8)^l or ^j.
+    """
+    column, norms, grow = specfun._connection_column, specfun._weight_norms, 1.0 + 1e-8
+    if piece == "leading":  # T(0) = (lam)_n / (mu)_n
+        monkeypatch.setattr(specfun, "_connection_column", lambda n, lam, mu, top: [
+            t * grow for t in column(n, lam, mu, top)])
+    elif piece == "connection_ratio":
+        monkeypatch.setattr(specfun, "_connection_column", lambda n, lam, mu, top: [
+            t * grow ** ((n - j) // 2) for j, t in zip(range(n & 1, top + 1, 2), column(n, lam, mu, top))])
+    elif piece == "norm_ratio":
+        monkeypatch.setattr(specfun, "_weight_norms", lambda mu, top: [
+            h * grow ** j for j, h in zip(range(top & 1, top + 1, 2), norms(mu, top))])
+    elif piece == "mass":  # h_0
+        monkeypatch.setattr(specfun, "_weight_norms", lambda mu, top: [h * grow for h in norms(mu, top)])
 
 
 def test_criterion_07_orthonormality(nr_states):
@@ -187,8 +208,8 @@ def test_criterion_07_orthonormality(nr_states):
     _verdict(7, "orthonormality", started)
 
 
-def test_criterion_07_fails_on_a_missing_node(monkeypatch, nr_states):
-    _plant_short_jacobi_matrix(monkeypatch)
+def test_criterion_07_fails_on_a_missing_term(monkeypatch, nr_states):
+    _plant_missing_term(monkeypatch)
     result = checks._check_orthonormality(nr_states[:9])
     assert not result.passed
     assert result.max_deviation > 1e-3
@@ -198,7 +219,7 @@ def test_criterion_08_normalization_reference(rel_states):
     started = time.perf_counter()
     result = checks._check_normalization_reference(rel_states)
     assert result.passed, result
-    _verdict(8, "closed-form norms against the exact Jacobi-matrix diagonal", started)
+    _verdict(8, "closed-form norms against the exact overlap diagonal", started)
 
 
 def _plant_wrong_normalization(monkeypatch, scale=1e-8):
@@ -359,20 +380,28 @@ def test_criterion_12_weight_integral_oracle():
     _verdict(12, "weighted polynomial integral", started)
 
 
-def test_criterion_12_fails_on_a_short_rule(monkeypatch):
-    _plant_short_jacobi_matrix(monkeypatch)
+def test_criterion_12_fails_on_a_missing_term(monkeypatch):
+    _plant_missing_term(monkeypatch)
     result = checks._check_weight_orthogonality()
     assert not result.passed
     assert result.max_deviation > 1.0
 
 
-def test_criterion_12_fails_on_a_wrong_jacobi_matrix(monkeypatch):
-    # every off-diagonal entry 1e-8 relative too large shifts the weighted integrals by ~2e-5
-    exact = specfun._jacobi_offdiagonal
-    monkeypatch.setattr(specfun, "_jacobi_offdiagonal", lambda mu, size: [b * (1.0 + 1e-8) for b in exact(mu, size)])
+def test_criterion_12_fails_on_a_wrong_norm_ratio(monkeypatch):
+    # every norm ratio 1e-8 relative too large shifts h_8 at mu = 2.5 (~125) by ~1e-5
+    _plant_kernel_piece(monkeypatch, "norm_ratio")
     result = checks._check_weight_orthogonality()
     assert not result.passed
     assert result.max_deviation > 1e-6
+
+
+@pytest.mark.parametrize("piece", ["leading", "connection_ratio", "norm_ratio", "mass"])
+def test_criterion_12_each_kernel_piece_fails_verify(monkeypatch, piece):
+    _plant_kernel_piece(monkeypatch, piece)
+    failed = {result.name for result in checks.run_suite() if not result.passed}
+    # at lam = mu every T(l >= 1) is exactly 0, so only the mixed-order products see a wrong connection ratio
+    overlap_rows = {"orthonormality", "normalization_reference"} if piece != "connection_ratio" else set()
+    assert failed == {"weight_orthogonality"} | overlap_rows
 
 
 def test_zz_total_budget_and_verify_command():

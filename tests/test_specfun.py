@@ -127,17 +127,17 @@ class TestGaussLegendre:
     """
 
     def test_order_one(self):
-        # degree 0 takes one row of J, the node 0 with weight 2; degree 1 is odd and exactly 0
+        # degree 0 is the weight's mass 2, the one-node rule's weight; degree 1 is odd and exactly 0
         assert gegenbauer_product_integral(0.5, 0, 0.5, 0, 0.5) == pytest.approx(2.0, abs=1e-15)
         assert gegenbauer_product_integral(0.5, 0, 0.5, 1, 0.5) == 0.0
 
     def test_order_two(self):
-        # degree 2 takes two rows, nodes -+1/sqrt(3) with weights 1: P_1^2 to 2/3, P_0 P_2 to 0
+        # degree 2, exact under nodes -+1/sqrt(3) with weights 1: P_1^2 to 2/3, P_0 P_2 to 0
         assert gegenbauer_product_integral(0.5, 1, 0.5, 1, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-15)
         assert gegenbauer_product_integral(0.5, 0, 0.5, 2, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_quartic_integral(self):
-        # P_2^2 is quartic: three rows integrate it exactly to 2/5
+        # P_2^2 is quartic and integrates exactly to 2/5
         assert gegenbauer_product_integral(0.5, 2, 0.5, 2, 0.5) == pytest.approx(0.4, abs=1e-15)
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 16, 50, 200, 400])
@@ -151,7 +151,7 @@ class TestGaussLegendre:
         # mirror symmetry up to rounding
         assert np.max(np.abs(nodes + nodes[::-1])) <= 1e-14
         assert np.max(np.abs(weights - weights[::-1])) <= 1e-14
-        # the kernel's J for P_(order-1)^2 has order rows: the same rule, formed without nodes
+        # P_(order-1)^2 is exact under the order-node rule; the kernel forms it without nodes
         want = 2.0 / (2 * order - 1)
         assert abs(gegenbauer_product_integral(0.5, order - 1, 0.5, order - 1, 0.5) - want) <= 1e-13 * want
 
@@ -175,7 +175,7 @@ class TestGaussLegendre:
             gegenbauer_rule(0.5, 0)
 
     def test_rule_is_immutable(self):
-        # the kernel shares nothing between callers: a one-row J (degree 0) has no
+        # the kernel shares nothing between callers: a degree-0 product has no
         # recurrence steps and must still give a Python float, and a call leaves no state behind
         for n in (0, 3):
             first = gegenbauer_product_integral(0.5, n, 0.5, n, 0.5)
@@ -188,8 +188,8 @@ class TestGegenbauerRule:
     @pytest.mark.parametrize("mu", [0.3, 1.0, 1.618, 7.5, 120.0])
     @pytest.mark.parametrize("rows", [1, 4, 9, 51])
     def test_exact_moments(self, mu, rows):
-        # products of total degree 2 rows - 2, which the kernel forms from a J of that many
-        # rows, against mpmath, with both polynomials of the weight's own order and of two others
+        # products of total degree 2 rows - 2, which a rule of that many nodes makes exact,
+        # against mpmath, with both polynomials of the weight's own order and of two others
         pairs = [(rows - 1, rows - 1), (0, 2 * rows - 2), (rows // 2, 2 * rows - 2 - rows // 2)]
         with mpmath.workdps(150):
             moments = _mp_moments(mpmath.mpf(mu), 4 * rows)

@@ -239,7 +239,7 @@ class TestInnerProduct:
         branch=st.sampled_from([RELATIVISTIC, NONRELATIVISTIC]),
     )
     def test_matches_the_node_rule(self, eta, gamma_frac, n_a, n_b, branch):
-        # the Jacobi-matrix overlap against the same Gauss-Gegenbauer rule built from nodes and weights
+        # the connection-coefficient overlap against the Gauss-Gegenbauer rule built from nodes and weights
         sys = system(eta=eta, gamma=gamma_frac * eta)
         a, b = make_state(sys, n_a, branch), make_state(sys, n_b, branch)
         nodes, weights = gegenbauer_rule(a.v + b.v - sys.algebra.alpha, (n_a + n_b + 2) // 2)
@@ -492,8 +492,14 @@ def test_non_finite_order_rejected(call, lam):
     lambda n: ladder_coeffs(n, 1.0),
     lambda n: fm_quantization_residual(FmProblem(0.5, 1.0, 1.0, -3.0, 3.0, -2.0), n),
     lambda n: ratio_sweep(1.0, 1.0, 1.0, 0.0, [n], [0.5]),
+    lambda n: specfun.gegenbauer(n, 1.0, 0.3),
+    lambda n: specfun.gegenbauer_normalization(n, 1.0),
+    lambda n: specfun.gegenbauer_product_integral(1.0, n, 1.0, 2, 1.5),
+    lambda n: specfun.gegenbauer_product_integral(1.0, 2, 1.5, n, 1.0),
+    lambda n: su11_check(1.0, n),
 ], ids=["energy_relativistic", "energy_nonrel", "rel_residual", "make_state_rel", "make_state_nr",
-        "ladder_coeffs", "fm_quantization_residual", "ratio_sweep"])
+        "ladder_coeffs", "fm_quantization_residual", "ratio_sweep", "gegenbauer", "normalization",
+        "product_n_a", "product_n_b", "su11_check_n_max"])
 def test_non_integer_n_rejected(call):
     for n in (1.5, 2.0, np.float64(2.0), -1):
         with pytest.raises(ValueError, match="n must be a nonnegative integer"):
