@@ -51,7 +51,7 @@ _KAPPA_GRID = (0.01, 0.1, 1.0)
 _SU11_LAMBDAS = (0.8, 1.61803, 3.2)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckResult:
     name: str
     max_deviation: float

@@ -16,7 +16,7 @@ the deformed oscillator: the mapping onto this form lives in `gup`, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "FmProblem",
@@ -34,9 +34,12 @@ class NoBoundStateError(ValueError):
         self.radicand = radicand
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FmProblem:
-    """Coefficients of the standard form; all finite, and k3 nonzero."""
+    """Coefficients of the standard form; all finite, and k3 nonzero.
+
+    Checked when built, not on assignment; a plain record, so unhashable.
+    """
 
     k1: float
     k2: float
@@ -46,9 +49,9 @@ class FmProblem:
     C: float
 
     def __post_init__(self) -> None:
-        for name in ("k1", "k2", "k3", "A", "B", "C"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"standard-form coefficient {name} must be finite")
+        if not all(map(math.isfinite, (self.k1, self.k2, self.k3, self.A, self.B, self.C))):
+            name = next(f.name for f in fields(self) if not math.isfinite(getattr(self, f.name)))
+            raise ValueError(f"standard-form coefficient {name} must be finite")
         if self.k3 == 0.0:
             raise ValueError("standard form requires k3 != 0")
 

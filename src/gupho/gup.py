@@ -216,4 +216,4 @@ def _fm_problem(system: OscillatorSystem, delta: float, e_plus_m: float) -> FmPr
     a_coef = b_hat - a_hat
     if not math.isfinite(a_coef):
         raise DegenerateModelError(f"standard-form A = B^ - A^ overflows: B^ = {b_hat!r}, A^ = {a_hat!r}")
-    return FmProblem(k1=k1, k2=2.0 * k1, k3=1.0, A=a_coef, B=-a_coef, C=-0.25 * a_hat)
+    return FmProblem(k1, 2.0 * k1, 1.0, a_coef, -a_coef, -0.25 * a_hat)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from . import fm
+from . import fm, gup
 
 __all__ = [
     "as_float",
@@ -92,7 +92,8 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     sum_j T_a(j) T_b(j) h_j with h_j of `_weight_norms`, over the common
     parity j <= min(n_a, n_b).  Each column costs n + n // 2 scalar steps,
     so the integral costs O(n_a + n_b), in Python floats: no nodes, no
-    numpy and no cache.  An odd n_a + n_b gives exactly 0.0 by parity.
+    numpy and no cache.  An odd n_a + n_b gives exactly 0.0 by parity.  A sum
+    that is not finite (T or h_j out of range) raises `QuadratureAccuracyError`.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be positive")
@@ -105,7 +106,10 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     top = min(n_a, n_b)
     c_a = _connection_column(n_a, lam_a, mu, top)
     c_b = c_a if (n_b, lam_b) == (n_a, lam_a) else _connection_column(n_b, lam_b, mu, top)
-    return sum([x * y * h for x, y, h in zip(c_a, c_b, _weight_norms(mu, top))])
+    total = sum([x * y * h for x, y, h in zip(c_a, c_b, _weight_norms(mu, top))])
+    if not math.isfinite(total):
+        raise gup.QuadratureAccuracyError(f"integral at mu = {mu!r}, n_a = {n_a}, n_b = {n_b} is not finite: {total!r}")
+    return total
 
 
 def gegenbauer_normalization(n: int, lam: float) -> float:

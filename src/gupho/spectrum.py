@@ -40,7 +40,7 @@ class SolverError(RuntimeError):
     """A level, or a quantity it is formed from, leaves the double range."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpectrumResult:
     """One level.
 
@@ -49,7 +49,8 @@ class SpectrumResult:
     nonrelativistic branch it is the level itself.  ``residual`` is the
     quantization condition in its fixed-point (energy units) arrangement,
     delta - map(delta), evaluated at the returned level; the dimensionless
-    arrangement is available as `rel_residual`.
+    arrangement is available as `rel_residual`.  A plain record, so
+    unhashable; `dataclasses.replace` gives a modified copy.
     """
 
     n: int
@@ -162,7 +163,7 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     energy = m + delta
     if not (math.isfinite(energy) and math.isfinite(residual)):
         raise SolverError(f"level n={n} is not a finite double: energy={energy!r}, residual={residual!r}")
-    return SpectrumResult(n=n, energy=energy, delta=delta, residual=residual)
+    return SpectrumResult(n, energy, delta, residual)
 
 
 def _nr_level(hw: float, half: float, root: float, n: int) -> float:
@@ -190,7 +191,7 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
     alg = system.algebra
     half = 0.5 * alg.hbar * alg.eta * system.mass * system.omega
     energy = _nr_level(alg.hbar * system.omega, half, math.hypot(half, 1.0), n)
-    return SpectrumResult(n=n, energy=energy, delta=energy, residual=0.0)
+    return SpectrumResult(n, energy, energy, 0.0)
 
 
 def ratio_sweep(

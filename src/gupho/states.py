@@ -69,9 +69,12 @@ RELATIVISTIC = "relativistic"
 NONRELATIVISTIC = "nonrelativistic"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OscillatorState:
-    """One normalized eigenstate, evaluable at rho in (-1, 1); energy and delta are its level's."""
+    """One normalized eigenstate, evaluable at rho in (-1, 1); energy and delta are its level's.
+
+    A plain record, so unhashable; `dataclasses.replace` gives a modified copy.
+    """
 
     system: OscillatorSystem
     branch: str
@@ -83,7 +86,7 @@ class OscillatorState:
     delta: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LadderCoefficients:
     """Shift coefficients at quantum number n for a given weight order."""
 
@@ -121,10 +124,7 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     raw = weight / math.sqrt(alg.eta) / ref / ref if ref > 0.0 else math.inf
     if not sys.float_info.min <= raw < math.inf:
         raise QuadratureAccuracyError(f"raw norm integral is not a normal double: {raw!r}")
-    return OscillatorState(
-        system=system, branch=branch, n=n, v=v, lam=lam, norm=1.0 / math.sqrt(raw),
-        energy=level.energy, delta=level.delta,
-    )
+    return OscillatorState(system, branch, n, v, lam, 1.0 / math.sqrt(raw), level.energy, level.delta)
 
 
 def _e_plus_m(system: OscillatorSystem, branch: str, delta: float) -> float:
@@ -252,11 +252,7 @@ def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
     _require_n(n)
     if not 0.0 < lam < math.inf:
         raise ValueError("lam must be positive")
-    return LadderCoefficients(
-        l_minus=math.sqrt(n * (2.0 * lam + n - 1.0)),
-        l_plus=math.sqrt((n + 1.0) * (2.0 * lam + n)),
-        l_zero=lam + n,
-    )
+    return LadderCoefficients(math.sqrt(n * (2.0 * lam + n - 1.0)), math.sqrt((n + 1.0) * (2.0 * lam + n)), lam + n)
 
 
 def _ladder_factor(state: OscillatorState, direction: str) -> tuple:
@@ -300,7 +296,7 @@ def apply_ladder(state: OscillatorState, direction: str, rho):
     return factor * _envelope(state, x) * specfun.gegenbauer(degree, state.lam, x)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Su11Report:
     """Maximum absolute deviations of the coefficient-level algebra checks."""
 
@@ -351,11 +347,4 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
             dev_cc = max(dev_cc, abs((casimir - casimir_prev) * c.l_minus))
         casimir_prev = casimir
         down, c = c, up
-    return Su11Report(
-        lam=lam,
-        n_max=n_max,
-        commutator=dev_comm,
-        weight_shift=dev_weight,
-        casimir=dev_cas,
-        casimir_commutant=dev_cc,
-    )
+    return Su11Report(lam, n_max, dev_comm, dev_weight, dev_cas, dev_cc)

@@ -26,6 +26,14 @@ class TestFmProblem:
         with pytest.raises(ValueError, match=name):
             FmProblem(**coeffs)
 
+    def test_first_non_finite_coefficient_is_named(self):
+        with pytest.raises(ValueError, match="coefficient k2 must be finite"):
+            FmProblem(0.5, math.nan, 1.0, math.inf, 3.0, -math.inf)
+
+    def test_positional_equals_keyword(self):
+        coeffs = dict(k1=0.5, k2=1.0, k3=1.0, A=-3.0, B=3.0, C=-2.0)
+        assert FmProblem(*coeffs.values()) == FmProblem(**coeffs)
+
 
 class TestExponents:
     def test_trivial_problem(self):

@@ -6,6 +6,7 @@ check runs in a fresh interpreter, because this test process has numpy
 loaded already.
 """
 
+import dataclasses
 import importlib
 import subprocess
 import sys
@@ -108,6 +109,48 @@ def test_quadrature_error_is_one_class():
         "print(gupho.QuadratureAccuracyError is gupho.states.QuadratureAccuracyError)\n"
     )
     assert out == "False\nTrue\n"
+
+
+def output_records():
+    from gupho import checks, fm_problem_of, states
+    from gupho.gup import DeformedAlgebra, OscillatorSystem
+    from gupho.spectrum import energy_relativistic
+
+    system = OscillatorSystem(1.0, 1.0, DeformedAlgebra(eta=0.1, gamma=0.03))
+    level = energy_relativistic(system, 2)
+    return [
+        level,
+        fm_problem_of(system, level.energy),
+        states.make_state(system, 2, states.RELATIVISTIC),
+        states.ladder_coeffs(2, 1.5),
+        states.su11_check(1.5, 3),
+        checks.CheckResult("row", 0.0, 1.0),
+    ]
+
+
+@pytest.mark.parametrize("record", output_records(), ids=lambda record: type(record).__name__)
+def test_output_records_are_plain_slotted_dataclasses(record):
+    # replace and fields keep working, a declared field can be assigned, slots reject a
+    # misspelt name, and eq without frozen sets __hash__ to None
+    names = [field.name for field in dataclasses.fields(record)]
+    copy = dataclasses.replace(record)
+    assert copy == record and copy is not record
+    setattr(copy, names[0], getattr(record, names[0]))
+    with pytest.raises(AttributeError):
+        record.misspelt = 1.0
+    with pytest.raises(TypeError):
+        hash(record)
+
+
+def test_model_records_stay_frozen_and_hashable():
+    from gupho.gup import DeformedAlgebra, OscillatorSystem
+
+    algebra = DeformedAlgebra(eta=0.1, gamma=0.03)
+    system = OscillatorSystem(1.0, 1.0, algebra)
+    for record, name in ((algebra, "eta"), (system, "mass")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, 2.0)
+        assert hash(record) == hash(dataclasses.replace(record))
 
 
 COMMANDS = [

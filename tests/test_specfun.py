@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_gegenbauer
 
+from gupho.gup import QuadratureAccuracyError
 from gupho.specfun import (
     _gegenbauer_pair,
     gegenbauer,
@@ -224,6 +225,12 @@ class TestGegenbauerRule:
                                        (1, 0.5, 1, -1.0), (1, math.nan, 1, 0.5)):
             with pytest.raises(ValueError):
                 gegenbauer_product_integral(1.5, n_a, lam_a, n_b, lam_b)
+
+    @pytest.mark.parametrize("n_b", [300, 298])
+    def test_non_finite_sum_raises(self, n_b):
+        # h_j leaves the double range against an exact-zero connection coefficient: NaN, not a value
+        with pytest.raises(QuadratureAccuracyError, match=f"mu = 1000.0, n_a = 300, n_b = {n_b}"):
+            gegenbauer_product_integral(1000.0, 300, 1000.0, n_b, 1000.0)
 
 
 class TestOrthogonality:
