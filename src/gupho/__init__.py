@@ -8,39 +8,15 @@ ndarray or numpy scalar arrives, so spectra, states sampled at Python floats
 and the `verify` suite all run without it.  The scalar layers (`fm`, `gup`,
 `spectrum`) load with the package; the `states` exports and the `states`
 and `specfun` submodules load on first access, so a process that only
-needs spectra does not load them either.
+needs spectra does not load them either.  Each module's `__all__` is the
+one list of its public names; the package star-imports the scalar layers'.
 """
 
 from importlib import import_module as _import_module
 
-from .fm import (
-    FmProblem,
-    NoBoundStateError,
-    fm_exponents,
-    fm_quantization_residual,
-)
-from .gup import (
-    DeformedAlgebra,
-    DegenerateModelError,
-    OscillatorSystem,
-    QuadratureAccuracyError,
-    UndeformedBranchError,
-    fm_problem_of,
-    minimal_length,
-    p_of_rho,
-    rho_of_p,
-    scalar_weight,
-    uncertainty_bound,
-    wave_params,
-)
-from .spectrum import (
-    SolverError,
-    SpectrumResult,
-    energy_nonrel,
-    energy_relativistic,
-    ratio_sweep,
-    rel_residual,
-)
+from .fm import *
+from .gup import *
+from .spectrum import *
 
 # the states exports and the submodules that spectra do not need resolve on
 # first access (PEP 562)

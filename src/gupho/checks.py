@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import specfun
+from . import specfun, spectrum
 from .gup import (
     DeformedAlgebra,
     OscillatorSystem,
@@ -84,12 +84,14 @@ def _level_table(mass, omega, hbar, gamma, kappas, n_top) -> list:
 def _check_solver_cross_validation(table) -> CheckResult:
     """The closed-form levels against the unsquared fixed point, |h(delta)| / delta.
 
-    The levels come from the squared condition; h = delta - map(delta), the
-    level's residual, does not square, so a spurious root of the cubic fails
-    here, and h' >= 1 makes |h| / delta a bound on the relative error in delta.
-    delta is the level's own, not E - m, which is 0 for a heavy mass.
+    The levels come from the squared condition; h = delta - map(delta) does
+    not square, so a spurious root of the cubic fails here, and h' >= 1 makes
+    |h| / delta a bound on the relative error in delta.  h is formed afresh at
+    the level's own delta (not E - m, which is 0 for a heavy mass), not read
+    from the level's residual, so a delta moved after the solve fails too.
     """
-    dev = max(abs(level.residual) / level.delta for _, levels in table for level in levels)
+    dev = max(abs(spectrum._displacement(system, level.n, level.delta)) / level.delta
+              for system, levels in table for level in levels)
     return CheckResult("solver_cross_validation", dev, 1e-10)
 
 

@@ -155,11 +155,18 @@ def rho_of_p(algebra: DeformedAlgebra, p):
     return t / hypot(1.0, t)
 
 
+def _require_rho(rho):
+    """rho, checked to lie in (-1, 1) with NaN rejected: a Python number, or elementwise any numpy value."""
+    inside = abs(rho) < 1.0
+    if not (inside if type(inside) is bool else inside.all()):
+        raise ValueError("rho must lie in (-1, 1)")
+    return rho
+
+
 def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:
     """Inverse of `rho_of_p`: p = rho / (sqrt(eta) sqrt(1 - rho^2))."""
     algebra._require_deformed()
-    if not -1.0 < rho < 1.0:
-        raise ValueError("rho must lie in (-1, 1)")
+    _require_rho(rho)
     return rho / (math.sqrt(algebra.eta) * math.sqrt(1.0 - rho * rho))
 
 

@@ -4,18 +4,22 @@ Gegenbauer polynomials, paired with the neighbour C_(n-1) that gives their
 derivatives, their closed-form normalization, and the exact weighted
 integral of a product of two of them, formed from closed-form connection
 coefficients (DLMF 18.18.16) in Python floats, in O(n_a + n_b) steps,
-without nodes, weights or a cache.
+without nodes, weights or a cache; the weight's mass is a Gamma ratio
+summed without cancellation.  Every Gegenbauer order, in this module and
+in `states`, is checked by `_require_order`.
 Everything here is a pure function of its arguments.  A Python scalar
 argument is evaluated in Python floats, so the per-point path neither
 imports numpy nor pays its call overhead; arrays and numpy scalars are
-evaluated by numpy, which `as_float` imports when the first one arrives.
+evaluated by numpy, which `as_float` imports when the first one arrives,
+and each entry point coerces its argument once.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import fm, gup
+from .fm import _require_n
+from .gup import QuadratureAccuracyError
 
 __all__ = [
     "as_float",
@@ -45,6 +49,12 @@ def as_float(x):
     return arr
 
 
+def _require_order(lam, name: str) -> None:
+    """The one check of a Gegenbauer order: finite and positive, NaN rejected."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"{name} must be positive")
+
+
 def _connection_column(n: int, lam: float, mu: float, top: int) -> list[float]:
     """T(l), the coefficient of C_(n-2l)^mu in C_n^lam, at j = n - 2l = n & 1, n & 1 + 2, .., top.
 
@@ -66,14 +76,35 @@ def _connection_column(n: int, lam: float, mu: float, top: int) -> list[float]:
     return column
 
 
+def _weight_mass(mu: float) -> float:
+    """sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1), the mass of the weight (1 - x^2)^(mu - 1/2), to a few ulp.
+
+    With z = mu + 1/4, log(Gamma(z + 3/4) / Gamma(z + 1/4)) = log(z) / 2 + s(z)
+    with s(z) = -sum_k E_2k / (2k 2^(4k+1) z^(2k)), E_2k the Euler numbers
+    -1, 5, -61, 1385, .. (DLMF 5.11.8); seven terms leave less than 1e-17
+    at z >= 10, and below that the recurrence M(mu) = M(mu + 1) (mu + 1) /
+    (mu + 1/2) carries z up.  An lgamma difference cancels instead: its
+    terms grow like mu log mu, and it is 1e-3 off at mu = 1e12.
+    """
+    z = mu + 0.25
+    shift = 1.0
+    while z < 10.0:
+        shift *= (z + 0.75) / (z + 0.25)
+        z += 1.0
+    t = 1.0 / (z * z)
+    s = t * (1 / 64 - t * (5 / 2048 - t * (61 / 49152 - t * (1385 / 1048576 - t * (
+        50521 / 20971520 - t * (2702765 / 402653184 - t * 199360981 / 7516192768))))))
+    return shift * math.sqrt(math.pi / z) * math.exp(-s)
+
+
 def _weight_norms(mu: float, top: int) -> list[float]:
     """h_j, the integral of (1 - x^2)^(mu - 1/2) C_j^mu(x)^2 on (-1, 1), at j = top & 1, top & 1 + 2, .., top.
 
-    h_0 is the weight's mass sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1), and the
-    norm ratio h_(j+1) / h_j = (j + 2mu) (j + mu) / ((j + 1) (j + 1 + mu)) is
-    taken two steps at a time, where the factors j + 1 + mu cancel.
+    h_0 is the weight's mass of `_weight_mass`, and the norm ratio
+    h_(j+1) / h_j = (j + 2mu) (j + mu) / ((j + 1) (j + 1 + mu)) is taken two
+    steps at a time, where the factors j + 1 + mu cancel.
     """
-    h = math.exp(0.5 * math.log(math.pi) + math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
+    h = _weight_mass(mu)
     if top & 1:
         h *= 2.0 * mu * mu / (1.0 + mu)
     norms = [h]
@@ -95,12 +126,11 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     numpy and no cache.  An odd n_a + n_b gives exactly 0.0 by parity.  A sum
     that is not finite (T or h_j out of range) raises `QuadratureAccuracyError`.
     """
-    if not 0.0 < mu < math.inf:
-        raise ValueError("mu must be positive")
-    fm._require_n(n_a)
-    fm._require_n(n_b)
-    if not (0.0 < lam_a < math.inf and 0.0 < lam_b < math.inf):
-        raise ValueError("Gegenbauer order lam must be positive")
+    _require_order(mu, "mu")
+    _require_n(n_a)
+    _require_n(n_b)
+    _require_order(lam_a, "lam_a")
+    _require_order(lam_b, "lam_b")
     if (n_a + n_b) % 2:
         return 0.0
     top = min(n_a, n_b)
@@ -108,7 +138,7 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     c_b = c_a if (n_b, lam_b) == (n_a, lam_a) else _connection_column(n_b, lam_b, mu, top)
     total = sum([x * y * h for x, y, h in zip(c_a, c_b, _weight_norms(mu, top))])
     if not math.isfinite(total):
-        raise gup.QuadratureAccuracyError(f"integral at mu = {mu!r}, n_a = {n_a}, n_b = {n_b} is not finite: {total!r}")
+        raise QuadratureAccuracyError(f"integral at mu = {mu!r}, n_a = {n_a}, n_b = {n_b} is not finite: {total!r}")
     return total
 
 
@@ -119,9 +149,8 @@ def gegenbauer_normalization(n: int, lam: float) -> float:
     inverse square root of the integral of (1 - x^2)^(lam - 1/2) C_n^lam(x)^2
     over (-1, 1), summed in logs.
     """
-    fm._require_n(n)
-    if not 0.0 < lam < math.inf:
-        raise ValueError("Gegenbauer order lam must be positive")
+    _require_n(n)
+    _require_order(lam, "lam")
     log_val = (
         math.lgamma(n + 1.0)
         + math.log(n + lam)
@@ -144,12 +173,11 @@ def _gegenbauer_pair(n: int, lam: float, x) -> tuple:
     second element, and the pair is all that the derivative relation
     (1 - x^2) C_n' = (n + 2 lam - 1) C_(n-1) - n x C_n (DLMF 18.9.20) and
     the Gegenbauer equation need for C_n' and C_n''.  n and lam are
-    validated and x is coerced by `as_float`.
+    validated here; x must already be what `as_float` returns, as every
+    caller coerces it once.
     """
-    fm._require_n(n)
-    if not 0.0 < lam < math.inf:
-        raise ValueError("Gegenbauer order lam must be positive")
-    x = as_float(x)
+    _require_n(n)
+    _require_order(lam, "lam")
     if n == 0:
         return 0.0, x ** 0  # C_(-1) = 0; C_0 = 1 of x's kind and dtype, NaN included
     c_prev, c = 1.0, 2.0 * lam * x
@@ -167,4 +195,4 @@ def gegenbauer(n: int, lam: float, x):
     float dtypes (including longdouble) preserved (see `as_float`).  The
     recurrence is stable for lam > 0 at the moderate degrees used here.
     """
-    return _gegenbauer_pair(n, lam, x)[1]
+    return _gegenbauer_pair(n, lam, as_float(x))[1]

@@ -43,6 +43,7 @@ from .gup import (
     DegenerateModelError,
     OscillatorSystem,
     QuadratureAccuracyError,
+    _require_rho,
     rho_of_p,
     wave_params,
 )
@@ -105,7 +106,6 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     normal double (first at eta m omega hbar below about 2e-3, where 4^(-2v)
     underflows) `QuadratureAccuracyError` is raised.
     """
-    _require_n(n)
     alg = system.algebra
     alg._require_deformed()
     if branch == RELATIVISTIC:
@@ -132,20 +132,6 @@ def _e_plus_m(system: OscillatorSystem, branch: str, delta: float) -> float:
     return 2.0 * system.mass + (delta if branch == RELATIVISTIC else 0.0)
 
 
-def _rho_array(rho):
-    """rho coerced by `specfun.as_float` and validated to lie in (-1, 1).
-
-    A Python ``float`` or ``int`` comes back as a ``float``, so the formulas
-    downstream run in Python floats; anything else comes back as a float
-    ndarray (longdouble passes through).  NaN is rejected on both paths.
-    """
-    x = specfun.as_float(rho)
-    inside = abs(x) < 1.0
-    if not (inside if type(x) is float else inside.all()):
-        raise ValueError("rho must lie in (-1, 1)")
-    return x
-
-
 def _envelope(state: OscillatorState, x):
     """norm ((1 - rho^2)/4)^v, the state without its polynomial."""
     return state.norm * ((1.0 - x * x) / 4.0) ** state.v
@@ -159,8 +145,8 @@ def eval_state(state: OscillatorState, rho):
     with float dtypes (including longdouble) passed through.  rho must lie
     in (-1, 1); anything else, NaN included, raises ``ValueError``.
     """
-    x = _rho_array(rho)
-    return _envelope(state, x) * specfun.gegenbauer(state.n, state.lam, x)
+    x = _require_rho(specfun.as_float(rho))
+    return _envelope(state, x) * specfun._gegenbauer_pair(state.n, state.lam, x)[1]
 
 
 def _wave_relations(state: OscillatorState) -> tuple:
@@ -250,8 +236,7 @@ inner_product = weighted_overlap
 def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
     """l- = sqrt(n (2 lam + n - 1)), l+ = sqrt((n+1) (2 lam + n)), l0 = lam + n."""
     _require_n(n)
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lam must be positive")
+    specfun._require_order(lam, "lam")
     return LadderCoefficients(math.sqrt(n * (2.0 * lam + n - 1.0)), math.sqrt((n + 1.0) * (2.0 * lam + n)), lam + n)
 
 
@@ -291,9 +276,9 @@ def apply_ladder(state: OscillatorState, direction: str, rho):
     normalized state pointwise; on the relativistic branch neighbouring
     states carry different exponents and no such identity holds.
     """
-    x = _rho_array(rho)
+    x = _require_rho(specfun.as_float(rho))
     degree, factor = _ladder_factor(state, direction)
-    return factor * _envelope(state, x) * specfun.gegenbauer(degree, state.lam, x)
+    return factor * _envelope(state, x) * specfun._gegenbauer_pair(degree, state.lam, x)[1]
 
 
 @dataclass(slots=True)
@@ -319,8 +304,7 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
     Casimir eigenvalue l0 (l0 - 1) - l+ l- equals lam (lam - 1) for every n
     and therefore commutes with the ladder operators.
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError("lam must be positive")
+    specfun._require_order(lam, "lam")
     _require_n(n_max)
     casimir_target = lam * (lam - 1.0)
     dev_comm = dev_weight = dev_cas = dev_cc = 0.0

@@ -7,8 +7,7 @@ weights, with the value of a rule built the classical way, exact for that
 product.
 """
 
-import math
-
+import mpmath
 import numpy as np
 
 
@@ -21,7 +20,8 @@ def gegenbauer_rule(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     (Golub & Welsch 1969).  Weights come from the Christoffel function,
     mass / sum_j p_j(x)^2 over the orthonormal polynomials, which stays
     accurate where squared eigenvector components lose digits; the mass is
-    the integral of the weight, sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1).
+    the integral of the weight, sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1),
+    taken from 30-digit mpmath (an lgamma difference is 1e-13 off at mu = 120).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -35,5 +35,6 @@ def gegenbauer_rule(mu: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     for b in off.tolist():
         p_prev, p, b_prev = p, (nodes * p - b_prev * p_prev) / b, b
         total += p * p
-    mass = math.exp(0.5 * math.log(math.pi) + math.lgamma(mu + 0.5) - math.lgamma(mu + 1.0))
+    with mpmath.workdps(30):
+        mass = float(mpmath.sqrt(mpmath.pi) * mpmath.gamma(mu + 0.5) / mpmath.gamma(mu + 1))
     return nodes, mass / total

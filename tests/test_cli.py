@@ -314,23 +314,17 @@ class TestVerifyCommand:
         assert [r.name for r in results if not r.passed] == []
 
     def test_level_table_is_solved_once(self, monkeypatch):
-        # the four level rows read one table: each (system, n) on the kappa grid is solved once,
-        # and h(delta) comes only from the solver, never re-formed by a check; at the user's eta,
-        # gamma_invariance reads the relativistic states' levels, so each of those is solved once too
+        # the four level rows read one table: each (system, n) on the kappa grid is solved once;
+        # at the user's eta, gamma_invariance reads the relativistic states' levels, so each of
+        # those is solved once too
         exact, solved = checks.energy_relativistic, []
-        displacement = spectrum._displacement
 
         def counted(system, n):
             solved.append((system, n))
             return exact(system, n)
 
-        def from_the_solver(system, n, delta):
-            assert sys._getframe(1).f_code.co_name == "energy_relativistic"
-            return displacement(system, n, delta)
-
         monkeypatch.setattr(checks, "energy_relativistic", counted)
         monkeypatch.setattr("gupho.states.energy_relativistic", counted)
-        monkeypatch.setattr(spectrum, "_displacement", from_the_solver)
         mass, omega, hbar = 2.0, 0.5, 3.0
         checks.run_suite(mass, omega, hbar, eta=0.3, n_max=8)
         for kappa in checks._KAPPA_GRID:
@@ -432,10 +426,25 @@ class TestVerifyCommand:
         failed = [r[0] for r in rows if r[3] == "fail"]
         assert failed == ["nr_limit", "undeformed_continuity"]
 
+    @pytest.mark.parametrize("flags", [(), ("--eta", "0")])
+    def test_cross_validation_fails_on_a_delta_moved_after_the_solve(self, monkeypatch, capsys, flags):
+        # the level keeps the residual the solver formed at the right delta; the row re-forms h
+        exact = checks.energy_relativistic
+
+        def off_by_1e8(system, n):
+            level = exact(system, n)
+            return dataclasses.replace(level, delta=level.delta * (1.0 + 1e-8))
+
+        monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
+        assert cli.main(["verify", *flags]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        row = next(r for r in rows if r[0] == "solver_cross_validation")
+        assert row[3] == "fail" and float(row[1]) > 1e-9
+
     @pytest.mark.parametrize("mass", ["1", "1e200"])
     def test_undeformed_nr_limit_fails_on_a_wrong_delta(self, monkeypatch, capsys, mass):
         # every relativistic delta 1e-8 too large, at eta = 0 as well: undeformed_continuity compares two
-        # planted levels and solver_cross_validation reads the stored residual, so nr_limit alone sees it
+        # planted levels, so nr_limit and solver_cross_validation, which re-forms h at each delta, see it
         exact = checks.energy_relativistic
 
         def off_by_1e8(system, n):
@@ -445,7 +454,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
         assert cli.main(["verify", "--eta", "0", "--mass", mass]) == cli.EXIT_VERIFY
         _, rows = data_rows(capsys.readouterr().out)
-        assert [r[0] for r in rows if r[3] == "fail"] == ["nr_limit"]
+        assert [r[0] for r in rows if r[3] == "fail"] == ["solver_cross_validation", "nr_limit"]
         row = next(r for r in rows if r[0] == "nr_limit")
         assert float(row[1]) == pytest.approx(1e-8, rel=1e-3)
 

@@ -15,7 +15,7 @@ import pytest
 
 # every name of the package namespace
 EXPORTS = (
-    "DeformedAlgebra", "DegenerateModelError", "FmProblem", "LadderCoefficients",
+    "BOHR_RADIUS", "DeformedAlgebra", "DegenerateModelError", "FmProblem", "LadderCoefficients",
     "NONRELATIVISTIC", "NoBoundStateError", "OscillatorState", "OscillatorSystem",
     "QuadratureAccuracyError", "RELATIVISTIC", "SolverError", "SpectrumResult", "Su11Report",
     "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",

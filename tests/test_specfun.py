@@ -9,6 +9,7 @@ from scipy.special import eval_gegenbauer
 from gupho.gup import QuadratureAccuracyError
 from gupho.specfun import (
     _gegenbauer_pair,
+    _weight_norms,
     gegenbauer,
     gegenbauer_normalization,
     gegenbauer_product_integral,
@@ -202,6 +203,15 @@ class TestGegenbauerRule:
                     scale = mpmath.sqrt(_mp_weighted_product(moments, a, a) * _mp_weighted_product(moments, b, b))
                     got = gegenbauer_product_integral(mu, n_a, lam_a, n_b, lam_b)
                     assert abs(got - want) <= 1e-12 * scale, (n_a, lam_a, n_b, lam_b)
+
+    @pytest.mark.parametrize("mu", [0.05, 0.5, 1.0, 3.7, 10.0, 120.0, 1e3, 1e6, 1e9, 1e12])
+    def test_weight_mass_against_mpmath(self, mu):
+        # h_0 = sqrt(pi) Gamma(mu + 1/2) / Gamma(mu + 1); the lgamma difference it replaced was
+        # 5.9e-13 off at mu = 1e3, 3.3e-6 at 1e9 and 9.6e-4 at 1e12
+        with mpmath.workdps(40):
+            big = mpmath.mpf(mu)
+            want = mpmath.sqrt(mpmath.pi) * mpmath.gamma(big + 0.5) / mpmath.gamma(big + 1)
+            assert abs(_weight_norms(mu, 0)[0] - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("mu", [0.3, 2.5, 300.0])
     def test_symmetry(self, mu):

@@ -483,6 +483,30 @@ def test_non_finite_order_rejected(call, lam):
         call(lam)
 
 
+_ORDERS = (0.0, -1.0, math.nan, math.inf)
+_RHOS = (1.0, -1.0, math.nan)
+
+
+@pytest.mark.parametrize("call, bad, message", [
+    (lambda mu: specfun.gegenbauer_product_integral(mu, 1, 1.0, 1, 1.0), _ORDERS, "mu must be positive"),
+    (lambda lam: specfun.gegenbauer_product_integral(1.0, 1, lam, 1, 1.0), _ORDERS, "lam_a must be positive"),
+    (lambda lam: specfun.gegenbauer_product_integral(1.0, 1, 1.0, 1, lam), _ORDERS, "lam_b must be positive"),
+    (lambda lam: specfun.gegenbauer_normalization(2, lam), _ORDERS, "lam must be positive"),
+    (lambda lam: specfun.gegenbauer(2, lam, 0.3), _ORDERS, "lam must be positive"),
+    (lambda lam: ladder_coeffs(2, lam), _ORDERS, "lam must be positive"),
+    (lambda lam: su11_check(lam, 3), _ORDERS, "lam must be positive"),
+    (lambda rho: gup.p_of_rho(DeformedAlgebra(eta=0.1), rho), _RHOS, "rho must lie in (-1, 1)"),
+    (lambda rho: eval_state(make_state(system(), 2, NONRELATIVISTIC), rho), _RHOS, "rho must lie in (-1, 1)"),
+], ids=["product_mu", "product_lam_a", "product_lam_b", "normalization", "gegenbauer", "ladder_coeffs",
+        "su11_check", "p_of_rho", "eval_state"])
+def test_each_argument_rule_has_one_message(call, bad, message):
+    # one validator per rule: every order site and both rho sites raise its one message verbatim
+    for value in bad:
+        with pytest.raises(ValueError) as raised:
+            call(value)
+        assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("call", [
     lambda n: energy_relativistic(system(), n),
     lambda n: energy_nonrel(system(), n),
@@ -658,7 +682,8 @@ class TestOdeResidualOnStates:
                 assert_close(got, _terms_by_18_9_19(state, wide))
 
     def test_one_recurrence_pass_per_call(self, monkeypatch):
-        # ode_residual and eval_state each run the (C_(n-1), C_n) loop once and no other Gegenbauer code
+        # ode_residual, eval_state and apply_ladder each run the (C_(n-1), C_n) loop once and no
+        # other Gegenbauer evaluator; argument checks and as_float are not evaluators
         sys = system(eta=0.1, gamma=0.05)
         states = [make_state(sys, n, branch) for n in (0, 1, 7) for branch in (RELATIVISTIC, NONRELATIVISTIC)]
         pair, calls = specfun._gegenbauer_pair, []
@@ -671,18 +696,18 @@ class TestOdeResidualOnStates:
             raise AssertionError("a Gegenbauer evaluation outside the one recurrence pass")
 
         monkeypatch.setattr(specfun, "_gegenbauer_pair", counted)
+        for name in ("gegenbauer", "gegenbauer_normalization", "gegenbauer_product_integral",
+                     "_connection_column", "_weight_norms"):
+            monkeypatch.setattr(specfun, name, forbidden)
         for state in states:
             for p in (0.3, np.linspace(-4.0, 4.0, 9)):
-                del calls[:]
-                with monkeypatch.context() as patch:
-                    for name, value in vars(specfun).items():
-                        if callable(value) and name not in ("as_float", "_gegenbauer_pair"):
-                            patch.setattr(specfun, name, forbidden)
-                    ode_residual(state, p)
-                assert calls == [(state.n, state.lam)]
-                del calls[:]
-                eval_state(state, rho_of_p(sys.algebra, p))
-                assert calls == [(state.n, state.lam)]
+                rho = rho_of_p(sys.algebra, p)
+                for call, degree in ((lambda: ode_residual(state, p), state.n),
+                                     (lambda: eval_state(state, rho), state.n),
+                                     (lambda: apply_ladder(state, "raise", rho), state.n + 1)):
+                    del calls[:]
+                    call()
+                    assert calls == [(degree, state.lam)]
 
     def test_one_wave_params_call_per_consumer(self, monkeypatch):
         # make_state, ode_residual and fm_problem_of each map their level through wave_params once,
