@@ -1,12 +1,12 @@
 """Special-function and quadrature kernel.
 
 Gegenbauer polynomials, paired with the neighbour C_(n-1) that gives their
-derivatives, their closed-form normalization, and the exact weighted
-integral of a product of two of them, formed from closed-form connection
-coefficients (DLMF 18.18.16) in Python floats, in O(n_a + n_b) steps,
-without nodes, weights or a cache; the weight's mass is a Gamma ratio
-summed without cancellation.  Every Gegenbauer order, in this module and
-in `states`, is checked by `_require_order`.
+derivatives, and the exact weighted integral of a product of two of them,
+formed from closed-form connection coefficients (DLMF 18.18.16) in Python
+floats, in O(n_a + n_b) steps, without nodes, weights or a cache; the
+weight's mass is a Gamma ratio summed without cancellation, and its norms
+h_n are the states' norm integrals too.  Every Gegenbauer order, in this
+module and in `states`, is checked by `_require_order`.
 Everything here is a pure function of its arguments.  A Python scalar
 argument is evaluated in Python floats, so the per-point path neither
 imports numpy nor pays its call overhead; arrays and numpy scalars are
@@ -25,7 +25,6 @@ __all__ = [
     "as_float",
     "gegenbauer_product_integral",
     "gegenbauer",
-    "gegenbauer_normalization",
 ]
 
 
@@ -140,26 +139,6 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     if not math.isfinite(total):
         raise QuadratureAccuracyError(f"integral at mu = {mu!r}, n_a = {n_a}, n_b = {n_b} is not finite: {total!r}")
     return total
-
-
-def gegenbauer_normalization(n: int, lam: float) -> float:
-    """Closed-form normalization constant of C_n^lam (Kempf, Mangano and Mann 1995).
-
-    sqrt(n! (n + lam) Gamma(lam)^2 / (2^(1 - 2 lam) pi Gamma(2 lam + n))), the
-    inverse square root of the integral of (1 - x^2)^(lam - 1/2) C_n^lam(x)^2
-    over (-1, 1), summed in logs.
-    """
-    _require_n(n)
-    _require_order(lam, "lam")
-    log_val = (
-        math.lgamma(n + 1.0)
-        + math.log(n + lam)
-        + 2.0 * math.lgamma(lam)
-        - (1.0 - 2.0 * lam) * math.log(2.0)
-        - math.log(math.pi)
-        - math.lgamma(2.0 * lam + n)
-    )
-    return math.exp(0.5 * log_val)
 
 
 def _gegenbauer_pair(n: int, lam: float, x) -> tuple:

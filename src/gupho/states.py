@@ -8,7 +8,7 @@ times the integral of C_na C_nb against the Gegenbauer weight
 `specfun.gegenbauer_product_integral` gives that integral exactly from
 connection coefficients in O(n_a + n_b) Python-float steps, so the overlap
 path calls no numpy.  On the diagonal mu = lam, and the norm N follows from
-the closed-form Gegenbauer normalization `specfun.gegenbauer_normalization`.
+that kernel's own exact diagonal h_n(lam) of `specfun._weight_norms`.
 
 First-order ladder operators shift n by one with coefficients
 l- = sqrt(n (2 lam + n - 1)) and l+ = sqrt((n+1) (2 lam + n)); together with
@@ -101,10 +101,11 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
 
     The level comes from `energy_relativistic` or `energy_nonrel`, and v from
     `wave_params` at the level's delta and the branch's E + m.  The raw norm
-    integral is 4^(-2v) eta^(-1/2) / gegenbauer_normalization(n, lam)^2,
-    formed in double precision; where 4^(-2v) or the integral is not a
-    normal double (first at eta m omega hbar below about 2e-3, where 4^(-2v)
-    underflows) `QuadratureAccuracyError` is raised.
+    integral is 4^(-2v) eta^(-1/2) h_n(lam), with h_n(lam) the integral of
+    (1 - rho^2)^(lam - 1/2) C_n^lam(rho)^2, the overlap kernel's diagonal
+    (`specfun._weight_norms`), so <s|s> is 1 up to rounding; where 4^(-2v)
+    or the integral is not a normal double (first at eta m omega hbar below
+    about 2e-3, where 4^(-2v) underflows) `QuadratureAccuracyError` is raised.
     """
     alg = system.algebra
     alg._require_deformed()
@@ -119,9 +120,8 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
     if not v > 0.0:
         raise DegenerateModelError(f"prefactor exponent v = {v!r} must be positive")
     weight = 4.0 ** (-2.0 * v)
-    # a subnormal 4^(-2v) has lost digits; far below it, the normalization's lgamma terms cancel to noise
-    ref = specfun.gegenbauer_normalization(n, lam) if weight >= sys.float_info.min else math.inf
-    raw = weight / math.sqrt(alg.eta) / ref / ref if ref > 0.0 else math.inf
+    # a subnormal 4^(-2v) has lost digits, and far below it lam need not be positive
+    raw = weight / math.sqrt(alg.eta) * specfun._weight_norms(lam, n)[-1] if weight >= sys.float_info.min else 0.0
     if not sys.float_info.min <= raw < math.inf:
         raise QuadratureAccuracyError(f"raw norm integral is not a normal double: {raw!r}")
     return OscillatorState(system, branch, n, v, lam, 1.0 / math.sqrt(raw), level.energy, level.delta)

@@ -219,13 +219,17 @@ def test_criterion_08_normalization_reference(rel_states):
     started = time.perf_counter()
     result = checks._check_normalization_reference(rel_states)
     assert result.passed, result
-    _verdict(8, "closed-form norms against the exact overlap diagonal", started)
+    _verdict(8, "stored norms against the closed-form reference", started)
 
 
 def _plant_wrong_normalization(monkeypatch, scale=1e-8):
-    """The closed-form normalization scale n relative too large."""
-    exact = specfun.gegenbauer_normalization
-    monkeypatch.setattr(specfun, "gegenbauer_normalization", lambda n, lam: exact(n, lam) * (1.0 + scale * n))
+    """The norm integral h_n that `make_state` reads scale n relative too large, so its norm is ~scale n / 2 too small.
+
+    `make_state` takes h_n as the last of `specfun._weight_norms(lam, n)`;
+    every entry is scaled, so the overlap kernel sees the same h_j.
+    """
+    exact = specfun._weight_norms
+    monkeypatch.setattr(specfun, "_weight_norms", lambda mu, top: [h * (1.0 + scale * top) for h in exact(mu, top)])
 
 
 def test_criterion_08_fails_on_a_wrong_norm(monkeypatch):
@@ -236,6 +240,15 @@ def test_criterion_08_fails_on_a_wrong_norm(monkeypatch):
     assert result.max_deviation > 1e-8
 
 
+def test_criterion_08_fails_on_a_wrong_reference(monkeypatch, rel_states):
+    # the reference is the row's one route that shares no code with make_state; 1e-8 off in it reads ~2e-8
+    exact = checks._reference_norm
+    monkeypatch.setattr(checks, "_reference_norm", lambda n, lam: exact(n, lam) * (1.0 + 1e-8))
+    result = checks._check_normalization_reference(rel_states)
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(2e-8, rel=1e-3)
+
+
 def test_criterion_09_ladder_identity(nr_states):
     started = time.perf_counter()
     result = checks._check_ladder_identity(nr_states)
@@ -244,12 +257,12 @@ def test_criterion_09_ladder_identity(nr_states):
 
 
 def test_criterion_09_fails_on_a_wrong_norm(monkeypatch):
-    # neighbouring norms then disagree by ~1e-7 relative; the closed-form bracket must not hide it
+    # neighbouring norms then disagree by ~5e-8 relative; the closed-form bracket must not hide it
     _plant_wrong_normalization(monkeypatch, 1e-7)
     system = _system(eta=0.1, gamma=0.0)
     result = checks._check_ladder_identity([make_state(system, n, NONRELATIVISTIC) for n in range(9)])
     assert not result.passed
-    assert result.max_deviation == pytest.approx(1e-7, rel=1e-3)
+    assert result.max_deviation == pytest.approx(5e-8, rel=1e-3)
 
 
 def test_criterion_09_fails_at_nmax_0_on_a_wrong_raise(monkeypatch):
@@ -381,27 +394,37 @@ def test_criterion_12_weight_integral_oracle():
 
 
 def test_criterion_12_fails_on_a_missing_term(monkeypatch):
+    # a degree-0 column has one term, so the product of two degree-0 factors reads 0 against its integral
     _plant_missing_term(monkeypatch)
     result = checks._check_weight_orthogonality()
     assert not result.passed
-    assert result.max_deviation > 1.0
+    assert result.max_deviation == pytest.approx(1.0, rel=1e-12)
 
 
 def test_criterion_12_fails_on_a_wrong_norm_ratio(monkeypatch):
-    # every norm ratio 1e-8 relative too large shifts h_8 at mu = 2.5 (~125) by ~1e-5
+    # every norm ratio 1e-8 relative too large moves h_j by (1 + 1e-8)^j, and the degree-8 products by ~8e-8
     _plant_kernel_piece(monkeypatch, "norm_ratio")
     result = checks._check_weight_orthogonality()
     assert not result.passed
-    assert result.max_deviation > 1e-6
+    assert result.max_deviation == pytest.approx(7.9e-8, rel=1e-2)
 
 
-@pytest.mark.parametrize("piece", ["leading", "connection_ratio", "norm_ratio", "mass"])
+# make_state takes h_n from the kernel, so a wrong h_j moves the norms and the overlaps alike and only the
+# closed-form reference sees it; at lam = mu every T(l >= 1) is exactly 0, so only the mixed-order products
+# see a wrong connection ratio
+_KERNEL_PIECE_ROWS = {
+    "leading": {"orthonormality"},
+    "connection_ratio": set(),
+    "norm_ratio": {"normalization_reference"},
+    "mass": {"normalization_reference"},
+}
+
+
+@pytest.mark.parametrize("piece", list(_KERNEL_PIECE_ROWS))
 def test_criterion_12_each_kernel_piece_fails_verify(monkeypatch, piece):
     _plant_kernel_piece(monkeypatch, piece)
     failed = {result.name for result in checks.run_suite() if not result.passed}
-    # at lam = mu every T(l >= 1) is exactly 0, so only the mixed-order products see a wrong connection ratio
-    overlap_rows = {"orthonormality", "normalization_reference"} if piece != "connection_ratio" else set()
-    assert failed == {"weight_orthogonality"} | overlap_rows
+    assert failed == {"weight_orthogonality"} | _KERNEL_PIECE_ROWS[piece]
 
 
 def test_zz_total_budget_and_verify_command():

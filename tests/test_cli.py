@@ -12,6 +12,19 @@ from hypothesis import strategies as st
 from gupho import checks, cli, spectrum
 
 
+# the verify rows, in order, at eta > 0 and at eta = 0
+DEFORMED_ROWS = [
+    "solver_cross_validation", "relativistic_residual", "nr_limit", "gamma_invariance",
+    "fm_exponent_consistency", "fm_quantization_zero", "orthonormality",
+    "normalization_reference", "ladder_identity", "su11_algebra", "su11_casimir_commutant",
+    "ode_residual", "nr_ode_residual", "weight_orthogonality", "undeformed_continuity",
+]
+UNDEFORMED_ROWS = [
+    "solver_cross_validation", "nr_limit", "su11_algebra", "su11_casimir_commutant",
+    "undeformed_continuity",
+]
+
+
 def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "gupho", *args],
@@ -232,18 +245,7 @@ class TestVerifyCommand:
         _, rows = data_rows(result.stdout)
         assert all(r[3] == "pass" for r in rows)
 
-    @pytest.mark.parametrize("flags, names", [
-        ((), [
-            "solver_cross_validation", "relativistic_residual", "nr_limit", "gamma_invariance",
-            "fm_exponent_consistency", "fm_quantization_zero", "orthonormality",
-            "normalization_reference", "ladder_identity", "su11_algebra", "su11_casimir_commutant",
-            "ode_residual", "nr_ode_residual", "weight_orthogonality", "undeformed_continuity",
-        ]),
-        (("--eta", "0"), [
-            "solver_cross_validation", "nr_limit", "su11_algebra", "su11_casimir_commutant",
-            "undeformed_continuity",
-        ]),
-    ])
+    @pytest.mark.parametrize("flags, names", [((), DEFORMED_ROWS), (("--eta", "0"), UNDEFORMED_ROWS)])
     def test_row_names_are_pinned(self, capsys, flags, names):
         # a dropped, renamed or reordered check must fail here, not only in the benchmark's oracle
         assert cli.main(["verify", *flags]) == 0
@@ -275,7 +277,7 @@ class TestVerifyCommand:
         result = run_cli("verify", "--mass", "1e200")
         assert result.returncode == 0, result.stderr
         _, rows = data_rows(result.stdout)
-        assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+        assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
     @pytest.mark.parametrize("mass, eta", [
         ("1e12", "1e-9"), ("1e10", "1e-7"), ("1e15", "1e-12"), ("1e9", "1e-6"), ("1e8", "1e-5"),
@@ -284,7 +286,7 @@ class TestVerifyCommand:
         # m + delta keeps only the ulp of m here; the wave-equation and standard-form rows read delta
         assert cli.main(["verify", "--mass", mass, "--eta", eta]) == cli.EXIT_OK
         _, rows = data_rows(capsys.readouterr().out)
-        assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+        assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
     @pytest.mark.parametrize("flags", [
         ("--mass", "0.01", "--omega", "0.1", "--hbar", "0.1", "--eta", "1000"),
@@ -297,7 +299,7 @@ class TestVerifyCommand:
         # the third needs rel_residual to divide by hbar omega kappa, not by hbar^2 m omega^2 eta
         assert cli.main(["verify", *flags]) == cli.EXIT_OK
         _, rows = data_rows(capsys.readouterr().out)
-        assert len(rows) == 15 and all(r[3] == "pass" for r in rows)
+        assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -379,7 +381,7 @@ class TestVerifyCommand:
         result = run_cli("verify", "--eta", "0", "--mass", "1e200")
         assert result.returncode == 0, result.stderr
         _, rows = data_rows(result.stdout)
-        assert len(rows) == 5 and all(r[3] == "pass" for r in rows)
+        assert len(rows) == len(UNDEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
     def test_huge_mass_undeformed_fails_on_a_wrong_delta(self, monkeypatch, capsys):
         # m + delta rounds to m here, so only the level's own delta can show a 1e-8 error in it;
@@ -469,7 +471,7 @@ class TestVerifyCommand:
         assert result.returncode == 0
         _, rows = data_rows(result.stdout)
         names = [r[0] for r in rows]
-        assert len(names) == 5 and "nr_limit" in names
+        assert len(names) == len(UNDEFORMED_ROWS) and "nr_limit" in names
         assert "orthonormality" not in names  # deformed-only checks skipped
 
     def test_undeformed_tiny_scale_names_the_failing_row(self):

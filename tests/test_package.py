@@ -45,7 +45,7 @@ SUBMODULE_EXPORTS = {
         "ladder_coeffs", "make_state", "ode_residual", "su11_check", "weighted_overlap",
     ),
     "specfun": (
-        "as_float", "gegenbauer", "gegenbauer_normalization", "gegenbauer_product_integral",
+        "as_float", "gegenbauer", "gegenbauer_product_integral",
     ),
     "checks": ("CheckResult", "run_suite"),
 }

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,7 @@ from gupho import checks, gup, specfun
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of, rho_of_p
 from gupho.fm import FmProblem, fm_quantization_residual
 from gupho.spectrum import energy_nonrel, energy_relativistic, ratio_sweep, rel_residual
-from gupho.specfun import gegenbauer, gegenbauer_normalization, gegenbauer_product_integral
+from gupho.specfun import gegenbauer, gegenbauer_product_integral
 from gupho.states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
@@ -49,6 +50,16 @@ class TestMakeState:
     def test_normalized_by_construction(self, nr_family):
         for state in nr_family:
             assert inner_product(state, state) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("branch", [RELATIVISTIC, NONRELATIVISTIC])
+    def test_unit_norm_to_rounding(self, branch):
+        # the norm is the overlap kernel's own diagonal, so <s|s> is 1 to a few ulp over the state domain
+        for eta in np.geomspace(2.5e-3, 1e2, 14).tolist():
+            for gamma_frac in (0.0, 0.5):
+                sys = system(eta=eta, gamma=gamma_frac * eta)
+                for n in range(17):
+                    state = make_state(sys, n, branch)
+                    assert abs(weighted_overlap(state, state) - 1.0) <= 1e-14, (eta, gamma_frac, n)
 
     def test_relativistic_branch(self):
         sys = system(eta=0.1)
@@ -249,19 +260,31 @@ class TestInnerProduct:
 
 
 class TestReferenceNorm:
-    """The closed-form Gegenbauer normalization that `make_state` takes its norm from."""
+    """The lgamma closed-form Gegenbauer normalization that `normalization_reference` reads the norms against."""
 
     def test_unit_order_ground(self):
-        assert gegenbauer_normalization(0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
+        assert checks._reference_norm(0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
 
     def test_unit_order_first(self):
         # n! (n + lam) Gamma(lam)^2 / (2^(1-2 lam) pi Gamma(2 lam + n)) at n=1, lam=1
         expected = math.sqrt(1.0 * 2.0 * 1.0 / (0.5 * math.pi * math.gamma(3.0)))
-        assert gegenbauer_normalization(1, 1.0) == pytest.approx(expected, rel=1e-13)
+        assert checks._reference_norm(1, 1.0) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5, 40.0])
+    def test_against_mpmath(self, lam):
+        # 1 / sqrt(pi 2^(1 - 2 lam) Gamma(2 lam + n) / (n! (n + lam) Gamma(lam)^2)) in 50 digits;
+        # reads <= 5.6e-14 here (the lgamma terms cancel more as lam grows: 8.5e-13 at lam = 500)
+        with mpmath.workdps(50):
+            big = mpmath.mpf(lam)
+            for n in range(31):
+                integral = (mpmath.pi * mpmath.power(2, 1 - 2 * big) * mpmath.gamma(2 * big + n)
+                            / (mpmath.factorial(n) * (n + big) * mpmath.gamma(big) ** 2))
+                want = 1 / mpmath.sqrt(integral)
+                assert abs(checks._reference_norm(n, lam) - want) <= 1e-13 * want, n
 
     def test_measured_norm_ratio_constant_in_n(self, nr_family):
         # the state's norm differs from it by the factor 4^v eta^(1/4), which does not depend on n
-        ratios = [state.norm / gegenbauer_normalization(state.n, state.lam) for state in nr_family[:9]]
+        ratios = [state.norm / checks._reference_norm(state.n, state.lam) for state in nr_family[:9]]
         for ratio in ratios[1:]:
             assert ratio == pytest.approx(ratios[0], rel=1e-9)
 
@@ -470,12 +493,11 @@ class TestSu11:
 
 @pytest.mark.parametrize("call", [
     lambda lam: specfun.gegenbauer(2, lam, 0.3),
-    lambda lam: specfun.gegenbauer_normalization(2, lam),
     lambda lam: specfun.gegenbauer_product_integral(lam, 1, 1.0, 1, 1.0),
     lambda lam: specfun.gegenbauer_product_integral(1.0, 1, lam, 1, 1.0),
     lambda lam: ladder_coeffs(2, lam),
     lambda lam: su11_check(lam, 3),
-], ids=["gegenbauer", "normalization", "product_mu", "product_lam", "ladder_coeffs", "su11_check"])
+], ids=["gegenbauer", "product_mu", "product_lam", "ladder_coeffs", "su11_check"])
 @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
 def test_non_finite_order_rejected(call, lam):
     # inf passed a bare lam > 0 guard: nan, inf, or an all-zero su(1,1) report came back
@@ -483,7 +505,7 @@ def test_non_finite_order_rejected(call, lam):
         call(lam)
 
 
-_ORDERS = (0.0, -1.0, math.nan, math.inf)
+_ORDERS = (0.0, -1.0, math.nan, math.inf, -math.inf)
 _RHOS = (1.0, -1.0, math.nan)
 
 
@@ -491,13 +513,12 @@ _RHOS = (1.0, -1.0, math.nan)
     (lambda mu: specfun.gegenbauer_product_integral(mu, 1, 1.0, 1, 1.0), _ORDERS, "mu must be positive"),
     (lambda lam: specfun.gegenbauer_product_integral(1.0, 1, lam, 1, 1.0), _ORDERS, "lam_a must be positive"),
     (lambda lam: specfun.gegenbauer_product_integral(1.0, 1, 1.0, 1, lam), _ORDERS, "lam_b must be positive"),
-    (lambda lam: specfun.gegenbauer_normalization(2, lam), _ORDERS, "lam must be positive"),
     (lambda lam: specfun.gegenbauer(2, lam, 0.3), _ORDERS, "lam must be positive"),
     (lambda lam: ladder_coeffs(2, lam), _ORDERS, "lam must be positive"),
     (lambda lam: su11_check(lam, 3), _ORDERS, "lam must be positive"),
     (lambda rho: gup.p_of_rho(DeformedAlgebra(eta=0.1), rho), _RHOS, "rho must lie in (-1, 1)"),
     (lambda rho: eval_state(make_state(system(), 2, NONRELATIVISTIC), rho), _RHOS, "rho must lie in (-1, 1)"),
-], ids=["product_mu", "product_lam_a", "product_lam_b", "normalization", "gegenbauer", "ladder_coeffs",
+], ids=["product_mu", "product_lam_a", "product_lam_b", "gegenbauer", "ladder_coeffs",
         "su11_check", "p_of_rho", "eval_state"])
 def test_each_argument_rule_has_one_message(call, bad, message):
     # one validator per rule: every order site and both rho sites raise its one message verbatim
@@ -517,12 +538,11 @@ def test_each_argument_rule_has_one_message(call, bad, message):
     lambda n: fm_quantization_residual(FmProblem(0.5, 1.0, 1.0, -3.0, 3.0, -2.0), n),
     lambda n: ratio_sweep(1.0, 1.0, 1.0, 0.0, [n], [0.5]),
     lambda n: specfun.gegenbauer(n, 1.0, 0.3),
-    lambda n: specfun.gegenbauer_normalization(n, 1.0),
     lambda n: specfun.gegenbauer_product_integral(1.0, n, 1.0, 2, 1.5),
     lambda n: specfun.gegenbauer_product_integral(1.0, 2, 1.5, n, 1.0),
     lambda n: su11_check(1.0, n),
 ], ids=["energy_relativistic", "energy_nonrel", "rel_residual", "make_state_rel", "make_state_nr",
-        "ladder_coeffs", "fm_quantization_residual", "ratio_sweep", "gegenbauer", "normalization",
+        "ladder_coeffs", "fm_quantization_residual", "ratio_sweep", "gegenbauer",
         "product_n_a", "product_n_b", "su11_check_n_max"])
 def test_non_integer_n_rejected(call):
     for n in (1.5, 2.0, np.float64(2.0), -1):
@@ -696,8 +716,7 @@ class TestOdeResidualOnStates:
             raise AssertionError("a Gegenbauer evaluation outside the one recurrence pass")
 
         monkeypatch.setattr(specfun, "_gegenbauer_pair", counted)
-        for name in ("gegenbauer", "gegenbauer_normalization", "gegenbauer_product_integral",
-                     "_connection_column", "_weight_norms"):
+        for name in ("gegenbauer", "gegenbauer_product_integral", "_connection_column", "_weight_norms"):
             monkeypatch.setattr(specfun, name, forbidden)
         for state in states:
             for p in (0.3, np.linspace(-4.0, 4.0, 9)):
