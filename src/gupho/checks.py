@@ -181,14 +181,27 @@ def _check_orthonormality(states) -> CheckResult:
 
 
 def _reference_norm(n, lam) -> float:
-    """C_n^lam's closed-form norm sqrt(n! (n + lam) Gamma(lam)^2 / (2^(1 - 2 lam) pi Gamma(2 lam + n))).
+    """C_n^lam's closed-form norm sqrt(n! (n + lam) Gamma(lam) / (sqrt(pi) Gamma(lam + 1/2) (2 lam)_n)).
 
-    The formula of Kempf, Mangano and Mann 1995, summed in lgamma terms: a
-    reference only, and unvalidated.  Its terms grow like lam log lam and
-    cancel to ~1e-13 relative at lam of a few hundred.
+    The formula of Kempf, Mangano and Mann 1995, sqrt(n! (n + lam)
+    Gamma(lam)^2 / (2^(1 - 2 lam) pi Gamma(2 lam + n))), with Gamma(2 lam)
+    split by the duplication formula, so no term grows with lam.  The ratio
+    R(lam) = Gamma(lam + 1/2) / Gamma(lam) is carried up by
+    R(lam) = R(lam + 1) lam / (lam + 1/2) to z >= 16, where
+    log R(z) = log(z) / 2 + sum_j (2^(1 - 2j) - 2) B_2j / ((2j - 1) 2j z^(2j - 1)),
+    B_2j the Bernoulli numbers; six terms leave less than 1e-17.  This
+    shares no code with the overlap kernel's `specfun._weight_mass`.
     """
-    return math.exp(0.5 * (math.lgamma(n + 1.0) + math.log(n + lam) + 2.0 * math.lgamma(lam)
-                           - (1.0 - 2.0 * lam) * math.log(2.0) - math.log(math.pi) - math.lgamma(2.0 * lam + n)))
+    z, shift = lam, 1.0
+    while z < 16.0:
+        shift *= z / (z + 0.5)
+        z += 1.0
+    t = 1.0 / (z * z)
+    s = (-1 / 8 + t * (1 / 192 + t * (-1 / 640 + t * (17 / 14336 + t * (-31 / 18432 + t * 691 / 180224))))) / z
+    ratio = shift * math.sqrt(z) * math.exp(s)  # R(lam), then R(lam) (2 lam)_n / n!
+    for k in range(n):
+        ratio *= (2.0 * lam + k) / (k + 1.0)
+    return math.sqrt((n + lam) / (math.sqrt(math.pi) * ratio))
 
 
 def _check_normalization_reference(states) -> CheckResult:

@@ -260,7 +260,7 @@ class TestInnerProduct:
 
 
 class TestReferenceNorm:
-    """The lgamma closed-form Gegenbauer normalization that `normalization_reference` reads the norms against."""
+    """The closed-form Gegenbauer normalization that `normalization_reference` reads the norms against."""
 
     def test_unit_order_ground(self):
         assert checks._reference_norm(0, 1.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-13)
@@ -270,17 +270,17 @@ class TestReferenceNorm:
         expected = math.sqrt(1.0 * 2.0 * 1.0 / (0.5 * math.pi * math.gamma(3.0)))
         assert checks._reference_norm(1, 1.0) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5, 40.0])
+    @pytest.mark.parametrize("lam", [0.3, 0.6, 1.0, 2.5, 3.3, 40.0, 286.0, 1e4, 1e6])
     def test_against_mpmath(self, lam):
         # 1 / sqrt(pi 2^(1 - 2 lam) Gamma(2 lam + n) / (n! (n + lam) Gamma(lam)^2)) in 50 digits;
-        # reads <= 5.6e-14 here (the lgamma terms cancel more as lam grows: 8.5e-13 at lam = 500)
+        # reads <= 1.0e-15 here (an lgamma sum of the same formula read 3.8e-13 at lam = 286 and 1.5e-9 at 1e6)
         with mpmath.workdps(50):
             big = mpmath.mpf(lam)
             for n in range(31):
                 integral = (mpmath.pi * mpmath.power(2, 1 - 2 * big) * mpmath.gamma(2 * big + n)
                             / (mpmath.factorial(n) * (n + big) * mpmath.gamma(big) ** 2))
                 want = 1 / mpmath.sqrt(integral)
-                assert abs(checks._reference_norm(n, lam) - want) <= 1e-13 * want, n
+                assert abs(checks._reference_norm(n, lam) - want) <= 1e-14 * want, n
 
     def test_measured_norm_ratio_constant_in_n(self, nr_family):
         # the state's norm differs from it by the factor 4^v eta^(1/4), which does not depend on n
