@@ -7,6 +7,7 @@ is the whole row.  The final test confirms that and the cumulative runtime
 budget.
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from gupho import checks, specfun, states
 from gupho.gup import DeformedAlgebra, OscillatorSystem
 from gupho.spectrum import ratio_sweep
 from gupho.states import NONRELATIVISTIC, RELATIVISTIC, make_state
+from test_plants import _scaled, expected_rows, plant
 
 _TIMES: dict[int, float] = {}
 _ETAS = (0.01, 0.1, 1.0)  # the deformations criteria 05 and 11 run at
@@ -89,8 +91,17 @@ def test_criterion_04_nr_limit():
         assert checks._check_nr_limit(omega, hbar, 0.0).passed, (omega, hbar)
 
 
+def test_criterion_04_fails_on_a_wrong_nr_level(monkeypatch):
+    # the target is energy_nonrel times a first-order factor, so a relative error e in it reads e
+    plant(monkeypatch, "energy_nonrel.energy")
+    result = checks._check_nr_limit(1.0, 1.0, 0.0)
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(1e-8, rel=1e-3)
+
+
 def _rel_states(eta):
-    return [make_state(_system(eta=eta), n, RELATIVISTIC) for n in range(9)]
+    # through checks.make_state, which the plants of tests/test_plants.py replace
+    return [checks.make_state(_system(eta=eta), n, RELATIVISTIC) for n in range(9)]
 
 
 def test_criterion_05_gamma_invariance():
@@ -99,6 +110,14 @@ def test_criterion_05_gamma_invariance():
         result = checks._check_gamma_invariance(_rel_states(eta))
         assert result.passed, result
     _verdict(5, "gamma invariance through the standard form", started)
+
+
+def test_criterion_05_fails_on_a_wrong_energy(monkeypatch):
+    # a 1e-8 relative error in a state's delta, the field the check reads, fails it
+    plant(monkeypatch, "make_state.delta")
+    result = checks._check_gamma_invariance(_rel_states(0.1))
+    assert not result.passed
+    assert result.max_deviation > 1e-8
 
 
 def test_criterion_06_fm_pipeline_equivalence():
@@ -131,6 +150,13 @@ def test_criterion_07_orthonormality(nr_states):
     _verdict(7, "orthonormality", started)
 
 
+def test_criterion_07_fails_on_a_missing_term(monkeypatch, nr_states):
+    plant(monkeypatch, "_connection_column.last_term")
+    result = checks._check_orthonormality(nr_states[:9])
+    assert not result.passed
+    assert result.max_deviation > 1e-3
+
+
 def test_criterion_08_normalization_reference(rel_states):
     started = time.perf_counter()
     result = checks._check_normalization_reference(rel_states)
@@ -138,11 +164,29 @@ def test_criterion_08_normalization_reference(rel_states):
     _verdict(8, "stored norms against the closed-form reference", started)
 
 
+def test_criterion_08_fails_on_a_wrong_norm(monkeypatch):
+    # every norm ratio 1e-8 too large: make_state's h_n moves by (1 + 1e-8)^n and only the reference sees it
+    plant(monkeypatch, "_weight_norms.ratio")
+    result = checks._check_normalization_reference(_rel_states(1.0))
+    assert not result.passed
+    assert result.max_deviation > 1e-8
+
+
 def test_criterion_09_ladder_identity(nr_states):
     started = time.perf_counter()
     result = checks._check_ladder_identity(nr_states)
     assert result.passed, result
     _verdict(9, "ladder identity", started)
+
+
+@pytest.mark.parametrize("field", ["v", "lam"])
+def test_criterion_09_fails_on_a_neighbour_with_another_exponent(monkeypatch, field):
+    # the relation f N_n = l N_(n+-1) holds pointwise only if the neighbours share v and lam; n = 1's is 1e-6 off
+    plant(monkeypatch, f"make_state.{field}")
+    wrong = [checks.make_state(_system(eta=1.0), n, NONRELATIVISTIC) for n in range(10)]
+    result = checks._check_ladder_identity(wrong)
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_criterion_09_fails_on_relativistic_states(rel_states):
@@ -192,11 +236,59 @@ def test_criterion_11_ode_residual():
     _verdict(11, "wave-equation residual, both branches", started)
 
 
+@pytest.mark.parametrize("field, planted", [
+    ("delta", lambda state: state.delta * (1.0 + 1e-8)),
+    ("v", lambda state: state.v + 1e-8),
+])
+def test_criterion_11_fails_on_a_planted_error(field, planted):
+    for eta in _ETAS:
+        wrong = [dataclasses.replace(state, **{field: planted(state)}) for state in _rel_states(eta)]
+        result = checks._check_ode_residual(wrong)
+        assert not result.passed, (eta, result)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-8])
+def test_criterion_11_nr_fails_on_a_wrong_energy(monkeypatch, scale):
+    # a relative error e in energy_nonrel, whose delta is the level itself, moves B^ by e B^: the
+    # quantization relation n (n + 2 lam) + 2v + B^ = 0 has the scale 2 |B^| (1 + e / 2), so it reads e / (2 + e)
+    monkeypatch.setattr(states, "energy_nonrel", _scaled("energy delta", scale)(states.energy_nonrel))
+    result = next(r for r in checks.run_suite() if r.name == "nr_ode_residual")
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(scale / (2.0 + scale), rel=1e-6)
+
+
 def test_criterion_12_weight_integral_oracle():
     started = time.perf_counter()
     result = checks._check_weight_orthogonality()
     assert result.passed, result
     _verdict(12, "weighted polynomial integral", started)
+
+
+def test_criterion_12_fails_on_a_missing_term(monkeypatch):
+    # a degree-0 column has one term, so the product of two degree-0 factors reads 0 against its integral
+    plant(monkeypatch, "_connection_column.last_term")
+    result = checks._check_weight_orthogonality()
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(1.0, rel=1e-12)
+
+
+def test_criterion_12_fails_on_a_wrong_norm_ratio(monkeypatch):
+    # every norm ratio 1e-8 relative too large moves h_j by (1 + 1e-8)^j, and the degree-8 products by ~8e-8
+    plant(monkeypatch, "_weight_norms.ratio")
+    result = checks._check_weight_orthogonality()
+    assert not result.passed
+    assert result.max_deviation == pytest.approx(7.9e-8, rel=1e-2)
+
+
+_KERNEL_PIECES = {"leading": "_connection_column.leading", "connection_ratio": "_connection_column.ratio",
+                  "norm_ratio": "_weight_norms.ratio", "mass": "_weight_mass"}
+
+
+@pytest.mark.parametrize("piece", list(_KERNEL_PIECES))
+def test_criterion_12_each_kernel_piece_fails_verify(monkeypatch, piece):
+    plant(monkeypatch, _KERNEL_PIECES[piece])
+    failed = {result.name for result in checks.run_suite() if not result.passed}
+    assert failed == {"weight_orthogonality"} | set(expected_rows(_KERNEL_PIECES[piece], "defaults"))
 
 
 def test_zz_total_budget_and_verify_command():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gupho import checks, cli, spectrum
-from test_plants import expected_rows, plant
+from test_plants import _scaled, expected_rows, plant
 
 
 # the verify rows, in order, at eta > 0 and at eta = 0
@@ -38,6 +39,25 @@ def run_cli(*args, env=None):
 def data_rows(stdout):
     lines = [ln for ln in stdout.splitlines() if ln and not ln.startswith("#")]
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def _fed_e_minus_m(exact):
+    """rel_residual fed E - m, which keeps only the ulp of a heavy m, in place of the level's delta."""
+    return lambda system, n, delta: exact(system, n, system.mass + delta - system.mass)
+
+
+def _v_off_by_1e8(exact):
+    """wave_params with v 1e-8 relative too large."""
+    return _scaled(0)(exact)
+
+
+def _v_at_a_wrong_e_plus_m(exact):
+    """wave_params with v formed at E + m 1e-8 relative too large: only r = sqrt(2m / (E + m)) / kappa moves."""
+    def planted(system, delta, e_plus_m):
+        _, a_hat, b_hat = exact(system, delta, e_plus_m)
+        return exact(system, delta, e_plus_m * (1.0 + 1e-8))[0], a_hat, b_hat
+
+    return planted
 
 
 class TestSpectrumCommand:
@@ -331,6 +351,19 @@ class TestVerifyCommand:
         with pytest.raises(spectrum.SolverError, match="no double eta"):
             checks._system_at(1e-165, 1e-160, 1.0, 0.1, 0.0)
 
+    @pytest.mark.parametrize("name, planted, row", [
+        ("rel_residual", _fed_e_minus_m, "relativistic_residual"),
+        ("wave_params", _v_off_by_1e8, "fm_exponent_consistency"),
+        ("wave_params", _v_at_a_wrong_e_plus_m, "fm_exponent_consistency"),
+    ])
+    def test_heavy_mass_fails_on_a_wrong_level_row(self, monkeypatch, capsys, name, planted, row):
+        # at a fixed eta grid, m = 1e12 put kappa >= 1e10, where r ~ 1e-10 rounds away: both rows
+        # then read 0 with the first and third errors; only checks' binding is planted, so one row fails
+        monkeypatch.setattr(checks, name, planted(getattr(checks, name)))
+        assert cli.main(["verify", "--mass", "1e12", "--eta", "1e-9"]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        assert [r[0] for r in rows if r[3] == "fail"] == [row]
+
     def test_tiny_eta_exits_2_without_a_traceback(self):
         result = run_cli("verify", "--eta", "1e-170")
         assert result.returncode == 2
@@ -345,6 +378,22 @@ class TestVerifyCommand:
         _, rows = data_rows(result.stdout)
         assert len(rows) == len(UNDEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
+    def test_huge_mass_undeformed_fails_on_a_wrong_delta(self, monkeypatch, capsys):
+        # m + delta rounds to m here, so only the level's own delta can show a 1e-8 error in it;
+        # the planted level carries the residual h(delta) the solver forms at its delta
+        exact = checks.energy_relativistic
+
+        def off_by_1e8(system, n):
+            level = exact(system, n)
+            wrong = level.delta * (1.0 + 1e-8)
+            return dataclasses.replace(level, delta=wrong, residual=spectrum._displacement(system, n, wrong))
+
+        monkeypatch.setattr(checks, "energy_relativistic", off_by_1e8)
+        assert cli.main(["verify", "--eta", "0", "--mass", "1e200"]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        row = next(r for r in rows if r[0] == "solver_cross_validation")
+        assert row[3] == "fail" and float(row[1]) > 1e-9
+
     @pytest.mark.parametrize("flags", [
         ("--hbar", "50", "--omega", "3"), ("--eta", "0", "--omega", "1e4"),
         ("--eta", "0", "--mass", "1e200"),
@@ -355,6 +404,17 @@ class TestVerifyCommand:
         _, rows = data_rows(capsys.readouterr().out)
         row = next(r for r in rows if r[0] == "undeformed_continuity")
         assert row[3] == "pass" and float(row[1]) > 0.0
+
+    @pytest.mark.parametrize("mass", ["1", "1e200"])
+    def test_undeformed_nr_limit_fails_on_a_wrong_delta(self, monkeypatch, capsys, mass):
+        # every relativistic delta 1e-8 too large, at eta = 0 as well: undeformed_continuity compares two
+        # planted levels, so nr_limit and solver_cross_validation, which re-forms h at each delta, see it
+        plant(monkeypatch, "energy_relativistic.delta")
+        assert cli.main(["verify", "--eta", "0", "--mass", mass]) == cli.EXIT_VERIFY
+        _, rows = data_rows(capsys.readouterr().out)
+        assert [r[0] for r in rows if r[3] == "fail"] == ["solver_cross_validation", "nr_limit"]
+        row = next(r for r in rows if r[0] == "nr_limit")
+        assert float(row[1]) == pytest.approx(1e-8, rel=1e-3)
 
     def test_tiny_mass_exits_2(self):
         result = run_cli("verify", "--mass", "1e-150")
