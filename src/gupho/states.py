@@ -213,14 +213,13 @@ def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
     O(n_a + n_b) Python-float steps, with no numpy call.  Each norm is
     paired with its own 4^(-v), so no intermediate product leaves the
     double range.  C_n has parity (-1)^n, so an odd
-    n_a + n_b gives exactly 0.0.  A value that is not finite raises
+    n_a + n_b gives exactly 0.0.  Every step is symmetric in (a, b), so
+    <a|b> and <b|a> agree bit for bit.  A value that is not finite raises
     `QuadratureAccuracyError`.
     """
     _require_compatible(a, b)
     if (a.n + b.n) % 2:
         return 0.0
-    if (b.n, b.v) < (a.n, a.v):
-        a, b = b, a  # canonical order makes symmetry in (a, b) exact
     alg = a.system.algebra
     integral = specfun.gegenbauer_product_integral(a.v + b.v - alg.alpha, a.n, a.lam, b.n, b.lam)
     value = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(alg.eta) * integral
@@ -288,26 +287,26 @@ class Su11Report:
     lam: float
     n_max: int
     commutator: float
-    weight_shift: float
     casimir: float
     casimir_commutant: float
 
     @property
     def max_deviation(self) -> float:
-        return max(self.commutator, self.weight_shift, self.casimir, self.casimir_commutant)
+        return max(self.commutator, self.casimir, self.casimir_commutant)
 
 
 def su11_check(lam: float, n_max: int) -> Su11Report:
     """Verify the su(1,1) relations on the ladder coefficients for n <= n_max.
 
-    [L-, L+] eigenvalue 2 (lam + n); [L0, L+-] shifts the l0 weight by +-1;
-    Casimir eigenvalue l0 (l0 - 1) - l+ l- equals lam (lam - 1) for every n
-    and therefore commutes with the ladder operators.
+    [L-, L+] eigenvalue 2 (lam + n); Casimir eigenvalue l0 (l0 - 1) - l+ l-
+    equals lam (lam - 1) for every n and therefore commutes with the ladder
+    operators.  [L0, L+-] = +-L+- is not read: l0 = lam + n shifts by
+    exactly +-1 with n by definition.
     """
     specfun._require_order(lam, "lam")
     _require_n(n_max)
     casimir_target = lam * (lam - 1.0)
-    dev_comm = dev_weight = dev_cas = dev_cc = 0.0
+    dev_comm = dev_cas = dev_cc = 0.0
     casimir_prev = None
     down, c = None, ladder_coeffs(0, lam)
     for n in range(n_max + 1):
@@ -317,10 +316,6 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
         if n > 0:
             comm -= c.l_minus * down.l_plus
         dev_comm = max(dev_comm, abs(comm - 2.0 * c.l_zero))
-        # [L0, L+] phi_n = l+(n) (l0(n+1) - l0(n)) phi_{n+1} = +L+ phi_n
-        dev_weight = max(dev_weight, abs(c.l_plus * (up.l_zero - c.l_zero) - c.l_plus))
-        if n > 0:
-            dev_weight = max(dev_weight, abs(c.l_minus * (down.l_zero - c.l_zero) + c.l_minus))
         # Casimir: l0 (l0 - 1) - l+(n-1) l-(n), with the lowering product vanishing at n = 0
         lowering = down.l_plus * c.l_minus if n > 0 else 0.0
         casimir = c.l_zero * (c.l_zero - 1.0) - lowering
@@ -331,4 +326,4 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
             dev_cc = max(dev_cc, abs((casimir - casimir_prev) * c.l_minus))
         casimir_prev = casimir
         down, c = c, up
-    return Su11Report(lam, n_max, dev_comm, dev_weight, dev_cas, dev_cc)
+    return Su11Report(lam, n_max, dev_comm, dev_cas, dev_cc)

@@ -10,20 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gupho import checks, cli, spectrum
-from test_plants import _scaled, expected_rows, plant
-
-
-# the verify rows, in order, at eta > 0 and at eta = 0
-DEFORMED_ROWS = [
-    "solver_cross_validation", "relativistic_residual", "nr_limit", "gamma_invariance",
-    "fm_exponent_consistency", "fm_quantization_zero", "orthonormality",
-    "normalization_reference", "ladder_identity", "su11_algebra", "su11_casimir_commutant",
-    "ode_residual", "nr_ode_residual", "weight_orthogonality", "undeformed_continuity",
-]
-UNDEFORMED_ROWS = [
-    "solver_cross_validation", "nr_limit", "su11_algebra", "su11_casimir_commutant",
-    "undeformed_continuity",
-]
+from test_plants import DEFORMED_ROWS, UNDEFORMED_ROWS, _scaled, expected_rows, plant
 
 
 def run_cli(*args, env=None):

@@ -100,6 +100,21 @@ def test_lazy_submodules_resolve_as_attributes():
     assert out == "gupho.specfun gupho.states\nTrue\n"
 
 
+def test_spectra_load_neither_states_nor_specfun():
+    # a dunder probe (as copy, pickle and inspect make) raises without resolving the states exports
+    out = run_python(
+        "import contextlib, io, sys, gupho\n"
+        "print(hasattr(gupho, '__wrapped__'), hasattr(gupho, '_private'))\n"
+        "from gupho.cli import main\n"
+        "for argv in (['spectrum'], ['spectrum', '--branch', 'nr'], ['figure1', '--steps', '3'],\n"
+        "             ['fm', '--k1=0.5', '--k2=1', '--k3=1', '--A=-3', '--B=3', '--C=-2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(name for name in sys.modules if name in ('gupho.states', 'gupho.specfun')))\n"
+    )
+    assert out == "False False\n[]\n"
+
+
 def test_quadrature_error_is_one_class():
     out = run_python(
         "import sys, gupho\n"

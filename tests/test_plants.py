@@ -1,14 +1,14 @@
 """One catalogue of planted errors for `gupho verify`: which rows each plant fails.
 
 Each plant wraps one function, in every module that binds it, so that what
-it returns is off by a relative 1e-8 (the ladder plants, whose row's bound
-is 1e-8, and a few pinned readings take another size), and `run_suite` runs
-at a few configurations.  Every (plant, configuration) asserts the exact set
-of rows that fail, and a reading where one is written as ``row=reading``.
+it returns is off by a relative 1e-8 (the ladder plants and a few pinned
+readings take another size), and `run_suite` runs at a few configurations.
+Every (plant, configuration) asserts the exact set of rows that fail, and a
+reading where one is written as ``row=reading``.
 
-Two standing assertions hold "every check can fail": every row, at eta > 0
-and at eta = 0, fails on at least one plant, and every plant's wrapper is
-called and fails at least one row at the defaults.
+Two standing assertions hold "every check can fail": every row of
+`DEFORMED_ROWS` and `UNDEFORMED_ROWS` fails on at least one plant, and
+every plant's wrapper is called and fails at least one row at the defaults.
 """
 
 import dataclasses
@@ -20,6 +20,18 @@ import pytest
 from gupho import checks
 
 GROW = 1.0 + 1e-8
+
+# the verify rows, in order, at eta > 0 and at eta = 0
+DEFORMED_ROWS = [
+    "solver_cross_validation", "relativistic_residual", "nr_limit", "gamma_invariance",
+    "fm_exponent_consistency", "fm_quantization_zero", "orthonormality",
+    "normalization_reference", "ladder_identity", "su11_algebra", "su11_casimir_commutant",
+    "ode_residual", "nr_ode_residual", "weight_orthogonality", "undeformed_continuity",
+]
+UNDEFORMED_ROWS = [
+    "solver_cross_validation", "nr_limit", "su11_algebra", "su11_casimir_commutant",
+    "undeformed_continuity",
+]
 
 # the `verify` flags of each configuration, as run_suite arguments
 CONFIGS = {
@@ -139,11 +151,12 @@ PLANTS = {
         *exact(*args)[:-1], 0.0], {
         "defaults": "orthonormality=1 weight_orthogonality=1",
     }),
+    # N_n goes as h_n^(-1/2), so each ladder pair's norms are off by a relative 5e-9
     "_weight_norms.ratio": Plant("specfun._weight_norms", lambda exact: lambda mu, top: [
         h * GROW ** j for j, h in zip(range(top & 1, top + 1, 2), exact(mu, top))], {
-        "defaults": "normalization_reference=8e-8 weight_orthogonality=7.90e-8",
-        "nmax0": "weight_orthogonality",  # h_0 has no ratio
-        "nmax60": "normalization_reference=6e-7 weight_orthogonality",
+        "defaults": "normalization_reference=8e-8 ladder_identity=5e-9 weight_orthogonality=7.90e-8",
+        "nmax0": "ladder_identity=5e-9 weight_orthogonality",  # h_0 has no ratio
+        "nmax60": "normalization_reference=6e-7 ladder_identity=5e-9 weight_orthogonality",
     }),
     "_weight_mass": Plant("specfun._weight_mass", _scaled(), {
         "defaults": "normalization_reference=1e-8 weight_orthogonality=1e-8",
@@ -236,11 +249,11 @@ def test_failing_rows(monkeypatch, name, config):
 
 @pytest.mark.parametrize("deformed", [True, False], ids=["eta>0", "eta=0"])
 def test_every_row_fails_on_some_plant(deformed):
-    rows = {r.name for r in checks.run_suite(eta=0.1 if deformed else 0.0)}
+    rows = [r.name for r in checks.run_suite(eta=0.1 if deformed else 0.0)]
     caught = {row for name in PLANTS for config in PLANTS[name].fails
               if (CONFIGS[config].get("eta", 0.1) > 0.0) == deformed for row in expected_rows(name, config)}
-    assert len(rows) == (15 if deformed else 5)
-    assert rows - caught == set()
+    assert rows == (DEFORMED_ROWS if deformed else UNDEFORMED_ROWS)
+    assert set(rows) - caught == set()
 
 
 def test_every_plant_fails_a_row_at_the_defaults():
