@@ -5,9 +5,11 @@ tolerance; the suite passes when every deviation is within tolerance.  With
 eta = 0 the deformed-only checks are skipped and the undeformed limit checks
 run instead.  The relativistic levels come from the closed-form root of the
 squared quantization condition; `solver_cross_validation` holds them to the
-unsquared one and `relativistic_residual` to its dimensionless arrangement.
+unsquared one and `relativistic_residual` to the wave equation's
+quantization relation of `states._wave_relations`, relative to its terms.
 These rows and the standard-form rows read one level table, solved once at
-each kappa = hbar eta m omega of `_KAPPA_GRID`, so they see one problem at any scale;
+each kappa = hbar eta m omega of `_KAPPA_GRID` with the user's
+alpha = gamma / eta held, so they see one problem at any scale;
 `nr_limit` and `undeformed_continuity` take their own tables, at their own
 mass and kappas, from the same `_level_table`, the one place levels at a held
 kappa are solved.  `gamma_invariance` reads the levels of the relativistic
@@ -28,12 +30,7 @@ from .gup import (
     wave_params,
 )
 from .fm import fm_exponents, fm_quantization_residual
-from .spectrum import (
-    SolverError,
-    energy_nonrel,
-    energy_relativistic,
-    rel_residual,
-)
+from .spectrum import SolverError, energy_nonrel, energy_relativistic
 from .states import (
     NONRELATIVISTIC,
     RELATIVISTIC,
@@ -42,6 +39,7 @@ from .states import (
     su11_check,
     weighted_overlap,
     _ladder_factor,
+    _state_relations,
     _wave_relations,
 )
 
@@ -66,18 +64,21 @@ def _system(mass, omega, hbar, eta, gamma) -> OscillatorSystem:
     return OscillatorSystem(mass, omega, DeformedAlgebra(eta=eta, gamma=gamma, hbar=hbar))
 
 
-def _system_at(mass, omega, hbar, kappa, gamma) -> OscillatorSystem:
-    """The system with hbar eta m omega = kappa, eta = 0 at kappa = 0; `SolverError` if no eta gives it."""
+def _system_at(mass, omega, hbar, kappa, alpha) -> OscillatorSystem:
+    """The system with hbar eta m omega = kappa and gamma = alpha eta, eta = 0 at kappa = 0.
+
+    Raises `SolverError` if no eta gives kappa.
+    """
     scale = hbar * mass * omega
     eta = 0.0 if kappa == 0.0 else kappa / scale if scale > 0.0 else math.inf
     if math.isinf(eta) or (eta > 0.0) != (kappa > 0.0):
         raise SolverError(f"no double eta gives hbar eta m omega = {kappa!r} at mass {mass!r}")
-    return _system(mass, omega, hbar, eta, gamma)
+    return _system(mass, omega, hbar, eta, alpha * eta)
 
 
-def _level_table(mass, omega, hbar, gamma, kappas, n_top) -> list:
-    """(system, its relativistic levels n = 0..n_top) at each kappa; each level is solved once."""
-    systems = [_system_at(mass, omega, hbar, kappa, gamma) for kappa in kappas]
+def _level_table(mass, omega, hbar, alpha, kappas, n_top) -> list:
+    """(system, its relativistic levels n = 0..n_top) at each kappa and the held alpha; each level is solved once."""
+    systems = [_system_at(mass, omega, hbar, kappa, alpha) for kappa in kappas]
     return [(system, [energy_relativistic(system, n) for n in range(n_top + 1)]) for system in systems]
 
 
@@ -96,11 +97,22 @@ def _check_solver_cross_validation(table) -> CheckResult:
 
 
 def _check_relativistic_residual(table) -> CheckResult:
-    dev = max(abs(rel_residual(system, level.n, level.delta)) for system, levels in table for level in levels)
-    return CheckResult("relativistic_residual", dev, 1e-10)
+    """The quantization relation of `states._wave_relations` at each level, relative to its terms.
+
+    (v, lam, A^, B^) come from `wave_params` at the level's own delta, which
+    m + delta rounds for a heavy mass, and 2m + delta.
+    """
+    dev = 0.0
+    for system, levels in table:
+        alpha, mass = system.algebra.alpha, system.mass
+        for level in levels:
+            params = wave_params(system, level.delta, 2.0 * mass + level.delta)
+            defect, scale = _wave_relations(level.n, alpha, *params)[1]
+            dev = max(dev, abs(defect) / scale)
+    return CheckResult("relativistic_residual", dev, 1e-13)
 
 
-def _check_nr_limit(omega, hbar, gamma) -> CheckResult:
+def _check_nr_limit(omega, hbar, alpha) -> CheckResult:
     """The relativistic delta against the first-order NR level at m = 1e8 hbar omega, deformed and not.
 
     kappa = hbar eta m omega is held fixed.  Expanding 2 / (m (delta + 2m))
@@ -115,7 +127,7 @@ def _check_nr_limit(omega, hbar, gamma) -> CheckResult:
         raise SolverError(f"nr_limit's mass 1e8 hbar omega = {mass!r} leaves the double range")
     kappas = (0.0, 0.1, 1.0, 10.0)
     dev = 0.0
-    for kappa, (system, levels) in zip(kappas, _level_table(mass, omega, hbar, gamma, kappas, 5)):
+    for kappa, (system, levels) in zip(kappas, _level_table(mass, omega, hbar, alpha, kappas, 5)):
         shift = hw / (4.0 * mass * math.hypot(1.0, 0.5 * kappa))
         for level in levels:
             target = energy_nonrel(system, level.n).energy * (1.0 - (level.n + 0.5) * shift)
@@ -155,7 +167,7 @@ def _check_fm_exponent_consistency(table) -> CheckResult:
         for gamma in (0.0, eta / 2.0, eta):
             trial = _system(mass, system.omega, system.algebra.hbar, eta, gamma)
             for delta in deltas:
-                v, _, _ = wave_params(trial, delta, 2.0 * mass + delta)
+                v = wave_params(trial, delta, 2.0 * mass + delta)[0]
                 k4, k5 = fm_exponents(_fm_problem(trial, delta, 2.0 * mass + delta))
                 dev = max(dev, abs(k4 - v), abs(k5 - v))
     return CheckResult("fm_exponent_consistency", dev, 1e-11)
@@ -253,12 +265,12 @@ def _check_ode_residual(states) -> CheckResult:
     """The wave equation's three coefficient relations, each defect relative to its terms' magnitudes.
 
     A state solves its equation at every momentum when the weight order,
-    quantization and exponent relations of `states._wave_relations` hold,
+    quantization and exponent relations of `states._state_relations` hold,
     and for n >= 2 only then, so the row reads them directly, on no momentum
     grid.  The states' branch picks the equation and names the row:
     `ode_residual` or `nr_ode_residual`.
     """
-    dev = max(abs(defect) / scale for state in states for defect, scale in _wave_relations(state))
+    dev = max(abs(defect) / scale for state in states for defect, scale in _state_relations(state))
     prefix = "nr_" if states[0].branch == NONRELATIVISTIC else ""
     return CheckResult(prefix + "ode_residual", dev, 1e-11)
 
@@ -311,14 +323,14 @@ def _check_weight_orthogonality() -> CheckResult:
     return CheckResult("weight_orthogonality", dev, 1e-10)
 
 
-def _check_undeformed_continuity(mass, omega, hbar, gamma) -> CheckResult:
+def _check_undeformed_continuity(mass, omega, hbar, alpha) -> CheckResult:
     """The relativistic delta at eta = 0 against kappa = hbar eta m omega = 1e-12.
 
     The shift grows with kappa, not with eta, so kappa is held fixed as in
     `nr_limit`; delta is the level's own, since m + delta rounds any shift
     away for a heavy mass.
     """
-    (_, flat), (_, tiny) = _level_table(mass, omega, hbar, gamma, (0.0, 1e-12), 3)
+    (_, flat), (_, tiny) = _level_table(mass, omega, hbar, alpha, (0.0, 1e-12), 3)
     dev = max(abs(d1.delta - d0.delta) / d0.delta for d0, d1 in zip(flat, tiny))
     return CheckResult("undeformed_continuity", dev, 1e-9)
 
@@ -337,11 +349,12 @@ def run_suite(
     states go up to max(n_max, 1), so the ladder identity always compares
     at least the 0 <-> 1 pair.
     """
-    table = _level_table(mass, omega, hbar, gamma, _KAPPA_GRID if eta > 0.0 else (0.0,), n_max)
+    alpha = gamma / eta if eta > 0.0 else 0.0
+    table = _level_table(mass, omega, hbar, alpha, _KAPPA_GRID if eta > 0.0 else (0.0,), n_max)
     results = [_check_solver_cross_validation(table)]
     if eta > 0.0:
         results.append(_check_relativistic_residual(table))
-        results.append(_check_nr_limit(omega, hbar, gamma))
+        results.append(_check_nr_limit(omega, hbar, alpha))
         system = _system(mass, omega, hbar, eta, gamma)
         rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
         results.append(_check_gamma_invariance(rel_states))
@@ -355,9 +368,9 @@ def run_suite(
         results.append(_check_ode_residual(rel_states))
         results.append(_check_ode_residual(nr_states))
         results.append(_check_weight_orthogonality())
-        results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))
+        results.append(_check_undeformed_continuity(mass, omega, hbar, alpha))
     else:
-        results.append(_check_nr_limit(omega, hbar, gamma))
+        results.append(_check_nr_limit(omega, hbar, alpha))
         results.extend(_check_su11_algebra())
-        results.append(_check_undeformed_continuity(mass, omega, hbar, gamma))
+        results.append(_check_undeformed_continuity(mass, omega, hbar, alpha))
     return results

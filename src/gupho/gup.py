@@ -5,7 +5,7 @@ length hbar sqrt(eta).  In momentum space the position operator carries an
 arbitrary representation parameter gamma that enters only through the weight
 of the scalar product, never the spectrum.  `wave_params` maps a level of
 either branch, given as delta = E - m and E + m (2m on the nonrelativistic
-branch), onto its momentum-space wave equation (v, A^, B^), which sees the
+branch), onto its momentum-space wave equation (v, lam, A^, B^), which sees the
 system only through kappa = hbar eta m omega, alpha = gamma / eta and
 delta / (hbar omega); through the chain p -> rho -> s = (1 - rho)/2 that
 equation is the standard form of `fm`.
@@ -48,8 +48,7 @@ class DegenerateModelError(ValueError):
 
     The prefactor exponent v is not positive, or a coefficient overflows
     (chiefly where kappa = hbar eta m omega is below about 1e-154).  The
-    weight order lam = 2v - gamma/eta = 1/2 + hypot(1/2, r) is at least 1,
-    and rounds below that only where 4^(-2v) has long underflowed.
+    weight order lam = 1/2 + hypot(1/2, r) of `wave_params` is at least 1.
     """
 
 
@@ -170,34 +169,37 @@ def p_of_rho(algebra: DeformedAlgebra, rho: float) -> float:
     return rho / (math.sqrt(algebra.eta) * math.sqrt(1.0 - rho * rho))
 
 
-def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tuple[float, float, float]:
-    """Map a level onto its scale-free momentum-space wave equation: (v, A^, B^).
+def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tuple[float, float, float, float]:
+    """Map a level onto its scale-free momentum-space wave equation: (v, lam, A^, B^).
 
     delta is the level above the rest mass and e_plus_m is E + m: 2m + delta
     on the relativistic branch, and 2m on the nonrelativistic one, whose
     equation is the relativistic one with E + m replaced by 2m (Kempf, Mangano
     and Mann 1995).  With kappa = hbar eta m omega and alpha = gamma / eta,
 
-    r = sqrt(2m / (E + m)) / kappa,  v = 1/4 + alpha / 2 + (1/2) hypot(1/2, r)
+    r = sqrt(2m / (E + m)) / kappa,  lam = 1/2 + hypot(1/2, r),  v = (lam + alpha) / 2
     A^ = A~ / eta^2 = r^2 - alpha (alpha + 1)
     B^ = B~ / eta = -(2 delta / (hbar omega kappa) + alpha)
 
     where A~ = 2 / (hbar^2 m omega^2 (E + m)) - gamma (gamma + eta) and
     B~ = -(2 delta / (hbar^2 m omega^2) + gamma) are the coefficients in p.
-    v is k4 = k5 of the standard form; nothing squares E, m or eta.  Raises
-    `DegenerateModelError` where kappa underflows to 0 or a parameter
-    overflows, A^ first, at kappa below about 1e-154.
+    v is k4 = k5 of the standard form, and lam the Gegenbauer order of the
+    states, formed here only and from r, so it does not cancel against
+    alpha; nothing squares E, m or eta.  Raises `DegenerateModelError` where
+    kappa underflows to 0 or a parameter overflows, A^ first, at kappa below
+    about 1e-154.
     """
     alg = system.algebra
     alpha = alg.alpha  # UndeformedBranchError at eta = 0
-    if not 0.0 < e_plus_m < math.inf:
-        raise ValueError("requires finite E + m > 0")
+    if not (math.isfinite(delta) and 0.0 < e_plus_m < math.inf):
+        raise ValueError("requires finite delta and finite E + m > 0")
     m = system.mass
     kappa = m * system.omega * alg.eta * alg.hbar
     if not kappa > 0.0:
         raise DegenerateModelError("hbar eta m omega underflows to 0")
     r = math.sqrt(2.0 * m / e_plus_m) / kappa
-    v = 0.25 + 0.5 * alpha + 0.5 * math.hypot(0.5, r)
+    lam = 0.5 + math.hypot(0.5, r)
+    v = 0.5 * (lam + alpha)
     a_hat = r * r - alpha * (alpha + 1.0)
     b_hat = -(2.0 * delta / (alg.hbar * system.omega * kappa) + alpha)
     if not (math.isfinite(v) and math.isfinite(a_hat) and math.isfinite(b_hat)):
@@ -205,7 +207,7 @@ def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tupl
             f"wave-equation parameters overflow at kappa = {kappa!r}: "
             f"v = {v!r}, A^ = {a_hat!r}, B^ = {b_hat!r}"
         )
-    return v, a_hat, b_hat
+    return v, lam, a_hat, b_hat
 
 
 def fm_problem_of(system: OscillatorSystem, energy_rel: float) -> FmProblem:
@@ -218,7 +220,7 @@ def _fm_problem(system: OscillatorSystem, delta: float, e_plus_m: float) -> FmPr
 
     k1 = 1/2 - alpha, k2 = 2 k1, k3 = 1, A = B^ - A^ = -B, C = -A^ / 4.
     """
-    _, a_hat, b_hat = wave_params(system, delta, e_plus_m)
+    _, _, a_hat, b_hat = wave_params(system, delta, e_plus_m)
     k1 = 0.5 - system.algebra.alpha
     a_coef = b_hat - a_hat
     if not math.isfinite(a_coef):

@@ -20,12 +20,11 @@ import math
 from dataclasses import dataclass
 
 from .fm import _require_n
-from .gup import DeformedAlgebra, DegenerateModelError, OscillatorSystem
+from .gup import DeformedAlgebra, OscillatorSystem
 
 __all__ = [
     "SpectrumResult",
     "SolverError",
-    "rel_residual",
     "energy_relativistic",
     "energy_nonrel",
     "ratio_sweep",
@@ -48,8 +47,7 @@ class SpectrumResult:
     solve forms it, before m + delta rounds it away for a heavy mass; on the
     nonrelativistic branch it is the level itself.  ``residual`` is the
     quantization condition in its fixed-point (energy units) arrangement,
-    delta - map(delta), evaluated at the returned level; the dimensionless
-    arrangement is available as `rel_residual`.  A plain record, so
+    delta - map(delta), evaluated at the returned level.  A plain record, so
     unhashable; `dataclasses.replace` gives a modified copy.
     """
 
@@ -57,35 +55,6 @@ class SpectrumResult:
     energy: float
     delta: float
     residual: float
-
-
-def rel_residual(system: OscillatorSystem, n: int, delta: float) -> float:
-    """Dimensionless quantization condition at a trial level delta = E - m.
-
-    2 delta / (hbar^2 eta m omega^2)
-      - (2n+1) sqrt(1/4 + 2 / (hbar^2 eta^2 m omega^2 (delta + 2m)))
-      - 1/4 - (1/2 + n)^2.
-
-    Strictly increasing in delta, so it has a single root.  It takes the
-    level's own delta, which m + delta rounds to the ulp of a heavy m, and
-    forms both terms as `gup.wave_params` does, from kappa = hbar eta m omega,
-    so nothing squares eta, m or omega.  Raises `DegenerateModelError` where
-    kappa underflows to 0 or the condition overflows.
-    """
-    alg = system.algebra
-    alg._require_deformed()
-    _require_n(n)
-    m = system.mass
-    if not (math.isfinite(delta) and delta + 2.0 * m > 0.0):
-        raise ValueError("requires finite delta with delta + 2 mass > 0")
-    kappa = m * system.omega * alg.eta * alg.hbar
-    if not kappa > 0.0:
-        raise DegenerateModelError("hbar eta m omega underflows to 0")
-    root = math.hypot(0.5, math.sqrt(2.0 * m / (delta + 2.0 * m)) / kappa)
-    value = 2.0 * delta / (alg.hbar * system.omega * kappa) - (2 * n + 1) * root - 0.25 - (0.5 + n) ** 2
-    if not math.isfinite(value):
-        raise DegenerateModelError(f"dimensionless condition overflows at kappa = {kappa!r}: {value!r}")
-    return value
 
 
 def _displacement(system: OscillatorSystem, n: int, delta: float) -> float:

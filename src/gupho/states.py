@@ -1,10 +1,10 @@
 """Normalized momentum-space eigenstates and their su(1,1) ladder structure.
 
-A state is phi_n(rho) = N ((1 - rho^2)/4)^v C_n^lam(rho) with lam = 2v -
-gamma/eta, where v is `gup.wave_params` at the state's level delta.  In rho
-the weighted momentum overlap of two states is 4^(-v_a - v_b) eta^(-1/2)
-times the integral of C_na C_nb against the Gegenbauer weight
-(1 - rho^2)^(mu - 1/2), mu = v_a + v_b - gamma/eta, and
+A state is phi_n(rho) = N ((1 - rho^2)/4)^v C_n^lam(rho), where v and
+lam = 2v - gamma/eta come from `gup.wave_params` at the state's level delta,
+which forms lam directly.  In rho the weighted momentum overlap of two states is
+4^(-v_a - v_b) eta^(-1/2) times the integral of C_na C_nb against the
+Gegenbauer weight (1 - rho^2)^(mu - 1/2), mu = (lam_a + lam_b)/2, and
 `specfun.gegenbauer_product_integral` gives that integral exactly from
 connection coefficients in O(n_a + n_b) Python-float steps, so the overlap
 path calls no numpy.  On the diagonal mu = lam, and the norm N follows from
@@ -28,7 +28,9 @@ is one scalar relation per neighbour pair (`_ladder_factor`).
 With the envelope (w/4)^v, w = 1 - rho^2, factored out, the wave equation
 of either branch is the Gegenbauer equation exactly when three scalar
 relations hold (`_wave_relations`), so `ode_residual` needs one recurrence
-pass for (C_(n-1), C_n) and no numerical differentiation.
+pass for (C_(n-1), C_n) and no numerical differentiation.  The second of
+them is the quantization condition, which `verify` also reads at the
+relativistic levels alone, relative to its terms.
 """
 
 from __future__ import annotations
@@ -99,9 +101,9 @@ class LadderCoefficients:
 def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState:
     """Build the normalized state for quantum number n on the chosen branch.
 
-    The level comes from `energy_relativistic` or `energy_nonrel`, and v from
-    `wave_params` at the level's delta and the branch's E + m.  The raw norm
-    integral is 4^(-2v) eta^(-1/2) h_n(lam), with h_n(lam) the integral of
+    The level comes from `energy_relativistic` or `energy_nonrel`, and v and
+    lam from `wave_params` at the level's delta and the branch's E + m.  The
+    raw norm integral is 4^(-2v) eta^(-1/2) h_n(lam), with h_n(lam) the integral of
     (1 - rho^2)^(lam - 1/2) C_n^lam(rho)^2, the overlap kernel's diagonal
     (`specfun._weight_norms`), so <s|s> is 1 up to rounding; where 4^(-2v)
     or the integral is not a normal double (first at eta m omega hbar below
@@ -115,12 +117,11 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
         level = energy_nonrel(system, n)
     else:
         raise ValueError(f"unknown branch {branch!r}")
-    v, _, _ = wave_params(system, level.delta, _e_plus_m(system, branch, level.delta))
-    lam = 2.0 * v - alg.gamma / alg.eta
+    v, lam, _, _ = wave_params(system, level.delta, _e_plus_m(system, branch, level.delta))
     if not v > 0.0:
         raise DegenerateModelError(f"prefactor exponent v = {v!r} must be positive")
     weight = 4.0 ** (-2.0 * v)
-    # a subnormal 4^(-2v) has lost digits, and far below it lam need not be positive
+    # a subnormal 4^(-2v) has lost digits
     raw = weight / math.sqrt(alg.eta) * specfun._weight_norms(lam, n)[-1] if weight >= sys.float_info.min else 0.0
     if not sys.float_info.min <= raw < math.inf:
         raise QuadratureAccuracyError(f"raw norm integral is not a normal double: {raw!r}")
@@ -149,8 +150,8 @@ def eval_state(state: OscillatorState, rho):
     return _envelope(state, x) * specfun._gegenbauer_pair(state.n, state.lam, x)[1]
 
 
-def _wave_relations(state: OscillatorState) -> tuple:
-    """The wave equation's three coefficient relations, as (defect, scale) pairs.
+def _wave_relations(n: int, alpha: float, v: float, lam: float, a_hat: float, b_hat: float) -> tuple:
+    """The wave equation's three coefficient relations at a level, as (defect, scale) pairs.
 
     With w = 1 - rho^2, C = C_n^lam(rho), alpha = gamma / eta and w^2 C'' from
     the Gegenbauer equation, the equation of `ode_residual` is, at any state,
@@ -158,15 +159,13 @@ def _wave_relations(state: OscillatorState) -> tuple:
     vanishes at every rho when the weight order e_lam = lam - 2v + alpha,
     the quantization e_n = n (n + 2 lam) + 2v + B^ and the exponent
     e_v = 4v (v - 1/2 - alpha) - A^ all vanish, and for n >= 2 only then
-    (at n = 0 C' = 0, and at n = 1 w C' = w C / rho).  (A^, B^) come from
-    `wave_params` at the state's delta and its branch's E + m, so a delta or
-    branch that disagrees with v and lam leaves a defect.  Each scale is the
-    sum of the magnitudes of its relation's terms.
+    (at n = 0 C' = 0, and at n = 1 w C' = w C / rho).  e_n is the
+    quantization condition
+    n^2 + n + 1/2 + (2n + 1) hypot(1/2, r) - 2 delta / (hbar omega kappa),
+    with alpha cancelling between 2v and B^; it grows by 2 lam + 2n + 1
+    from n to n + 1.  Each scale is the sum of the magnitudes of its
+    relation's terms.
     """
-    system = state.system
-    alpha = system.algebra.alpha
-    n, v, lam = state.n, state.v, state.lam
-    _, a_hat, b_hat = wave_params(system, state.delta, _e_plus_m(system, state.branch, state.delta))
     eigenvalue = n * (n + 2.0 * lam)  # of the Gegenbauer operator
     return (
         (lam - 2.0 * v + alpha, lam + 2.0 * v + abs(alpha)),
@@ -175,13 +174,23 @@ def _wave_relations(state: OscillatorState) -> tuple:
     )
 
 
+def _state_relations(state: OscillatorState) -> tuple:
+    """`_wave_relations` at the state's (n, v, lam), with (A^, B^) of `wave_params` at its delta and branch.
+
+    A delta or branch that disagrees with v and lam leaves a defect.
+    """
+    system = state.system
+    _, _, a_hat, b_hat = wave_params(system, state.delta, _e_plus_m(system, state.branch, state.delta))
+    return _wave_relations(state.n, system.algebra.alpha, state.v, state.lam, a_hat, b_hat)
+
+
 def ode_residual(state: OscillatorState, p):
     """Residual of the reduced momentum-space wave equation for the state at p.
 
     phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi,
     on either branch: the nonrelativistic equation (Kempf, Mangano and Mann
     1995) is the relativistic one with E + m replaced by 2m.  It is formed
-    as the bracket of `_wave_relations`, with w C' from the derivative
+    as the bracket of `_state_relations`, with w C' from the derivative
     relation (DLMF 18.9.20) on one recurrence pass for (C_(n-1), C_n).  A
     scalar p gives a scalar, an ndarray one residual per point.
     """
@@ -191,7 +200,7 @@ def ode_residual(state: OscillatorState, p):
     n, lam = state.n, state.lam
     c_lo, c = specfun._gegenbauer_pair(n, lam, rho)
     w_c1 = (n + 2.0 * lam - 1.0) * c_lo - n * rho * c
-    (e_lam, _), (e_n, _), (e_v, _) = _wave_relations(state)
+    (e_lam, _), (e_n, _), (e_v, _) = _state_relations(state)
     bracket = 2.0 * e_lam * rho * w_c1 - e_n * w * c + e_v * rho * rho * c
     return _envelope(state, rho) * w * alg.eta * bracket
 
@@ -207,7 +216,7 @@ def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
     The measure weight (1 + eta p^2)^(alpha - 1) becomes (1 - rho^2)^(1 - alpha)
     and the Jacobian is dp = d rho / (sqrt(eta) (1 - rho^2)^(3/2)), so the
     integrand is 4^(-v_a - v_b) eta^(-1/2) (1 - rho^2)^(mu - 1/2) C_na C_nb
-    with mu = v_a + v_b - alpha, a polynomial of degree n_a + n_b times the
+    with mu = v_a + v_b - alpha = (lam_a + lam_b)/2, a polynomial of degree n_a + n_b times the
     Gegenbauer weight.  `specfun.gegenbauer_product_integral` gives that
     integral exactly from closed-form connection coefficients in
     O(n_a + n_b) Python-float steps, with no numpy call.  Each norm is
@@ -221,7 +230,7 @@ def weighted_overlap(a: OscillatorState, b: OscillatorState) -> float:
     if (a.n + b.n) % 2:
         return 0.0
     alg = a.system.algebra
-    integral = specfun.gegenbauer_product_integral(a.v + b.v - alg.alpha, a.n, a.lam, b.n, b.lam)
+    integral = specfun.gegenbauer_product_integral(0.5 * (a.lam + b.lam), a.n, a.lam, b.n, b.lam)
     value = (a.norm * 4.0 ** -a.v) * (b.norm * 4.0 ** -b.v) / math.sqrt(alg.eta) * integral
     if not math.isfinite(value):
         raise QuadratureAccuracyError(f"overlap of n={a.n} and n={b.n} is not finite: {value!r}")

@@ -65,7 +65,7 @@ def test_criterion_02_ratio_anchors():
 
 
 def _unit_table():
-    """The suite's level table at m = omega = hbar = 1, gamma = 0 and n <= 8."""
+    """The suite's level table at m = omega = hbar = 1, alpha = 0 and n <= 8."""
     return checks._level_table(1.0, 1.0, 1.0, 0.0, checks._KAPPA_GRID, 8)
 
 

@@ -29,8 +29,8 @@ def data_rows(stdout):
 
 
 def _fed_e_minus_m(exact):
-    """rel_residual fed E - m, which keeps only the ulp of a heavy m, in place of the level's delta."""
-    return lambda system, n, delta: exact(system, n, system.mass + delta - system.mass)
+    """wave_params fed E - m, which keeps only the ulp of a heavy m, in place of the level's delta."""
+    return lambda system, delta, e_plus_m: exact(system, system.mass + delta - system.mass, e_plus_m)
 
 
 def _v_off_by_1e8(exact):
@@ -41,8 +41,8 @@ def _v_off_by_1e8(exact):
 def _v_at_a_wrong_e_plus_m(exact):
     """wave_params with v formed at E + m 1e-8 relative too large: only r = sqrt(2m / (E + m)) / kappa moves."""
     def planted(system, delta, e_plus_m):
-        _, a_hat, b_hat = exact(system, delta, e_plus_m)
-        return exact(system, delta, e_plus_m * (1.0 + 1e-8))[0], a_hat, b_hat
+        _, lam, a_hat, b_hat = exact(system, delta, e_plus_m)
+        return exact(system, delta, e_plus_m * (1.0 + 1e-8))[0], lam, a_hat, b_hat
 
     return planted
 
@@ -292,7 +292,7 @@ class TestVerifyCommand:
     def test_kappa_held_level_rows_pass(self, capsys, flags):
         # the level rows run at kappa = hbar eta m omega in (0.01, 0.1, 1), whatever the user's scale:
         # at a fixed eta grid the first read kappa = 1e-3..0.1 and failed, the second lost A~, and
-        # the third needs rel_residual to divide by hbar omega kappa, not by hbar^2 m omega^2 eta
+        # the third needs B^ to divide by hbar omega kappa, not by hbar^2 m omega^2 eta
         assert cli.main(["verify", *flags]) == cli.EXIT_OK
         _, rows = data_rows(capsys.readouterr().out)
         assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
@@ -303,13 +303,23 @@ class TestVerifyCommand:
         omega=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
         hbar=st.floats(-1.0, 1.0).map(lambda e: 10.0**e),
         kappa=st.floats(math.log10(3e-3), 1.0).map(lambda e: 10.0**e),
-        gamma_frac=st.sampled_from([0.0, 0.5]),
+        gamma_frac=st.sampled_from([0.0, 0.5, 2.0, 100.0]),
     )
     def test_every_row_passes_on_the_domain(self, mass, omega, hbar, kappa, gamma_frac):
-        # kappa >= 3e-3 keeps the states inside their domain (README, "Domain of the states")
+        # kappa >= 3e-3 keeps the states inside their domain (README, "Domain of the states"); the
+        # level table holds the user's alpha = gamma / eta, which at 100 and kappa >~ 3.8 its gamma did not
         eta = kappa / (hbar * mass * omega)
         results = checks.run_suite(mass, omega, hbar, eta, gamma_frac * eta)
         assert [r.name for r in results if not r.passed] == []
+
+    @pytest.mark.parametrize("flags", [("--nmax", "1000"), ("--eta", "10", "--gamma", "1000")],
+                             ids=["nmax1000", "eta10-gamma1000"])
+    def test_reading_relative_and_at_the_users_alpha_passes(self, capsys, flags):
+        # the first failed relativistic_residual read absolutely (2.3e-10, terms growing like n^2); the
+        # second failed fm_quantization_zero (5.4e-9) at table alpha up to 1e5, though the user's is 100
+        assert cli.main(["verify", *flags]) == cli.EXIT_OK
+        _, rows = data_rows(capsys.readouterr().out)
+        assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
     def test_level_table_is_solved_once(self, monkeypatch):
         # the four level rows read one table: each (system, n) on the kappa grid is solved once;
@@ -338,18 +348,19 @@ class TestVerifyCommand:
         with pytest.raises(spectrum.SolverError, match="no double eta"):
             checks._system_at(1e-165, 1e-160, 1.0, 0.1, 0.0)
 
-    @pytest.mark.parametrize("name, planted, row", [
-        ("rel_residual", _fed_e_minus_m, "relativistic_residual"),
-        ("wave_params", _v_off_by_1e8, "fm_exponent_consistency"),
-        ("wave_params", _v_at_a_wrong_e_plus_m, "fm_exponent_consistency"),
+    @pytest.mark.parametrize("name, planted, failing", [
+        ("wave_params", _fed_e_minus_m, "relativistic_residual"),
+        ("wave_params", _v_off_by_1e8, "relativistic_residual fm_exponent_consistency"),
+        ("wave_params", _v_at_a_wrong_e_plus_m, "relativistic_residual fm_exponent_consistency"),
     ])
-    def test_heavy_mass_fails_on_a_wrong_level_row(self, monkeypatch, capsys, name, planted, row):
+    def test_heavy_mass_fails_on_a_wrong_level_row(self, monkeypatch, capsys, name, planted, failing):
         # at a fixed eta grid, m = 1e12 put kappa >= 1e10, where r ~ 1e-10 rounds away: both rows
-        # then read 0 with the first and third errors; only checks' binding is planted, so one row fails
+        # then read 0 with the first and third errors; only checks' binding is planted, so the state
+        # rows pass, and B^ fed E - m fails the quantization relation alone
         monkeypatch.setattr(checks, name, planted(getattr(checks, name)))
         assert cli.main(["verify", "--mass", "1e12", "--eta", "1e-9"]) == cli.EXIT_VERIFY
         _, rows = data_rows(capsys.readouterr().out)
-        assert [r[0] for r in rows if r[3] == "fail"] == [row]
+        assert [r[0] for r in rows if r[3] == "fail"] == failing.split()
 
     def test_tiny_eta_exits_2_without_a_traceback(self):
         result = run_cli("verify", "--eta", "1e-170")

@@ -188,28 +188,28 @@ class TestMomentumTransform:
 
 
 class TestWaveParams:
-    """(v, A^, B^) of `wave_params` at a level (delta, E + m); mass 1 unless stated, so E + m = E + 1."""
+    """(v, lam, A^, B^) of `wave_params` at a level (delta, E + m); mass 1 unless stated, so E + m = E + 1."""
 
     def test_unit_a(self):
         sys = system(eta=0.1, gamma=0.0)
-        _, a, _ = wave_params(sys, 0.0, 2.0)  # E + m = 2: A~ = 1, so A^ = 1 / eta^2
+        _, _, a, _ = wave_params(sys, 0.0, 2.0)  # E + m = 2: A~ = 1, so A^ = 1 / eta^2
         assert a == pytest.approx(1.0 / 0.1**2, rel=1e-15)
 
     @pytest.mark.parametrize("e_plus_m", [math.inf, math.nan, 0.0])
     def test_rejects_e_plus_m_outside_the_doubles(self, e_plus_m):
-        # E + m = inf would give r = 0, so (v, A^, B^) = (1/2, 0, -20) here without the check
+        # E + m = inf would give r = 0, so (v, lam, A^, B^) = (1/2, 1, 0, -20) here without the check
         with pytest.raises(ValueError, match="finite E"):
             wave_params(system(eta=0.1), 1.0, e_plus_m)
 
     def test_b_vanishes_at_rest_energy(self):
         sys = system(eta=0.1, gamma=0.0)
-        _, _, b = wave_params(sys, 0.0, 2.0)
+        _, _, _, b = wave_params(sys, 0.0, 2.0)
         assert b == 0.0
 
     def test_direct_substitution(self):
         sys = system(eta=0.1, gamma=0.05)
         energy = 1.6
-        _, a, b = wave_params(sys, energy - 1.0, energy + 1.0)
+        _, _, a, b = wave_params(sys, energy - 1.0, energy + 1.0)
         denom = 1.0 * 1.0 * (1.6 + 1.0)
         assert a == pytest.approx((2.0 / denom - 0.05 * (0.05 + 0.1)) / 0.1**2, rel=1e-15)
         assert b == pytest.approx(-(2.0 * (1.6**2 - 1.0) / denom + 0.05) / 0.1, rel=1e-15)
@@ -223,13 +223,13 @@ class TestWaveParams:
         # E^2 overflows beyond ~1e154, and E - m keeps only the ulp of m: B~ takes the level's delta
         sys = system(mass=mass, eta=0.1, gamma=0.05)
         delta = energy_relativistic(sys, 3).delta
-        v, a, b = wave_params(sys, delta, 2.0 * mass + delta)
-        assert all(math.isfinite(x) for x in (v, a, b))
+        v, lam, a, b = wave_params(sys, delta, 2.0 * mass + delta)
+        assert all(math.isfinite(x) for x in (v, lam, a, b))
         assert b == -(2.0 * delta / (0.1 * mass) + 0.5)  # B~ / eta, with hbar omega kappa = 0.1 m
 
     def test_tiny_eta_stays_finite(self):
-        # eta^2 underflows below ~1e-162; at kappa = 1e-150 nothing squares eta, so all three are finite
-        v, a, b = wave_params(system(mass=1e20, eta=1e-170), 0.5, 2e20 + 0.5)
+        # eta^2 underflows below ~1e-162; at kappa = 1e-150 nothing squares eta, so all four are finite
+        v, _, a, b = wave_params(system(mass=1e20, eta=1e-170), 0.5, 2e20 + 0.5)
         assert v == pytest.approx(0.5 / 1e-150, rel=1e-15)
         assert a == pytest.approx(1e300, rel=1e-15)
         assert math.isfinite(b)
@@ -239,19 +239,19 @@ class TestWaveParams:
             wave_params(system(eta=1e-320, mass=1e-10), 0.5, 2.5)
 
     def test_large_deformation_limit(self):
-        v, _, _ = wave_params(system(eta=1e12), 0.0, 2.0)
+        v = wave_params(system(eta=1e12), 0.0, 2.0)[0]
         assert v == pytest.approx(0.5, abs=1e-12)
 
     def test_direct_value(self):
         # E + m = 2: radicand is 1/4 + 2/(0.01 * 2) = 100.25
-        got, _, _ = wave_params(system(eta=0.1, gamma=0.0), 0.0, 2.0)
+        got = wave_params(system(eta=0.1, gamma=0.0), 0.0, 2.0)[0]
         assert got == pytest.approx(0.25 + 0.5 * math.sqrt(100.25), rel=1e-15)
 
     def test_gamma_shift_is_exact(self):
         energy = 1.6
         for gamma in (0.05, 0.1, 0.2):
-            base, _, _ = wave_params(system(eta=0.1, gamma=0.0), energy - 1.0, energy + 1.0)
-            shifted, _, _ = wave_params(system(eta=0.1, gamma=gamma), energy - 1.0, energy + 1.0)
+            base = wave_params(system(eta=0.1, gamma=0.0), energy - 1.0, energy + 1.0)[0]
+            shifted = wave_params(system(eta=0.1, gamma=gamma), energy - 1.0, energy + 1.0)[0]
             assert shifted - base == pytest.approx(gamma / 0.2, abs=1e-14)
 
     @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0])
@@ -259,7 +259,7 @@ class TestWaveParams:
         for gamma in (0.0, eta / 2, eta):
             for energy in (1.1, 2.0):
                 sys = system(eta=eta, gamma=gamma)
-                v, _, _ = wave_params(sys, energy - 1.0, energy + 1.0)
+                v = wave_params(sys, energy - 1.0, energy + 1.0)[0]
                 k4, k5 = fm_exponents(fm_problem_of(sys, energy))
                 assert abs(k4 - v) <= 1e-11
                 assert abs(k5 - v) <= 1e-11
@@ -267,7 +267,7 @@ class TestWaveParams:
     def test_matches_fm_route_at_converged_energy(self):
         sys = system(eta=0.1, gamma=0.0)
         energy = energy_relativistic(sys, 0).energy
-        v, _, _ = wave_params(sys, energy - 1.0, energy + 1.0)
+        v = wave_params(sys, energy - 1.0, energy + 1.0)[0]
         k4, k5 = fm_exponents(fm_problem_of(sys, energy))
         assert k4 == pytest.approx(v, abs=1e-11)
         assert k5 == pytest.approx(v, abs=1e-11)
@@ -275,22 +275,46 @@ class TestWaveParams:
     # the nonrelativistic branch maps its level with E + m = 2m, and lam = 2v - gamma / eta
 
     def test_gamma_zero_formula(self):
-        v, _, _ = wave_params(system(eta=0.5, gamma=0.0), 0.0, 2.0)
-        lam = 2.0 * v
-        assert lam == pytest.approx(2 * v, rel=1e-15)
+        v, lam, _, _ = wave_params(system(eta=0.5, gamma=0.0), 0.0, 2.0)
+        assert lam == 2.0 * v  # doubling commutes with rounding
         assert lam == pytest.approx(0.5 + math.sqrt(0.25 + 1.0 / 0.25), rel=1e-15)
 
     def test_golden_ratio_case(self):
-        v, _, _ = wave_params(system(eta=1.0, gamma=0.0), 0.0, 2.0)
-        lam = 2.0 * v
+        v, lam, _, _ = wave_params(system(eta=1.0, gamma=0.0), 0.0, 2.0)
         assert v == pytest.approx(0.25 + 0.5 * math.sqrt(1.25), rel=1e-15)
         assert lam == pytest.approx(1.618033988749895, rel=1e-12)
 
     def test_lam_independent_of_gamma(self):
-        base, _, _ = wave_params(system(eta=0.4, gamma=0.0), 0.0, 2.0)
+        _, base, _, _ = wave_params(system(eta=0.4, gamma=0.0), 0.0, 2.0)
         for gamma in (0.1, 0.2, 0.4):
-            v, _, _ = wave_params(system(eta=0.4, gamma=gamma), 0.0, 2.0)
-            assert 2.0 * v - gamma / 0.4 == 2.0 * base
+            v, lam, _, _ = wave_params(system(eta=0.4, gamma=gamma), 0.0, 2.0)
+            assert lam == base
+            assert 2.0 * v - gamma / 0.4 == pytest.approx(lam, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1e2, 1e4, 1e6])
+    def test_lam_against_mpmath_at_large_alpha(self, alpha):
+        # 2v - alpha cancels: it was 6.8e-13 off at alpha = 1e4 and 2.3e-11 at 1e6
+        sys = system(mass=1.0, eta=0.1, gamma=alpha * 0.1)
+        for delta in (0.0, 0.7, 3.0):
+            _, lam, _, _ = wave_params(sys, delta, 2.0 + delta)
+            with mpmath.workdps(40):
+                r = mpmath.sqrt(mpmath.mpf(2) / (2 + mpmath.mpf(delta))) / mpmath.mpf(sys.algebra.eta)
+                reference = float(mpmath.mpf(1) / 2 + mpmath.sqrt(mpmath.mpf(1) / 4 + r * r))
+            assert abs(lam - reference) <= 4.0 * math.ulp(reference)
+
+    def test_undeformed_rejected(self):
+        with pytest.raises(UndeformedBranchError):
+            wave_params(system(eta=0.0), 0.5, 2.5)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])
+    def test_rejects_a_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="finite delta"):
+            wave_params(system(eta=0.1), delta, 2.5)
+
+    def test_overflowing_parameters_are_a_model_failure(self):
+        # kappa = 1e-310 is subnormal: r, and with it v, lam and A^, overflows
+        with pytest.raises(DegenerateModelError, match="overflow"):
+            wave_params(system(eta=1e-310), 0.5, 2.5)
 
 
 class TestFmMapping:
@@ -307,7 +331,7 @@ class TestFmMapping:
 
     def test_c_from_tilde(self):
         sys = system(eta=0.1, gamma=0.0)
-        _, a, _ = wave_params(sys, 1.6 - 1.0, 1.6 + 1.0)
+        _, _, a, _ = wave_params(sys, 1.6 - 1.0, 1.6 + 1.0)
         problem = fm_problem_of(sys, 1.6)
         assert problem.C == -a / 4  # -A~ / (4 eta^2)
 
@@ -405,9 +429,7 @@ class TestWeightedNormEquivalence:
         # p-side integral computed independently (adaptive quadrature in p),
         # rho-side with the claimed weight; they must agree up to 1/sqrt(eta)
         sys = system(mass=1.0, omega=1.0, eta=eta, gamma=gamma)
-        v, _, _ = wave_params(sys, 0.0, 2.0)  # the nonrelativistic branch: E + m = 2m
-        alpha = gamma / eta
-        lam = 2.0 * v - alpha
+        v, lam, _, _ = wave_params(sys, 0.0, 2.0)  # the nonrelativistic branch: E + m = 2m
 
         def p_integrand(p):
             rho = rho_of_p(sys.algebra, p)

@@ -21,7 +21,7 @@ EXPORTS = (
     "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",
     "eval_state", "fm", "fm_exponents", "fm_problem_of", "fm_quantization_residual", "gup",
     "inner_product", "ladder_coeffs", "make_state", "minimal_length",
-    "ode_residual", "p_of_rho", "ratio_sweep", "rel_residual", "rho_of_p",
+    "ode_residual", "p_of_rho", "ratio_sweep", "rho_of_p",
     "scalar_weight", "specfun",
     "spectrum", "states", "su11_check", "uncertainty_bound", "wave_params",
     "weighted_overlap",
@@ -37,7 +37,7 @@ SUBMODULE_EXPORTS = {
     ),
     "spectrum": (
         "BOHR_RADIUS", "SolverError", "SpectrumResult", "energy_nonrel", "energy_relativistic",
-        "ratio_sweep", "rel_residual",
+        "ratio_sweep",
     ),
     "states": (
         "LadderCoefficients", "NONRELATIVISTIC", "OscillatorState", "QuadratureAccuracyError",

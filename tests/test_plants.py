@@ -117,15 +117,22 @@ PLANTS = {
             "defaults": "nr_limit=2e-13",
             "eta0": "nr_limit=2e-13",
         }),
+    # relativistic_residual: 2v moves by 2e v against a scale of about 4v at n = 0
     "wave_params.v": Plant(_WAVE, _scaled(0), {
-        "defaults": "fm_exponent_consistency ode_residual nr_ode_residual=9.52e-9",
-        "heavy": "fm_exponent_consistency ode_residual nr_ode_residual",
+        "defaults": "relativistic_residual=5e-9 fm_exponent_consistency ode_residual nr_ode_residual=9.52e-9",
+        "heavy": "relativistic_residual fm_exponent_consistency ode_residual nr_ode_residual",
     }),
-    "wave_params.a_hat": Plant(_WAVE, _scaled(1), {
+    # the states store it, and the weight order lam - 2v + alpha reads e lam / (lam + 2v); at n = 0 the
+    # quantization relation does not read lam
+    "wave_params.lam": Plant(_WAVE, _scaled(1), {
+        "defaults": "relativistic_residual ode_residual=5e-9 nr_ode_residual=5e-9",
+        "nmax0": "ode_residual=5e-9 nr_ode_residual=5e-9",
+    }),
+    "wave_params.a_hat": Plant(_WAVE, _scaled(2), {
         "defaults": f"{_STANDARD_ROWS} ode_residual nr_ode_residual",
     }),
-    "wave_params.b_hat": Plant(_WAVE, _scaled(2), {
-        "defaults": "gamma_invariance fm_quantization_zero ode_residual nr_ode_residual",
+    "wave_params.b_hat": Plant(_WAVE, _scaled(3), {
+        "defaults": "relativistic_residual gamma_invariance fm_quantization_zero ode_residual nr_ode_residual",
     }),
     "_fm_problem.C": Plant("checks._fm_problem", _scaled("C"), {"defaults": _STANDARD_ROWS}),
     # alpha = gamma / eta is 0 in fm_quantization_zero unless the user's gamma is not
@@ -177,11 +184,11 @@ PLANTS = {
         "defaults": f"ladder_identity=1e-6 {_SU11_ROWS}",
         "eta0": _SU11_ROWS,
     }),
-    # the row reads the level's own delta, which m + delta rounds for a heavy mass
-    "rel_residual.delta": Plant("checks.rel_residual", lambda exact: lambda system, n, delta: exact(
-        system, n, delta * GROW), {
-        "defaults": "relativistic_residual",
-        "heavy": "relativistic_residual",
+    # the row reads the level's own delta, which m + delta rounds for a heavy mass; only B^ moves
+    "wave_params.delta": Plant("checks.wave_params", lambda exact: lambda system, delta, e_plus_m: exact(
+        system, delta * GROW, e_plus_m), {
+        "defaults": "relativistic_residual=5e-9",
+        "heavy": "relativistic_residual=5e-9",
     }),
     # the fixed-point map 1e-8 too large, wherever the solver or the row forms h
     "_displacement": Plant("spectrum._displacement", lambda exact: lambda system, n, delta: (

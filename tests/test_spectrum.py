@@ -13,9 +13,7 @@ from gupho import spectrum
 from gupho.fm import fm_quantization_residual
 from gupho.gup import (
     DeformedAlgebra,
-    DegenerateModelError,
     OscillatorSystem,
-    UndeformedBranchError,
     fm_problem_of,
 )
 from gupho.spectrum import (
@@ -23,7 +21,6 @@ from gupho.spectrum import (
     energy_nonrel,
     energy_relativistic,
     ratio_sweep,
-    rel_residual,
 )
 
 
@@ -56,58 +53,6 @@ def high_precision_root(n, eta, mass=1, omega=1, hbar=1, dps=80):
             else:
                 hi = mid
         return float(m + (lo + hi) / 2)
-
-
-class TestRelResidual:
-    def test_vanishes_at_converged_energy(self):
-        sys = system(eta=0.1)
-        for n in range(4):
-            delta = energy_relativistic(sys, n).delta
-            assert abs(rel_residual(sys, n, delta)) <= 1e-10
-
-    def test_vanishes_at_a_heavy_level(self):
-        # m + delta keeps only the ulp of m (~1e-4) of delta ~ 3.5 here: read through
-        # E - m, the closed-form level misses its own condition by ~0.05
-        sys = system(mass=1e12, eta=1e-15)
-        res = energy_relativistic(sys, 3)
-        assert abs(rel_residual(sys, 3, res.delta)) <= 1e-10
-        assert abs(rel_residual(sys, 3, res.energy - 1e12)) > 1e-2
-
-    def test_n_difference(self):
-        # residual(n) - residual(n+1) = 2 sqrt(1/4 + 2/(eta^2 (delta + 2m))) + 2n + 2
-        sys = system(eta=0.1)
-        for delta in (0.2, 0.6, 2.0):
-            root = math.sqrt(0.25 + 2.0 / (0.1**2 * (delta + 2.0)))
-            for n in range(5):
-                diff = rel_residual(sys, n, delta) - rel_residual(sys, n + 1, delta)
-                assert diff == pytest.approx(2.0 * root + 2 * n + 2, rel=1e-13)
-                assert diff > 0
-
-    def test_increasing_in_energy(self):
-        sys = system(eta=0.5)
-        values = [rel_residual(sys, 2, d) for d in np.linspace(0.001, 49.0, 200)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-        assert values[-1] > 0  # dominates at large energy
-
-    def test_undeformed_rejected(self):
-        with pytest.raises(UndeformedBranchError):
-            rel_residual(system(eta=0.0), 0, 0.5)
-
-    def test_underflowing_kappa_is_a_model_failure(self):
-        # hbar eta m omega = 1e-600 underflows to 0, as in `wave_params`; not a ZeroDivisionError
-        sys = OscillatorSystem(1e-200, 1e-200, DeformedAlgebra(eta=1e-200))
-        with pytest.raises(DegenerateModelError, match="underflows"):
-            rel_residual(sys, 0, 1.0)
-
-    def test_overflowing_condition_is_a_model_failure(self):
-        # kappa = 1e-310 is subnormal: both terms overflow, and their difference would be NaN
-        with pytest.raises(DegenerateModelError, match="overflows"):
-            rel_residual(system(eta=1e-310), 0, 1.0)
-
-    @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])
-    def test_non_finite_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="finite delta"):
-            rel_residual(system(eta=0.1), 0, delta)
 
 
 class TestEnergyRelativistic:

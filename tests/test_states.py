@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gupho import checks, gup, specfun
 from gupho.gup import DeformedAlgebra, OscillatorSystem, UndeformedBranchError, fm_problem_of, rho_of_p
 from gupho.fm import FmProblem, fm_quantization_residual
-from gupho.spectrum import energy_nonrel, energy_relativistic, ratio_sweep, rel_residual
+from gupho.spectrum import energy_nonrel, energy_relativistic, ratio_sweep
 from gupho.specfun import gegenbauer, gegenbauer_product_integral
 from gupho.states import (
     NONRELATIVISTIC,
@@ -25,6 +25,7 @@ from gupho.states import (
     su11_check,
     weighted_overlap,
     _envelope,
+    _state_relations,
     _wave_relations,
 )
 from node_rule import gegenbauer_rule
@@ -523,7 +524,6 @@ def test_each_argument_rule_has_one_message(call, bad, message):
 @pytest.mark.parametrize("call", [
     lambda n: energy_relativistic(system(), n),
     lambda n: energy_nonrel(system(), n),
-    lambda n: rel_residual(system(), n, 1.0),
     lambda n: make_state(system(), n, RELATIVISTIC),
     lambda n: make_state(system(), n, NONRELATIVISTIC),
     lambda n: ladder_coeffs(n, 1.0),
@@ -533,7 +533,7 @@ def test_each_argument_rule_has_one_message(call, bad, message):
     lambda n: specfun.gegenbauer_product_integral(1.0, n, 1.0, 2, 1.5),
     lambda n: specfun.gegenbauer_product_integral(1.0, 2, 1.5, n, 1.0),
     lambda n: su11_check(1.0, n),
-], ids=["energy_relativistic", "energy_nonrel", "rel_residual", "make_state_rel", "make_state_nr",
+], ids=["energy_relativistic", "energy_nonrel", "make_state_rel", "make_state_nr",
         "ladder_coeffs", "fm_quantization_residual", "ratio_sweep", "gegenbauer",
         "product_n_a", "product_n_b", "su11_check_n_max"])
 def test_non_integer_n_rejected(call):
@@ -579,7 +579,7 @@ def _terms_by_18_9_19(state, p):
     C' = 2 lam C_(n-1)^(lam+1) and C'' = 4 lam (lam + 1) C_(n-2)^(lam+2), with
     (A~, B~) from the state's energy: a route independent of `ode_residual`,
     which forms the residual from (C_(n-1), C_n) and the three relations of
-    `states._wave_relations`.
+    `states._state_relations`.
     """
     alg = state.system.algebra
     rho = rho_of_p(alg, specfun.as_float(p))
@@ -596,6 +596,49 @@ def _terms_by_18_9_19(state, p):
     first = common * 2.0 * (alg.gamma + alg.eta) * rho * (w * c1 - 2.0 * v * rho * c0)
     zeroth = -common * (b_tilde * w + a_tilde * rho * rho / alg.eta) * c0
     return second, first, zeroth
+
+
+def _quantization(sys, n, delta):
+    """(defect, scale) of the quantization relation at the relativistic level (n, delta), as `verify` reads it."""
+    return _wave_relations(n, sys.algebra.alpha, *gup.wave_params(sys, delta, 2.0 * sys.mass + delta))[1]
+
+
+class TestQuantizationRelation:
+    """The quantization relation of `_wave_relations`, read at relativistic levels."""
+
+    def test_n_difference(self):
+        # e(n + 1) - e(n) = 2 lam + 2n + 1 at a fixed level, whatever gamma
+        for gamma in (0.0, 0.05):
+            sys = system(eta=0.1, gamma=gamma)
+            for delta in (0.2, 0.6, 2.0):
+                lam = gup.wave_params(sys, delta, 2.0 + delta)[1]
+                for n in range(5):
+                    diff = _quantization(sys, n + 1, delta)[0] - _quantization(sys, n, delta)[0]
+                    assert diff == pytest.approx(2.0 * lam + 2 * n + 1, rel=1e-13)
+
+    def test_decreasing_in_the_level(self):
+        # one root: the defect falls strictly with delta, from above 0 to below it
+        sys = system(eta=0.5)
+        values = [_quantization(sys, 2, d)[0] for d in np.linspace(0.001, 49.0, 200)]
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert values[0] > 0.0 > values[-1]
+
+    def test_vanishes_at_light_levels(self):
+        for gamma in (0.0, 0.05, 10.0):
+            sys = system(eta=0.1, gamma=gamma)
+            for n in range(9):
+                defect, scale = _quantization(sys, n, energy_relativistic(sys, n).delta)
+                assert abs(defect) / scale <= 1e-15
+
+    def test_vanishes_at_a_heavy_level(self):
+        # m + delta keeps only the ulp of m (~1e-4) of delta ~ 3.5 here: read through
+        # E - m, the closed-form level misses its own condition
+        sys = system(mass=1e12, eta=1e-15)
+        level = energy_relativistic(sys, 3)
+        defect, scale = _quantization(sys, 3, level.delta)
+        assert abs(defect) / scale <= 1e-15
+        defect, scale = _quantization(sys, 3, level.energy - 1e12)
+        assert abs(defect) / scale > 1e-7
 
 
 class TestOdeResidualOnStates:
@@ -651,8 +694,8 @@ class TestOdeResidualOnStates:
     def test_each_relation_reads_its_own_plant(self, moved, plant):
         # at n = 0 the order enters only the weight order, the NR level only B^, and E + m only A^
         state = make_state(system(eta=0.1, gamma=0.05), 0, NONRELATIVISTIC)
-        exact = [abs(defect) / scale for defect, scale in _wave_relations(state)]
-        readings = [abs(defect) / scale for defect, scale in _wave_relations(plant(state))]
+        exact = [abs(defect) / scale for defect, scale in _state_relations(state)]
+        readings = [abs(defect) / scale for defect, scale in _state_relations(plant(state))]
         assert readings[moved] > 1e-10
         del exact[moved], readings[moved]
         assert readings == exact
