@@ -7,14 +7,17 @@ run instead.  The relativistic levels come from the closed-form root of the
 squared quantization condition; `solver_cross_validation` holds them to the
 unsquared one and `relativistic_residual` to the wave equation's
 quantization relation of `states._wave_relations`, relative to its terms.
-These rows and the standard-form rows read one level table, solved once at
-each kappa = hbar eta m omega of `_KAPPA_GRID` with the user's
-alpha = gamma / eta held, so they see one problem at any scale;
-`nr_limit` and `undeformed_continuity` take their own tables, at their own
-mass and kappas, from the same `_level_table`, the one place levels at a held
-kappa are solved.  `gamma_invariance` reads the levels of the relativistic
-states at the user's eta; the wave-equation and ladder rows read scalar
-relations of the states, at no rho.
+These rows and the standard-form rows read one level table: a row at each
+kappa = hbar eta m omega of `_KAPPA_GRID` with the user's alpha = gamma / eta
+held, so they see one problem at any scale, and as its last row the
+relativistic states at the user's eta and gamma, which carry each level's n
+and delta.  A grid kappa equal to the user's is dropped, so each level is
+solved once.  `nr_limit` and `undeformed_continuity` take their own tables,
+at their own mass and kappas, from the same `_level_table`.
+`_check_standard_form` reads the standard-form residual for both
+`gamma_invariance` (the user's row at gamma / eta = 1/2, 1, 2) and
+`fm_quantization_zero` (the whole table at the user's alpha).  The
+wave-equation and ladder rows read scalar relations of the states, at no rho.
 """
 
 from __future__ import annotations
@@ -135,23 +138,23 @@ def _check_nr_limit(omega, hbar, alpha) -> CheckResult:
     return CheckResult("nr_limit", dev, 1e-13)
 
 
-def _check_gamma_invariance(states) -> CheckResult:
-    """The relativistic states' levels must zero the standard-form residual at every gamma.
+def _check_standard_form(name, table, alphas, tolerance) -> CheckResult:
+    """Each level must zero the standard-form quantization residual at gamma = alpha eta, for each alpha.
 
-    gamma does not enter the solver's map, so each state's delta is its
-    level at any gamma, but it does enter the reduction to the standard form
-    (k1, A, C), so this route can fail.  The levels enter through their own
-    delta, which m + delta rounds for a heavy mass.
+    gamma does not enter the solver's map, so a level is a level at any
+    gamma, but it does enter the reduction to the standard form (k1, A, C),
+    so this route can fail.  The levels enter through their own delta,
+    which m + delta rounds for a heavy mass.
     """
     dev = 0.0
-    for state in states:
-        system, delta = state.system, state.delta
+    for system, levels in table:
         alg = system.algebra
-        for gamma in (alg.eta / 2.0, alg.eta, 2.0 * alg.eta):
-            trial = _system(system.mass, system.omega, alg.hbar, alg.eta, gamma)
-            problem = _fm_problem(trial, delta, 2.0 * system.mass + delta)
-            dev = max(dev, abs(fm_quantization_residual(problem, state.n)))
-    return CheckResult("gamma_invariance", dev, 1e-10)
+        for alpha in alphas:
+            trial = _system(system.mass, system.omega, alg.hbar, alg.eta, alpha * alg.eta)
+            for level in levels:
+                problem = _fm_problem(trial, level.delta, 2.0 * system.mass + level.delta)
+                dev = max(dev, abs(fm_quantization_residual(problem, level.n)))
+    return CheckResult(name, dev, tolerance)
 
 
 def _check_fm_exponent_consistency(table) -> CheckResult:
@@ -171,15 +174,6 @@ def _check_fm_exponent_consistency(table) -> CheckResult:
                 k4, k5 = fm_exponents(_fm_problem(trial, delta, 2.0 * mass + delta))
                 dev = max(dev, abs(k4 - v), abs(k5 - v))
     return CheckResult("fm_exponent_consistency", dev, 1e-11)
-
-
-def _check_fm_quantization_zero(table) -> CheckResult:
-    dev = 0.0
-    for system, levels in table:
-        for level in levels:
-            problem = _fm_problem(system, level.delta, 2.0 * system.mass + level.delta)
-            dev = max(dev, abs(fm_quantization_residual(problem, level.n)))
-    return CheckResult("fm_quantization_zero", dev, 1e-9)
 
 
 def _check_orthonormality(states) -> CheckResult:
@@ -349,28 +343,33 @@ def run_suite(
     states go up to max(n_max, 1), so the ladder identity always compares
     at least the 0 <-> 1 pair.
     """
-    alpha = gamma / eta if eta > 0.0 else 0.0
-    table = _level_table(mass, omega, hbar, alpha, _KAPPA_GRID if eta > 0.0 else (0.0,), n_max)
-    results = [_check_solver_cross_validation(table)]
-    if eta > 0.0:
-        results.append(_check_relativistic_residual(table))
-        results.append(_check_nr_limit(omega, hbar, alpha))
-        system = _system(mass, omega, hbar, eta, gamma)
-        rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
-        results.append(_check_gamma_invariance(rel_states))
-        results.append(_check_fm_exponent_consistency(table))
-        results.append(_check_fm_quantization_zero(table))
-        nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(max(n_max, 1) + 1)]
-        results.append(_check_orthonormality(nr_states))
-        results.append(_check_normalization_reference(rel_states))
-        results.append(_check_ladder_identity(nr_states))
-        results.extend(_check_su11_algebra())
-        results.append(_check_ode_residual(rel_states))
-        results.append(_check_ode_residual(nr_states))
-        results.append(_check_weight_orthogonality())
-        results.append(_check_undeformed_continuity(mass, omega, hbar, alpha))
-    else:
-        results.append(_check_nr_limit(omega, hbar, alpha))
-        results.extend(_check_su11_algebra())
-        results.append(_check_undeformed_continuity(mass, omega, hbar, alpha))
-    return results
+    if not eta > 0.0:
+        table = _level_table(mass, omega, hbar, 0.0, (0.0,), n_max)
+        return [_check_solver_cross_validation(table), _check_nr_limit(omega, hbar, 0.0),
+                *_check_su11_algebra(), _check_undeformed_continuity(mass, omega, hbar, 0.0)]
+    alpha = gamma / eta
+    kappa = mass * omega * eta * hbar
+    table = _level_table(mass, omega, hbar, alpha, [k for k in _KAPPA_GRID if k != kappa], n_max)
+    system = _system(mass, omega, hbar, eta, gamma)
+    rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
+    user_row = (system, rel_states)  # a level row reads only n and delta, which a state carries
+    table.append(user_row)
+    results = [
+        _check_solver_cross_validation(table),
+        _check_relativistic_residual(table),
+        _check_nr_limit(omega, hbar, alpha),
+        _check_standard_form("gamma_invariance", [user_row], (0.5, 1.0, 2.0), 1e-10),
+        _check_fm_exponent_consistency(table),
+        _check_standard_form("fm_quantization_zero", table, (alpha,), 1e-9),
+    ]
+    nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(max(n_max, 1) + 1)]
+    return results + [
+        _check_orthonormality(nr_states),
+        _check_normalization_reference(rel_states),
+        _check_ladder_identity(nr_states),
+        *_check_su11_algebra(),
+        _check_ode_residual(rel_states),
+        _check_ode_residual(nr_states),
+        _check_weight_orthogonality(),
+        _check_undeformed_continuity(mass, omega, hbar, alpha),
+    ]

@@ -14,7 +14,6 @@ equation is the standard form of `fm`.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .fm import FmProblem
@@ -27,7 +26,6 @@ __all__ = [
     "QuadratureAccuracyError",
     "minimal_length",
     "uncertainty_bound",
-    "scalar_weight",
     "rho_of_p",
     "p_of_rho",
     "wave_params",
@@ -113,24 +111,6 @@ def uncertainty_bound(algebra: DeformedAlgebra, delta_p: float) -> float:
     if not 0.0 < delta_p < math.inf:
         raise ValueError("delta_p must be finite and > 0")
     return 0.5 * algebra.hbar * (1.0 / delta_p + algebra.eta * delta_p)
-
-
-def scalar_weight(algebra: DeformedAlgebra, p: float) -> float:
-    """Measure weight (1 + eta p^2)^(alpha - 1) of the scalar product.
-
-    Formed as hypot(1, sqrt(eta) p)^(2 (alpha - 1)), so p is never squared;
-    where the weight is not a normal double ``ValueError`` is raised.
-    """
-    algebra._require_deformed()
-    if not math.isfinite(p):
-        raise ValueError("p must be finite")
-    try:
-        weight = math.hypot(1.0, math.sqrt(algebra.eta) * p) ** (2.0 * (algebra.alpha - 1.0))
-    except OverflowError:
-        weight = math.inf
-    if not sys.float_info.min <= weight < math.inf:
-        raise ValueError(f"measure weight at p = {p!r} is not a normal double")
-    return weight
 
 
 def rho_of_p(algebra: DeformedAlgebra, p):

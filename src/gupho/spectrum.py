@@ -28,11 +28,7 @@ __all__ = [
     "energy_relativistic",
     "energy_nonrel",
     "ratio_sweep",
-    "BOHR_RADIUS",
 ]
-
-# Bohr-radius unit for the ratio sweep, pinned to 1 in natural units.
-BOHR_RADIUS = 1.0
 
 
 class SolverError(RuntimeError):
@@ -192,7 +188,7 @@ def ratio_sweep(
     for xi in xi_grid:
         if not xi >= 0.0:
             raise ValueError("xi values must be nonnegative")
-        scaled = xi * BOHR_RADIUS / hbar
+        scaled = xi / hbar
         eta = scaled * scaled
         if math.isinf(eta):
             raise SolverError(f"xi = {xi!r} gives eta = (xi a0 / hbar)^2 beyond the double range")

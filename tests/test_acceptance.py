@@ -104,10 +104,15 @@ def _rel_states(eta):
     return [checks.make_state(_system(eta=eta), n, RELATIVISTIC) for n in range(9)]
 
 
+def _rows(**params):
+    """run_suite's results by row name."""
+    return {result.name: result for result in checks.run_suite(**params)}
+
+
 def test_criterion_05_gamma_invariance():
     started = time.perf_counter()
     for eta in _ETAS:
-        result = checks._check_gamma_invariance(_rel_states(eta))
+        result = _rows(eta=eta)["gamma_invariance"]
         assert result.passed, result
     _verdict(5, "gamma invariance through the standard form", started)
 
@@ -115,19 +120,16 @@ def test_criterion_05_gamma_invariance():
 def test_criterion_05_fails_on_a_wrong_energy(monkeypatch):
     # a 1e-8 relative error in a state's delta, the field the check reads, fails it
     plant(monkeypatch, "make_state.delta")
-    result = checks._check_gamma_invariance(_rel_states(0.1))
+    result = _rows()["gamma_invariance"]
     assert not result.passed
     assert result.max_deviation > 1e-8
 
 
 def test_criterion_06_fm_pipeline_equivalence():
     started = time.perf_counter()
-    table = _unit_table()
-    for result in (
-        checks._check_fm_exponent_consistency(table),
-        checks._check_fm_quantization_zero(table),
-    ):
-        assert result.passed, result
+    rows = _rows()
+    for name in ("fm_exponent_consistency", "fm_quantization_zero"):
+        assert rows[name].passed, rows[name]
     _verdict(6, "standard-form pipeline equivalence", started)
 
 

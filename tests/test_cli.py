@@ -322,24 +322,28 @@ class TestVerifyCommand:
         assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
     def test_level_table_is_solved_once(self, monkeypatch):
-        # the four level rows read one table: each (system, n) on the kappa grid is solved once;
-        # at the user's eta, gamma_invariance reads the relativistic states' levels, so each of
-        # those is solved once too
-        exact, solved = checks.energy_relativistic, []
+        # no (system, n) goes to the solver twice in one run_suite: the relativistic states, at the
+        # user's exact system, are the level table's last row, and the grid kappa equal to the user's
+        # (0.1 at the defaults) is dropped; off the grid (kappa = 0.9) all three grid rows stay
+        exact, solved = spectrum.energy_relativistic, []
 
         def counted(system, n):
             solved.append((system, n))
             return exact(system, n)
 
-        monkeypatch.setattr(checks, "energy_relativistic", counted)
-        monkeypatch.setattr("gupho.states.energy_relativistic", counted)
-        mass, omega, hbar = 2.0, 0.5, 3.0
-        checks.run_suite(mass, omega, hbar, eta=0.3, n_max=8)
-        for kappa in checks._KAPPA_GRID:
-            system = checks._system_at(mass, omega, hbar, kappa, 0.0)
-            assert [solved.count((system, n)) for n in range(9)] == [1] * 9
-        user = checks._system(mass, omega, hbar, 0.3, 0.0)
-        assert [solved.count((user, n)) for n in range(9)] == [1] * 9
+        for module in ("checks", "states", "spectrum"):
+            monkeypatch.setattr(f"gupho.{module}.energy_relativistic", counted)
+        for mass, omega, hbar, eta, gamma, rows in ((1.0, 1.0, 1.0, 0.1, 0.0, 2), (2.0, 0.5, 3.0, 0.3, 0.15, 3)):
+            solved.clear()
+            checks.run_suite(mass, omega, hbar, eta, gamma, n_max=8)
+            # 9 levels per table row, nr_limit's 4 tables of 6 and undeformed_continuity's 2 of 4
+            assert len(solved) == len(set(solved)) == 9 * (rows + 1) + 6 * 4 + 4 * 2
+            grid = [checks._system_at(mass, omega, hbar, kappa, gamma / eta) for kappa in checks._KAPPA_GRID
+                    if kappa != mass * omega * eta * hbar]
+            user = checks._system(mass, omega, hbar, eta, gamma)
+            assert len(grid) == rows
+            for system in grid + [user]:
+                assert [solved.count((system, n)) for n in range(9)] == [1] * 9
 
     def test_zero_kappa_is_eta_0_at_any_scale(self):
         # hbar m omega = 1e-325 underflows to 0; kappa / 0 is not eta, but kappa = 0 is eta = 0
@@ -437,8 +441,9 @@ class TestVerifyCommand:
         assert "hbar eta m omega = 0.1 at mass 1e-152" in result.stderr
 
     def test_overflowing_nr_limit_mass_exits_2(self):
-        # the user's mass is 1, but nr_limit's own mass 1e8 hbar omega overflows; the message names it
-        result = run_cli("verify", "--hbar", "1e150", "--omega", "1e155")
+        # the user's mass is 1 and kappa is 1, so the user's levels are finite, but nr_limit's own mass
+        # 1e8 hbar omega overflows; the message names it
+        result = run_cli("verify", "--hbar", "1e150", "--omega", "1e155", "--eta", "1e-305")
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr == (

@@ -15,7 +15,6 @@ from gupho.gup import (
     minimal_length,
     p_of_rho,
     rho_of_p,
-    scalar_weight,
     uncertainty_bound,
     wave_params,
 )
@@ -84,39 +83,6 @@ class TestUncertaintyBound:
     def test_rejects_non_finite_delta_p(self, delta_p):
         with pytest.raises(ValueError, match="finite"):
             uncertainty_bound(algebra(1.0), delta_p)
-
-
-class TestScalarWeight:
-    def test_unity_at_origin(self):
-        assert scalar_weight(algebra(0.1, gamma=0.0), 0.0) == 1.0
-
-    def test_flat_when_gamma_equals_eta(self):
-        alg = algebra(0.37, gamma=0.37)
-        for p in (0.0, 1.0, -5.0):
-            assert scalar_weight(alg, p) == pytest.approx(1.0, rel=1e-15)
-
-    def test_inverse_weight(self):
-        assert scalar_weight(algebra(1.0, gamma=0.0), 1.0) == pytest.approx(0.5, rel=1e-15)
-
-    def test_undeformed_rejected(self):
-        with pytest.raises(UndeformedBranchError):
-            scalar_weight(algebra(0.0), 1.0)
-
-    def test_non_finite_momentum_rejected(self):
-        for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                scalar_weight(algebra(0.1, gamma=0.02), bad)
-
-    def test_huge_momentum_keeps_a_normal_weight(self):
-        # alpha = 0.5: the weight 1/sqrt(1 + p^2) = 1e-200 is a normal double; p * p overflowed
-        assert scalar_weight(algebra(1.0, gamma=0.5), 1e200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
-        assert scalar_weight(algebra(1.0, gamma=0.5), -1e200) == pytest.approx(1e-200, rel=1e-15, abs=0.0)
-
-    def test_weight_outside_double_range_rejected(self):
-        # alpha = 2 gives 1e400 and alpha = -1 gives 1e-800: no double holds either
-        for gamma in (2.0, -1.0):
-            with pytest.raises(ValueError, match="normal double"):
-                scalar_weight(algebra(1.0, gamma=gamma), 1e200)
 
 
 class TestMomentumTransform:
@@ -434,7 +400,9 @@ class TestWeightedNormEquivalence:
         def p_integrand(p):
             rho = rho_of_p(sys.algebra, p)
             profile = ((1 - rho * rho) / 4.0) ** v * gegenbauer(n, lam, rho)
-            return scalar_weight(sys.algebra, p) * profile**2
+            # the measure weight (1 + eta p^2)^(alpha - 1)
+            weight = math.hypot(1.0, math.sqrt(eta) * p) ** (2.0 * (gamma / eta - 1.0))
+            return weight * profile**2
 
         p_side, err = quad(p_integrand, -np.inf, np.inf, limit=400)
         assert err < 1e-7 * abs(p_side)

@@ -15,14 +15,13 @@ import pytest
 
 # every name of the package namespace
 EXPORTS = (
-    "BOHR_RADIUS", "DeformedAlgebra", "DegenerateModelError", "FmProblem", "LadderCoefficients",
+    "DeformedAlgebra", "DegenerateModelError", "FmProblem", "LadderCoefficients",
     "NONRELATIVISTIC", "NoBoundStateError", "OscillatorState", "OscillatorSystem",
     "QuadratureAccuracyError", "RELATIVISTIC", "SolverError", "SpectrumResult", "Su11Report",
     "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",
     "eval_state", "fm", "fm_exponents", "fm_problem_of", "fm_quantization_residual", "gup",
     "inner_product", "ladder_coeffs", "make_state", "minimal_length",
-    "ode_residual", "p_of_rho", "ratio_sweep", "rho_of_p",
-    "scalar_weight", "specfun",
+    "ode_residual", "p_of_rho", "ratio_sweep", "rho_of_p", "specfun",
     "spectrum", "states", "su11_check", "uncertainty_bound", "wave_params",
     "weighted_overlap",
 )
@@ -33,10 +32,10 @@ SUBMODULE_EXPORTS = {
     "gup": (
         "DeformedAlgebra", "DegenerateModelError", "OscillatorSystem", "QuadratureAccuracyError",
         "UndeformedBranchError", "fm_problem_of", "minimal_length", "p_of_rho",
-        "rho_of_p", "scalar_weight", "uncertainty_bound", "wave_params",
+        "rho_of_p", "uncertainty_bound", "wave_params",
     ),
     "spectrum": (
-        "BOHR_RADIUS", "SolverError", "SpectrumResult", "energy_nonrel", "energy_relativistic",
+        "SolverError", "SpectrumResult", "energy_nonrel", "energy_relativistic",
         "ratio_sweep",
     ),
     "states": (

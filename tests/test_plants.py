@@ -209,8 +209,10 @@ PLANTS = {
     "make_state.lam": Plant("checks.make_state", _scaled("lam", 1e-6, _first_excited), {
         "defaults": "orthonormality normalization_reference ladder_identity=1e-6 ode_residual nr_ode_residual",
     }),
+    # the relativistic states are the level table's row at the user's kappa, so the level rows read it too
     "make_state.delta": Plant("checks.make_state", _scaled("delta", 1e-8, _first_excited), {
-        "defaults": "gamma_invariance ode_residual=5e-9 nr_ode_residual",
+        "defaults": "solver_cross_validation relativistic_residual gamma_invariance fm_quantization_zero "
+                    "ode_residual=5e-9 nr_ode_residual",
     }),
 }
 

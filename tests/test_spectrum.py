@@ -232,11 +232,11 @@ class TestRatioSweep:
             n_values = rng.sample([0, 1, 2, 3, 7, 40], rng.randint(1, 4))
             # eta up to where the largest level, or eta itself, nears the double range
             eta_top = min(1e306 / hbar, 1e306 / mass / (hbar * omega) ** 2 / 41**2)
-            xi_top = hbar * math.sqrt(eta_top) / spectrum.BOHR_RADIUS
+            xi_top = hbar * math.sqrt(eta_top)
             xi_grid = [0.0, xi_top] + [xi_top * 10.0 ** rng.uniform(-12.0, 0.0) for _ in range(4)]
             expected = []
             for xi in xi_grid:
-                scaled = xi * spectrum.BOHR_RADIUS / hbar
+                scaled = xi / hbar
                 sys = system(mass=mass, omega=omega, eta=scaled * scaled, gamma=gamma, hbar=hbar)
                 e0 = energy_nonrel(sys, 0).energy
                 for n in n_values:
