@@ -157,23 +157,23 @@ def _check_standard_form(name, table, alphas, tolerance) -> CheckResult:
     return CheckResult(name, dev, tolerance)
 
 
-def _check_fm_exponent_consistency(table) -> CheckResult:
-    """v of `wave_params` against k4 and k5 of the standard form, at gamma/eta = 0, 1/2, 1.
+def _check_fm_exponent_consistency(table, alphas) -> CheckResult:
+    """v of `wave_params` against k4 and k5 of the standard form at gamma = alpha eta, for each alpha.
 
-    At the table's solved levels and at the trial levels m/10 and m, far
-    above them.
+    Each reads relative to v's terms, (lam + |alpha|) / 2, at the table's
+    solved levels and at the trial levels m/10 and m, far above them.
     """
     dev = 0.0
     for system, levels in table:
-        mass, eta = system.mass, system.algebra.eta
+        alg, mass = system.algebra, system.mass
         deltas = [0.1 * mass, mass] + [level.delta for level in levels]
-        for gamma in (0.0, eta / 2.0, eta):
-            trial = _system(mass, system.omega, system.algebra.hbar, eta, gamma)
+        for alpha in alphas:
+            trial = _system(mass, system.omega, alg.hbar, alg.eta, alpha * alg.eta)
             for delta in deltas:
-                v = wave_params(trial, delta, 2.0 * mass + delta)[0]
+                v, lam, _, _ = wave_params(trial, delta, 2.0 * mass + delta)
                 k4, k5 = fm_exponents(_fm_problem(trial, delta, 2.0 * mass + delta))
-                dev = max(dev, abs(k4 - v), abs(k5 - v))
-    return CheckResult("fm_exponent_consistency", dev, 1e-11)
+                dev = max(dev, max(abs(k4 - v), abs(k5 - v)) / (0.5 * (lam + abs(alpha))))
+    return CheckResult("fm_exponent_consistency", dev, 1e-12)
 
 
 def _check_orthonormality(states) -> CheckResult:
@@ -359,7 +359,7 @@ def run_suite(
         _check_relativistic_residual(table),
         _check_nr_limit(omega, hbar, alpha),
         _check_standard_form("gamma_invariance", [user_row], (0.5, 1.0, 2.0), 1e-10),
-        _check_fm_exponent_consistency(table),
+        _check_fm_exponent_consistency(table, dict.fromkeys((0.0, 0.5, 1.0, alpha))),
         _check_standard_form("fm_quantization_zero", table, (alpha,), 1e-9),
     ]
     nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(max(n_max, 1) + 1)]

@@ -1,9 +1,8 @@
 """Special-function and quadrature kernel.
 
-Gegenbauer polynomials, paired with the neighbour C_(n-1) that gives their
-derivatives, and the exact weighted integral of a product of two of them,
-formed from closed-form connection coefficients (DLMF 18.18.16) in Python
-floats, in O(n_a + n_b) steps, without nodes, weights or a cache; the
+Gegenbauer polynomials, and the exact weighted integral of a product of two
+of them, formed from closed-form connection coefficients (DLMF 18.18.16) in
+Python floats, in O(n_a + n_b) steps, without nodes, weights or a cache; the
 weight's mass is a Gamma ratio summed without cancellation, and its norms
 h_n are the states' norm integrals too.  Every Gegenbauer order, in this
 module and in `states`, is checked by `_require_order`.
@@ -32,11 +31,11 @@ def as_float(x):
     """x as a Python ``float`` if it is a Python ``float`` or ``int``, else as a float ndarray.
 
     Numpy scalars and 0-d arrays take the array path, so their dtype
-    (longdouble included) is kept; non-float dtypes become float64.  This is
-    the one place that branches on the kind of the input: every formula
-    downstream is written once and runs on either kind.  numpy is imported
-    only on the array path, so a process that passes Python scalars never
-    loads it.
+    (longdouble included) is kept; non-float dtypes become float64.  The
+    formulas here and in `states` are written once and run on either kind;
+    `gup.rho_of_p` and `gup._require_rho`, which call `math` or reduce over
+    an array, branch on the kind of the input too.  numpy is imported only
+    on the array path, so a process that passes Python scalars never loads it.
     """
     if type(x) is float or type(x) is int:
         return float(x)
@@ -141,37 +140,34 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     return total
 
 
-def _gegenbauer_pair(n: int, lam: float, x) -> tuple:
-    """(C_(n-1)^lam(x), C_n^lam(x)) via the upward three-term recurrence, with C_(-1) = 0.
+def _gegenbauer(n: int, lam: float, x):
+    """C_n^lam(x) via the upward three-term recurrence.
 
     C_0 = 1, C_1 = 2 lam x,
     C_k = (2 (k + lam - 1) / k) (x C_{k-1}) - ((k + 2 lam - 2) / k) C_{k-2},
     four array operations per step on an array x.
 
-    This is the one pointwise Gegenbauer loop: `gegenbauer` returns the
-    second element, and the pair is all that the derivative relation
-    (1 - x^2) C_n' = (n + 2 lam - 1) C_(n-1) - n x C_n (DLMF 18.9.20) and
-    the Gegenbauer equation need for C_n' and C_n''.  n and lam are
-    validated here; x must already be what `as_float` returns, as every
-    caller coerces it once.
+    This is the one pointwise Gegenbauer loop, behind `gegenbauer` and the
+    states.  n and lam are validated here; x must already be what
+    `as_float` returns, as every caller coerces it once.
     """
     _require_n(n)
     _require_order(lam, "lam")
     if n == 0:
-        return 0.0, x ** 0  # C_(-1) = 0; C_0 = 1 of x's kind and dtype, NaN included
+        return x ** 0  # C_0 = 1 of x's kind and dtype, NaN included
     c_prev, c = 1.0, 2.0 * lam * x
     lam_1, lam_2 = lam - 1.0, 2.0 * lam - 2.0
     for k in range(2, n + 1):
         c_prev, c = c, (2.0 * (k + lam_1) / k) * (x * c) - ((k + lam_2) / k) * c_prev
-    return c_prev, c
+    return c
 
 
 def gegenbauer(n: int, lam: float, x):
-    """Gegenbauer polynomial C_n^lam(x), the second element of `_gegenbauer_pair`.
+    """Gegenbauer polynomial C_n^lam(x), from the recurrence of `_gegenbauer`.
 
     A Python ``float`` or ``int`` x is evaluated in Python floats and gives a
     ``float``; an ndarray or numpy scalar gives the same type back, with
     float dtypes (including longdouble) preserved (see `as_float`).  The
     recurrence is stable for lam > 0 at the moderate degrees used here.
     """
-    return _gegenbauer_pair(n, lam, as_float(x))[1]
+    return _gegenbauer(n, lam, as_float(x))

@@ -27,8 +27,8 @@ is one scalar relation per neighbour pair (`_ladder_factor`).
 
 With the envelope (w/4)^v, w = 1 - rho^2, factored out, the wave equation
 of either branch is the Gegenbauer equation exactly when three scalar
-relations hold (`_wave_relations`), so `ode_residual` needs one recurrence
-pass for (C_(n-1), C_n) and no numerical differentiation.  The second of
+relations hold (`_wave_relations`), and for n >= 2 only then, so `verify`
+reads the equation through those relations, at no momentum.  The second of
 them is the quantization condition, which `verify` also reads at the
 relativistic levels alone, relative to its terms.
 """
@@ -46,7 +46,6 @@ from .gup import (
     OscillatorSystem,
     QuadratureAccuracyError,
     _require_rho,
-    rho_of_p,
     wave_params,
 )
 from .spectrum import energy_nonrel, energy_relativistic
@@ -60,7 +59,6 @@ __all__ = [
     "QuadratureAccuracyError",
     "make_state",
     "eval_state",
-    "ode_residual",
     "weighted_overlap",
     "inner_product",
     "ladder_coeffs",
@@ -147,14 +145,18 @@ def eval_state(state: OscillatorState, rho):
     in (-1, 1); anything else, NaN included, raises ``ValueError``.
     """
     x = _require_rho(specfun.as_float(rho))
-    return _envelope(state, x) * specfun._gegenbauer_pair(state.n, state.lam, x)[1]
+    return _envelope(state, x) * specfun._gegenbauer(state.n, state.lam, x)
 
 
 def _wave_relations(n: int, alpha: float, v: float, lam: float, a_hat: float, b_hat: float) -> tuple:
     """The wave equation's three coefficient relations at a level, as (defect, scale) pairs.
 
-    With w = 1 - rho^2, C = C_n^lam(rho), alpha = gamma / eta and w^2 C'' from
-    the Gegenbauer equation, the equation of `ode_residual` is, at any state,
+    The reduced momentum-space wave equation of either branch is
+    phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi = 0;
+    the nonrelativistic one (Kempf, Mangano and Mann 1995) is the
+    relativistic one with E + m replaced by 2m.  With w = 1 - rho^2,
+    C = C_n^lam(rho), alpha = gamma / eta and w^2 C'' from the Gegenbauer
+    equation, its left side is, at any state,
     N (w/4)^v w eta [2 e_lam rho (w C') - e_n w C + e_v rho^2 C], which
     vanishes at every rho when the weight order e_lam = lam - 2v + alpha,
     the quantization e_n = n (n + 2 lam) + 2v + B^ and the exponent
@@ -182,27 +184,6 @@ def _state_relations(state: OscillatorState) -> tuple:
     system = state.system
     _, _, a_hat, b_hat = wave_params(system, state.delta, _e_plus_m(system, state.branch, state.delta))
     return _wave_relations(state.n, system.algebra.alpha, state.v, state.lam, a_hat, b_hat)
-
-
-def ode_residual(state: OscillatorState, p):
-    """Residual of the reduced momentum-space wave equation for the state at p.
-
-    phi'' + 2 (gamma + eta) p / (1 + eta p^2) phi' - (B~ + p^2 A~) / (1 + eta p^2)^2 phi,
-    on either branch: the nonrelativistic equation (Kempf, Mangano and Mann
-    1995) is the relativistic one with E + m replaced by 2m.  It is formed
-    as the bracket of `_state_relations`, with w C' from the derivative
-    relation (DLMF 18.9.20) on one recurrence pass for (C_(n-1), C_n).  A
-    scalar p gives a scalar, an ndarray one residual per point.
-    """
-    alg = state.system.algebra
-    rho = rho_of_p(alg, specfun.as_float(p))
-    w = 1.0 - rho * rho
-    n, lam = state.n, state.lam
-    c_lo, c = specfun._gegenbauer_pair(n, lam, rho)
-    w_c1 = (n + 2.0 * lam - 1.0) * c_lo - n * rho * c
-    (e_lam, _), (e_n, _), (e_v, _) = _state_relations(state)
-    bracket = 2.0 * e_lam * rho * w_c1 - e_n * w * c + e_v * rho * rho * c
-    return _envelope(state, rho) * w * alg.eta * bracket
 
 
 def _require_compatible(a: OscillatorState, b: OscillatorState) -> None:
@@ -286,7 +267,7 @@ def apply_ladder(state: OscillatorState, direction: str, rho):
     """
     x = _require_rho(specfun.as_float(rho))
     degree, factor = _ladder_factor(state, direction)
-    return factor * _envelope(state, x) * specfun._gegenbauer_pair(degree, state.lam, x)[1]
+    return factor * _envelope(state, x) * specfun._gegenbauer(degree, state.lam, x)
 
 
 @dataclass(slots=True)

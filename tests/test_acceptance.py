@@ -213,7 +213,7 @@ def test_criterion_09_reads_one_relation_per_pair(monkeypatch, nr_states):
     monkeypatch.setattr(checks, "_ladder_factor", recording)
     for name in ("eval_state", "apply_ladder", "_envelope"):
         monkeypatch.setattr(states, name, forbidden)
-    for name in ("gegenbauer", "_gegenbauer_pair"):
+    for name in ("gegenbauer", "_gegenbauer"):
         monkeypatch.setattr(specfun, name, forbidden)
     assert checks._check_ladder_identity(nr_states).passed
     last = len(nr_states) - 1

@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -312,14 +314,24 @@ class TestVerifyCommand:
         results = checks.run_suite(mass, omega, hbar, eta, gamma_frac * eta)
         assert [r.name for r in results if not r.passed] == []
 
-    @pytest.mark.parametrize("flags", [("--nmax", "1000"), ("--eta", "10", "--gamma", "1000")],
-                             ids=["nmax1000", "eta10-gamma1000"])
+    @pytest.mark.parametrize("flags", [("--nmax", "1000"), ("--eta", "10", "--gamma", "1000"),
+                                       ("--eta", "10", "--gamma", "5000")],
+                             ids=["nmax1000", "eta10-gamma1000", "eta10-gamma5000"])
     def test_reading_relative_and_at_the_users_alpha_passes(self, capsys, flags):
         # the first failed relativistic_residual read absolutely (2.3e-10, terms growing like n^2); the
-        # second failed fm_quantization_zero (5.4e-9) at table alpha up to 1e5, though the user's is 100
+        # second failed fm_quantization_zero (5.4e-9) at table alpha up to 1e5, though the user's is 100;
+        # alpha = 500 is the last before the states raise
         assert cli.main(["verify", *flags]) == cli.EXIT_OK
         _, rows = data_rows(capsys.readouterr().out)
         assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
+
+    def test_exponent_row_reads_the_users_alpha(self):
+        # the row read gamma / eta in {0, 1/2, 1} alone, so its reading was 7.1e-15 at all three; read
+        # absolutely at alpha = 500 it would be 6.3e-12, so it reads relative to v's terms
+        readings = [next(r for r in checks.run_suite(eta=10.0, gamma=gamma) if r.name == "fm_exponent_consistency")
+                    for gamma in (0.0, 1000.0, 5000.0)]
+        assert all(r.passed for r in readings)
+        assert readings[0].max_deviation < readings[1].max_deviation < readings[2].max_deviation
 
     def test_level_table_is_solved_once(self, monkeypatch):
         # no (system, n) goes to the solver twice in one run_suite: the relativistic states, at the
@@ -620,3 +632,23 @@ class TestOutputDiscipline:
         ignored = run_cli("state", "--eta", "1", "--branch", "nr", "--n", "2", "--samples", "5", env=env)
         assert ignored.returncode == plain.returncode == 0
         assert ignored.stdout == plain.stdout
+
+
+def _readme_cli_examples():
+    """The arguments of each `gupho ...` line in the code blocks of README's "CLI" section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line)[1:] for block in section.split("```")[1::2]
+            for line in block.splitlines() if line.startswith("gupho ")]
+
+
+def test_readme_cli_examples_cover_every_command():
+    assert sorted(args[0] for args in _readme_cli_examples()) == sorted(COMMAND_OPTIONS)
+
+
+@pytest.mark.parametrize("args", _readme_cli_examples(), ids=lambda args: args[0])
+def test_readme_cli_example_runs(args):
+    # each as `python -m gupho` in a fresh interpreter, as a shell user runs it
+    result = run_cli(*args)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == f"# gupho {args[0]}"

@@ -21,7 +21,7 @@ EXPORTS = (
     "UndeformedBranchError", "apply_ladder", "energy_nonrel", "energy_relativistic",
     "eval_state", "fm", "fm_exponents", "fm_problem_of", "fm_quantization_residual", "gup",
     "inner_product", "ladder_coeffs", "make_state", "minimal_length",
-    "ode_residual", "p_of_rho", "ratio_sweep", "rho_of_p", "specfun",
+    "p_of_rho", "ratio_sweep", "rho_of_p", "specfun",
     "spectrum", "states", "su11_check", "uncertainty_bound", "wave_params",
     "weighted_overlap",
 )
@@ -41,7 +41,7 @@ SUBMODULE_EXPORTS = {
     "states": (
         "LadderCoefficients", "NONRELATIVISTIC", "OscillatorState", "QuadratureAccuracyError",
         "RELATIVISTIC", "Su11Report", "apply_ladder", "eval_state", "inner_product",
-        "ladder_coeffs", "make_state", "ode_residual", "su11_check", "weighted_overlap",
+        "ladder_coeffs", "make_state", "su11_check", "weighted_overlap",
     ),
     "specfun": (
         "as_float", "gegenbauer", "gegenbauer_product_integral",

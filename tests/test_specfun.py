@@ -8,7 +8,6 @@ from scipy.special import eval_gegenbauer
 
 from gupho.gup import QuadratureAccuracyError
 from gupho.specfun import (
-    _gegenbauer_pair,
     _weight_norms,
     gegenbauer,
     gegenbauer_product_integral,
@@ -85,13 +84,6 @@ class TestGegenbauer:
         xs = np.linspace(-1.5, 1.5, 31)
         for n in range(17):
             assert np.array_equal(gegenbauer(n, lam, xs), [gegenbauer(n, lam, x) for x in xs.tolist()])
-
-    def test_pair_carries_the_previous_degree(self):
-        # C_(-1) = 0, then (C_(n-1), C_n) from the same loop that gives gegenbauer
-        assert _gegenbauer_pair(0, 1.5, 0.3) == (0.0, 1.0)
-        for n in range(1, 13):
-            for x in np.linspace(-0.95, 0.95, 9).tolist():
-                assert _gegenbauer_pair(n, 1.5, x) == (gegenbauer(n - 1, 1.5, x), gegenbauer(n, 1.5, x))
 
 
 def _mp_coefficients(n, lam):

@@ -21,7 +21,6 @@ from gupho.states import (
     inner_product,
     ladder_coeffs,
     make_state,
-    ode_residual,
     su11_check,
     weighted_overlap,
     _envelope,
@@ -164,12 +163,6 @@ class TestEvalState:
             with pytest.raises(ValueError):
                 eval_state(nr_family[2], bad)
 
-    def test_derivative_nan_rejected(self, nr_family):
-        # the state's derivatives enter only ode_residual, which rejects a NaN momentum
-        for bad in (math.nan, np.float64(math.nan), np.array([0.2, math.nan])):
-            with pytest.raises(ValueError):
-                ode_residual(nr_family[2], bad)
-
     def test_result_types(self, nr_family):
         # a Python scalar is evaluated in floats; numpy input keeps its type and dtype
         for state in nr_family[:4]:
@@ -190,8 +183,8 @@ class TestEvalState:
             assert [eval_state(state, r) for r in rhos] == [eval_state(state, np.float64(r)) for r in rhos]
 
     def test_derivative_matches_differences(self, nr_family):
-        # ode_residual of states that miss their equation, against the p-space equation with
-        # phi' and phi'' from central differences of phi(rho(p))
+        # the terms of the independent route, for states on and off their equation, against the
+        # p-space equation's terms with phi' and phi'' from central differences of phi(rho(p))
         alg = nr_family[0].system.algebra
         h1, h2 = 1e-5, 3e-4
         for n in (0, 1, 4, 8):
@@ -208,7 +201,8 @@ class TestEvalState:
                     first = 2.0 * (alg.gamma + alg.eta) * p / g * fd1
                     terms = (fd2, first, -(b_tilde + p * p * a_tilde) / g**2 * phi(p))
                     # the differences are good to ~5e-7 of the terms; the planted residuals reach 3e-5..7e-4
-                    assert abs(ode_residual(state, p) - sum(terms)) <= 5e-6 * sum(map(abs, terms)), (n, p)
+                    bound = 5e-6 * sum(map(abs, terms))
+                    assert all(abs(a - b) <= bound for a, b in zip(_terms_by_18_9_19(state, p), terms)), (n, p)
 
 
 class TestInnerProduct:
@@ -577,9 +571,9 @@ def _terms_by_18_9_19(state, p):
     """The three wave-equation terms with C' and C'' from DLMF 18.9.19, three recurrences a point.
 
     C' = 2 lam C_(n-1)^(lam+1) and C'' = 4 lam (lam + 1) C_(n-2)^(lam+2), with
-    (A~, B~) from the state's energy: a route independent of `ode_residual`,
-    which forms the residual from (C_(n-1), C_n) and the three relations of
-    `states._state_relations`.
+    (A~, B~) from the state's energy: a route independent of the three
+    relations of `states._state_relations`, which `verify` reads in place of
+    the equation.
     """
     alg = state.system.algebra
     rho = rho_of_p(alg, specfun.as_float(p))
@@ -700,72 +694,61 @@ class TestOdeResidualOnStates:
         del exact[moved], readings[moved]
         assert readings == exact
 
-    def test_python_float_p_gives_a_float(self):
-        state = make_state(system(eta=0.1, gamma=0.05), 3, RELATIVISTIC)
-        for p in (-40.0, 0.0, 0.3, 1):
-            assert type(ode_residual(state, p)) is float
-
-    def test_array_p_matches_scalar_calls(self):
-        state = make_state(system(eta=0.1, gamma=0.05), 3, RELATIVISTIC)
-        ps = np.array([-40.0, -2.5, 0.0, 0.3, 1.0, 17.0])
-        whole = ode_residual(state, ps)
-        assert whole.dtype == np.float64 and whole.shape == ps.shape
-        assert list(whole) == [ode_residual(state, p) for p in ps]
-
     @pytest.mark.parametrize("branch", [RELATIVISTIC, NONRELATIVISTIC])
     @pytest.mark.parametrize("eta", [2e-3, 0.01, 1.0, 100.0])
     @pytest.mark.parametrize("gamma_frac", [0.0, 0.5])
     def test_terms_match_the_three_recurrence_route(self, branch, eta, gamma_frac):
-        # ode_residual of true and planted states within 1e-13 of the sum of the three terms'
-        # magnitudes of the independent route, on a 101-point p grid
+        # the three relations are the wave equation: on the independent route the terms of a true
+        # state sum to 1e-13 of their magnitudes at every p of a 101-point grid, in Python floats,
+        # float64 and longdouble, and every planted copy misses that somewhere and fails the row;
+        # at n < 2 the order plant alone solves the equation, so there the row is the stricter
         sys = system(eta=eta, gamma=gamma_frac * eta)
         ps = np.linspace(-5.0 / math.sqrt(eta), 5.0 / math.sqrt(eta), 101)
 
-        def assert_close(got, terms):
-            got, terms = np.array(got, dtype=np.longdouble), np.array(terms, dtype=np.longdouble)
-            assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-13 * np.abs(terms).sum(axis=0))
+        def misses(terms):
+            terms = np.asarray(terms)
+            return bool(np.any(np.abs(terms.sum(axis=0)) > 1e-13 * np.abs(terms).sum(axis=0)))
 
         for n in (0, 1, 2, 5, 16, 40):
-            for state in _planted(make_state(sys, n, branch)):
-                each = [ode_residual(state, p) for p in ps.tolist()]
-                assert all(type(value) is float for value in each)
-                assert_close(each, list(zip(*[_terms_by_18_9_19(state, p) for p in ps.tolist()])))
-                assert_close(ode_residual(state, ps), _terms_by_18_9_19(state, ps))
-                wide = ps.astype(np.longdouble)
-                got = ode_residual(state, wide)
-                assert got.dtype == np.longdouble
-                assert_close(got, _terms_by_18_9_19(state, wide))
+            true, *plants = _planted(make_state(sys, n, branch))
+            for state in (true, *plants):
+                each = [_terms_by_18_9_19(state, p) for p in ps.tolist()]
+                assert all(type(term) is float for terms in each for term in terms)
+                wide = _terms_by_18_9_19(state, ps.astype(np.longdouble))
+                assert all(term.dtype == np.longdouble for term in wide)
+                seen = state is not true and (n >= 2 or state.lam == true.lam)
+                for terms in (np.transpose(each), _terms_by_18_9_19(state, ps), wide):
+                    assert misses(terms) is seen, (n, state)
+                assert checks._check_ode_residual([state]).passed is (state is true), (n, state)
 
     def test_one_recurrence_pass_per_call(self, monkeypatch):
-        # ode_residual, eval_state and apply_ladder each run the (C_(n-1), C_n) loop once and no
-        # other Gegenbauer evaluator; argument checks and as_float are not evaluators
+        # eval_state and apply_ladder each run the Gegenbauer loop once and no other evaluator;
+        # argument checks and as_float are not evaluators
         sys = system(eta=0.1, gamma=0.05)
         states = [make_state(sys, n, branch) for n in (0, 1, 7) for branch in (RELATIVISTIC, NONRELATIVISTIC)]
-        pair, calls = specfun._gegenbauer_pair, []
+        loop, calls = specfun._gegenbauer, []
 
         def counted(*args):
             calls.append(args[:2])
-            return pair(*args)
+            return loop(*args)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a Gegenbauer evaluation outside the one recurrence pass")
 
-        monkeypatch.setattr(specfun, "_gegenbauer_pair", counted)
+        monkeypatch.setattr(specfun, "_gegenbauer", counted)
         for name in ("gegenbauer", "gegenbauer_product_integral", "_connection_column", "_weight_norms"):
             monkeypatch.setattr(specfun, name, forbidden)
         for state in states:
-            for p in (0.3, np.linspace(-4.0, 4.0, 9)):
-                rho = rho_of_p(sys.algebra, p)
-                for call, degree in ((lambda: ode_residual(state, p), state.n),
-                                     (lambda: eval_state(state, rho), state.n),
+            for rho in (0.3, np.linspace(-0.9, 0.9, 9)):
+                for call, degree in ((lambda: eval_state(state, rho), state.n),
                                      (lambda: apply_ladder(state, "raise", rho), state.n + 1)):
                     del calls[:]
                     call()
                     assert calls == [(degree, state.lam)]
 
     def test_one_wave_params_call_per_consumer(self, monkeypatch):
-        # make_state, ode_residual and fm_problem_of each map their level through wave_params once,
-        # with the level's delta and the branch's E + m
+        # make_state and fm_problem_of each map their level through wave_params once, with the
+        # level's delta and the branch's E + m
         sys = system(mass=2.0, eta=0.1, gamma=0.05)
         exact, calls = gup.wave_params, []
 
@@ -781,16 +764,12 @@ class TestOdeResidualOnStates:
                 state = make_state(sys, n, branch)
                 e_plus_m = 4.0 + state.delta if branch == RELATIVISTIC else 4.0
                 assert calls == [(sys, state.delta, e_plus_m)]
-                for p in (0.3, np.linspace(-4.0, 4.0, 9)):
-                    del calls[:]
-                    ode_residual(state, p)
-                    assert calls == [(sys, state.delta, e_plus_m)]
         del calls[:]
         fm_problem_of(sys, 2.5)
         assert calls == [(sys, 0.5, 4.5)]
 
     def test_check_reads_the_relations_alone(self, monkeypatch):
-        # the rows evaluate no state: one map call per state, and no Gegenbauer value, momentum or envelope
+        # the rows evaluate no state: one map call per state, and no Gegenbauer value or envelope
         sys = system(mass=2.0, eta=0.1, gamma=0.05)
         exact, calls = gup.wave_params, []
 
@@ -805,8 +784,7 @@ class TestOdeResidualOnStates:
             family = [make_state(sys, n, branch) for n in range(9)]
             with monkeypatch.context() as patch:
                 patch.setattr("gupho.states.wave_params", counted)
-                patch.setattr(specfun, "_gegenbauer_pair", forbidden)
-                patch.setattr("gupho.states.rho_of_p", forbidden)
+                patch.setattr(specfun, "_gegenbauer", forbidden)
                 patch.setattr("gupho.states._envelope", forbidden)
                 del calls[:]
                 assert checks._check_ode_residual(family).passed
