@@ -14,10 +14,12 @@ relativistic states at the user's eta and gamma, which carry each level's n
 and delta.  A grid kappa equal to the user's is dropped, so each level is
 solved once.  `nr_limit` and `undeformed_continuity` take their own tables,
 at their own mass and kappas, from the same `_level_table`.
-`_check_standard_form` reads the standard-form residual for both
-`gamma_invariance` (the user's row at gamma / eta = 1/2, 1, 2) and
-`fm_quantization_zero` (the whole table at the user's alpha).  The
-wave-equation and ladder rows read scalar relations of the states, at no rho.
+`_check_wave_map` maps each table level once per alpha, at the user's alpha
+and at gamma / eta in {0, 1/2, 1, 2}, and reads four rows from that one
+(v, lam, A^, B^): `relativistic_residual` and `fm_quantization_zero` at the
+user's alpha, `gamma_invariance` at the others, and
+`fm_exponent_consistency` at all of them.  The wave-equation and ladder
+rows read scalar relations of the states, at no rho.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .states import (
 __all__ = ["CheckResult", "run_suite"]
 
 _KAPPA_GRID = (0.01, 0.1, 1.0)
+_TRIAL_ALPHAS = (0.0, 0.5, 1.0, 2.0)
 _SU11_LAMBDAS = (0.8, 1.61803, 3.2)
 
 
@@ -99,20 +102,47 @@ def _check_solver_cross_validation(table) -> CheckResult:
     return CheckResult("solver_cross_validation", dev, 1e-10)
 
 
-def _check_relativistic_residual(table) -> CheckResult:
-    """The quantization relation of `states._wave_relations` at each level, relative to its terms.
+def _check_wave_map(table, alpha) -> list[CheckResult]:
+    """The four rows that read a level's `wave_params` map, each (system, delta) mapped once.
 
-    (v, lam, A^, B^) come from `wave_params` at the level's own delta, which
-    m + delta rounds for a heavy mass, and 2m + delta.
+    Each table row is mapped at the user's alpha, through its own system, and
+    at gamma = alpha' eta for the other alpha' of `_TRIAL_ALPHAS`, at its
+    levels' own delta (which m + delta rounds for a heavy mass) and at the
+    trial levels m/10 and m, far above them.  gamma does not enter the
+    solver's map, so a level is a level at any gamma, but it does enter the
+    reduction to the standard form (k1, A, C), so `gamma_invariance` can
+    fail.  `relativistic_residual` reads the quantization relation of
+    `states._wave_relations` relative to its terms, and
+    `fm_exponent_consistency` |k - v| relative to v's terms (lam + |alpha|) / 2.
     """
-    dev = 0.0
+    relation = exponents = quantization = invariance = 0.0
     for system, levels in table:
-        alpha, mass = system.algebra.alpha, system.mass
-        for level in levels:
-            params = wave_params(system, level.delta, 2.0 * mass + level.delta)
-            defect, scale = _wave_relations(level.n, alpha, *params)[1]
-            dev = max(dev, abs(defect) / scale)
-    return CheckResult("relativistic_residual", dev, 1e-13)
+        alg, mass = system.algebra, system.mass
+        points = [(None, 0.1 * mass), (None, mass)] + [(level.n, level.delta) for level in levels]
+        for trial_alpha in dict.fromkeys((alpha, *_TRIAL_ALPHAS)):
+            at_user = trial_alpha == alpha
+            trial = system if at_user else _system(mass, system.omega, alg.hbar, alg.eta, trial_alpha * alg.eta)
+            a = trial.algebra.alpha
+            for n, delta in points:
+                v, lam, a_hat, b_hat = params = wave_params(trial, delta, 2.0 * mass + delta)
+                problem = _fm_problem(a, a_hat, b_hat)
+                k4, k5 = fm_exponents(problem)
+                exponents = max(exponents, max(abs(k4 - v), abs(k5 - v)) / (0.5 * (lam + abs(a))))
+                if n is None:
+                    continue
+                residual = abs(fm_quantization_residual(problem, n))
+                if at_user:
+                    defect, scale = _wave_relations(n, a, *params)[1]
+                    relation = max(relation, abs(defect) / scale)
+                    quantization = max(quantization, residual)
+                else:
+                    invariance = max(invariance, residual)
+    return [
+        CheckResult("relativistic_residual", relation, 1e-13),
+        CheckResult("gamma_invariance", invariance, 1e-10),
+        CheckResult("fm_exponent_consistency", exponents, 1e-12),
+        CheckResult("fm_quantization_zero", quantization, 1e-9),
+    ]
 
 
 def _check_nr_limit(omega, hbar, alpha) -> CheckResult:
@@ -136,44 +166,6 @@ def _check_nr_limit(omega, hbar, alpha) -> CheckResult:
             target = energy_nonrel(system, level.n).energy * (1.0 - (level.n + 0.5) * shift)
             dev = max(dev, abs(level.delta - target) / target)
     return CheckResult("nr_limit", dev, 1e-13)
-
-
-def _check_standard_form(name, table, alphas, tolerance) -> CheckResult:
-    """Each level must zero the standard-form quantization residual at gamma = alpha eta, for each alpha.
-
-    gamma does not enter the solver's map, so a level is a level at any
-    gamma, but it does enter the reduction to the standard form (k1, A, C),
-    so this route can fail.  The levels enter through their own delta,
-    which m + delta rounds for a heavy mass.
-    """
-    dev = 0.0
-    for system, levels in table:
-        alg = system.algebra
-        for alpha in alphas:
-            trial = _system(system.mass, system.omega, alg.hbar, alg.eta, alpha * alg.eta)
-            for level in levels:
-                problem = _fm_problem(trial, level.delta, 2.0 * system.mass + level.delta)
-                dev = max(dev, abs(fm_quantization_residual(problem, level.n)))
-    return CheckResult(name, dev, tolerance)
-
-
-def _check_fm_exponent_consistency(table, alphas) -> CheckResult:
-    """v of `wave_params` against k4 and k5 of the standard form at gamma = alpha eta, for each alpha.
-
-    Each reads relative to v's terms, (lam + |alpha|) / 2, at the table's
-    solved levels and at the trial levels m/10 and m, far above them.
-    """
-    dev = 0.0
-    for system, levels in table:
-        alg, mass = system.algebra, system.mass
-        deltas = [0.1 * mass, mass] + [level.delta for level in levels]
-        for alpha in alphas:
-            trial = _system(mass, system.omega, alg.hbar, alg.eta, alpha * alg.eta)
-            for delta in deltas:
-                v, lam, _, _ = wave_params(trial, delta, 2.0 * mass + delta)
-                k4, k5 = fm_exponents(_fm_problem(trial, delta, 2.0 * mass + delta))
-                dev = max(dev, max(abs(k4 - v), abs(k5 - v)) / (0.5 * (lam + abs(alpha))))
-    return CheckResult("fm_exponent_consistency", dev, 1e-12)
 
 
 def _check_orthonormality(states) -> CheckResult:
@@ -352,16 +344,9 @@ def run_suite(
     table = _level_table(mass, omega, hbar, alpha, [k for k in _KAPPA_GRID if k != kappa], n_max)
     system = _system(mass, omega, hbar, eta, gamma)
     rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
-    user_row = (system, rel_states)  # a level row reads only n and delta, which a state carries
-    table.append(user_row)
-    results = [
-        _check_solver_cross_validation(table),
-        _check_relativistic_residual(table),
-        _check_nr_limit(omega, hbar, alpha),
-        _check_standard_form("gamma_invariance", [user_row], (0.5, 1.0, 2.0), 1e-10),
-        _check_fm_exponent_consistency(table, dict.fromkeys((0.0, 0.5, 1.0, alpha))),
-        _check_standard_form("fm_quantization_zero", table, (alpha,), 1e-9),
-    ]
+    table.append((system, rel_states))  # a level row reads only n and delta, which a state carries
+    residual, *standard_form = _check_wave_map(table, alpha)
+    results = [_check_solver_cross_validation(table), residual, _check_nr_limit(omega, hbar, alpha), *standard_form]
     nr_states = [make_state(system, n, NONRELATIVISTIC) for n in range(max(n_max, 1) + 1)]
     return results + [
         _check_orthonormality(nr_states),

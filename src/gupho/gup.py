@@ -8,7 +8,8 @@ either branch, given as delta = E - m and E + m (2m on the nonrelativistic
 branch), onto its momentum-space wave equation (v, lam, A^, B^), which sees the
 system only through kappa = hbar eta m omega, alpha = gamma / eta and
 delta / (hbar omega); through the chain p -> rho -> s = (1 - rho)/2 that
-equation is the standard form of `fm`.
+equation is the standard form of `fm`, which `_fm_problem` reads from the
+mapped (A^, B^), so a caller that also needs v and lam maps the level once.
 """
 
 from __future__ import annotations
@@ -191,17 +192,18 @@ def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tupl
 
 
 def fm_problem_of(system: OscillatorSystem, energy_rel: float) -> FmProblem:
-    """`_fm_problem` at a trial energy E, with delta = E - m (which keeps only the ulp of a heavy m)."""
-    return _fm_problem(system, energy_rel - system.mass, energy_rel + system.mass)
+    """The standard form at a trial energy E, with delta = E - m (which keeps only the ulp of a heavy m)."""
+    _, _, a_hat, b_hat = wave_params(system, energy_rel - system.mass, energy_rel + system.mass)
+    return _fm_problem(system.algebra.alpha, a_hat, b_hat)
 
 
-def _fm_problem(system: OscillatorSystem, delta: float, e_plus_m: float) -> FmProblem:
-    """Standard-form coefficients of the level (delta, E + m) of `wave_params`.
+def _fm_problem(alpha: float, a_hat: float, b_hat: float) -> FmProblem:
+    """Standard-form coefficients of a level that `wave_params` mapped to (A^, B^) at alpha = gamma / eta.
 
     k1 = 1/2 - alpha, k2 = 2 k1, k3 = 1, A = B^ - A^ = -B, C = -A^ / 4.
+    The caller maps the level once and reads v and lam from the same tuple.
     """
-    _, _, a_hat, b_hat = wave_params(system, delta, e_plus_m)
-    k1 = 0.5 - system.algebra.alpha
+    k1 = 0.5 - alpha
     a_coef = b_hat - a_hat
     if not math.isfinite(a_coef):
         raise DegenerateModelError(f"standard-form A = B^ - A^ overflows: B^ = {b_hat!r}, A^ = {a_hat!r}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupho import checks, cli, spectrum
+from gupho import checks, cli, gup, spectrum
 from test_plants import DEFORMED_ROWS, UNDEFORMED_ROWS, _scaled, expected_rows, plant
 
 
@@ -357,6 +357,24 @@ class TestVerifyCommand:
             for system in grid + [user]:
                 assert [solved.count((system, n)) for n in range(9)] == [1] * 9
 
+    def test_level_rows_map_each_level_once(self, monkeypatch):
+        # the four wave-map rows read one (v, lam, A^, B^) per (system, delta): each table row at the
+        # user's alpha and at gamma / eta in {0, 1/2, 1, 2}, at its 9 levels and the trial levels m/10
+        # and m; three functions that each mapped the table made 279 calls (108 distinct) at the
+        # defaults and 363 (141) at the second configuration
+        exact, mapped = gup.wave_params, []
+
+        def counted(system, delta, e_plus_m):
+            mapped.append((system, delta, e_plus_m))
+            return exact(system, delta, e_plus_m)
+
+        for module in ("gup", "checks"):
+            monkeypatch.setattr(f"gupho.{module}.wave_params", counted)
+        for mass, omega, hbar, eta, gamma, rows in ((1.0, 1.0, 1.0, 0.1, 0.0, 2), (2.0, 0.5, 3.0, 0.3, 0.15, 3)):
+            mapped.clear()
+            checks.run_suite(mass, omega, hbar, eta, gamma, n_max=8)
+            assert len(mapped) == len(set(mapped)) == (rows + 1) * 4 * (9 + 2)
+
     def test_zero_kappa_is_eta_0_at_any_scale(self):
         # hbar m omega = 1e-325 underflows to 0; kappa / 0 is not eta, but kappa = 0 is eta = 0
         system = checks._system_at(1e-165, 1e-160, 1.0, 0.0, 0.0)
@@ -365,14 +383,14 @@ class TestVerifyCommand:
             checks._system_at(1e-165, 1e-160, 1.0, 0.1, 0.0)
 
     @pytest.mark.parametrize("name, planted, failing", [
-        ("wave_params", _fed_e_minus_m, "relativistic_residual"),
+        ("wave_params", _fed_e_minus_m, "relativistic_residual gamma_invariance fm_quantization_zero"),
         ("wave_params", _v_off_by_1e8, "relativistic_residual fm_exponent_consistency"),
         ("wave_params", _v_at_a_wrong_e_plus_m, "relativistic_residual fm_exponent_consistency"),
     ])
     def test_heavy_mass_fails_on_a_wrong_level_row(self, monkeypatch, capsys, name, planted, failing):
         # at a fixed eta grid, m = 1e12 put kappa >= 1e10, where r ~ 1e-10 rounds away: both rows
         # then read 0 with the first and third errors; only checks' binding is planted, so the state
-        # rows pass, and B^ fed E - m fails the quantization relation alone
+        # rows pass, and B^ fed E - m fails the quantization relation and both standard-form residuals
         monkeypatch.setattr(checks, name, planted(getattr(checks, name)))
         assert cli.main(["verify", "--mass", "1e12", "--eta", "1e-9"]) == cli.EXIT_VERIFY
         _, rows = data_rows(capsys.readouterr().out)

@@ -76,6 +76,12 @@ def _alpha_off(problem):
     return dataclasses.replace(problem, k1=k1, k2=2.0 * k1)
 
 
+def _quantization_off(relations):
+    """`_wave_relations` with the quantization relation's defect moved by 1e-8 of its scale."""
+    weight, (defect, scale), exponent = relations
+    return weight, (defect + 1e-8 * scale, scale), exponent
+
+
 def _first_excited(system, n, branch):
     return n == 1
 
@@ -184,11 +190,19 @@ PLANTS = {
         "defaults": f"ladder_identity=1e-6 {_SU11_ROWS}",
         "eta0": _SU11_ROWS,
     }),
-    # the row reads the level's own delta, which m + delta rounds for a heavy mass; only B^ moves
+    # the rows read the level's own delta, which m + delta rounds for a heavy mass; only B^ moves, and
+    # the state rows read `states`' own binding
     "wave_params.delta": Plant("checks.wave_params", lambda exact: lambda system, delta, e_plus_m: exact(
         system, delta * GROW, e_plus_m), {
-        "defaults": "relativistic_residual=5e-9",
-        "heavy": "relativistic_residual=5e-9",
+        "defaults": "relativistic_residual=5e-9 gamma_invariance fm_quantization_zero=7.92e-8",
+        "heavy": "relativistic_residual=5e-9 gamma_invariance fm_quantization_zero=8.17e-8",
+    }),
+    # the quantization defect moved by 1e-8 of its terms where `relativistic_residual` reads it; the
+    # state rows read `states`' own binding
+    "_wave_relations.quantization": Plant("checks._wave_relations", lambda exact: lambda *args: _quantization_off(
+        exact(*args)), {
+        "defaults": "relativistic_residual=1e-8",
+        "heavy": "relativistic_residual=1e-8",
     }),
     # the fixed-point map 1e-8 too large, wherever the solver or the row forms h
     "_displacement": Plant("spectrum._displacement", lambda exact: lambda system, n, delta: (
