@@ -34,7 +34,7 @@ from .gup import (
     _fm_problem,
     wave_params,
 )
-from .fm import fm_exponents, fm_quantization_residual
+from .fm import _quantization_target, fm_exponents
 from .spectrum import SolverError, energy_nonrel, energy_relativistic
 from .states import (
     NONRELATIVISTIC,
@@ -113,7 +113,8 @@ def _check_wave_map(table, alpha) -> list[CheckResult]:
     reduction to the standard form (k1, A, C), so `gamma_invariance` can
     fail.  `relativistic_residual` reads the quantization relation of
     `states._wave_relations` relative to its terms, and
-    `fm_exponent_consistency` |k - v| relative to v's terms (lam + |alpha|) / 2.
+    `fm_exponent_consistency` |k - v| relative to v's terms (lam + |alpha|) / 2;
+    the standard-form residual (k4 + k5) - target reuses those k4 and k5.
     """
     relation = exponents = quantization = invariance = 0.0
     for system, levels in table:
@@ -130,7 +131,7 @@ def _check_wave_map(table, alpha) -> list[CheckResult]:
                 exponents = max(exponents, max(abs(k4 - v), abs(k5 - v)) / (0.5 * (lam + abs(a))))
                 if n is None:
                     continue
-                residual = abs(fm_quantization_residual(problem, n))
+                residual = abs((k4 + k5) - _quantization_target(problem, n))
                 if at_user:
                     defect, scale = _wave_relations(n, a, *params)[1]
                     relation = max(relation, abs(defect) / scale)

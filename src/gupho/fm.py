@@ -38,7 +38,8 @@ class NoBoundStateError(ValueError):
 class FmProblem:
     """Coefficients of the standard form; all finite, and k3 nonzero.
 
-    Checked when built, not on assignment; a plain record, so unhashable.
+    Checked when built, by one `math.isfinite` call per coefficient, not on
+    assignment; a plain record, so unhashable.
     """
 
     k1: float
@@ -49,7 +50,8 @@ class FmProblem:
     C: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.k1, self.k2, self.k3, self.A, self.B, self.C))):
+        if not (math.isfinite(self.k1) and math.isfinite(self.k2) and math.isfinite(self.k3)
+                and math.isfinite(self.A) and math.isfinite(self.B) and math.isfinite(self.C)):
             name = next(f.name for f in fields(self) if not math.isfinite(getattr(self, f.name)))
             raise ValueError(f"standard-form coefficient {name} must be finite")
         if self.k3 == 0.0:

@@ -193,8 +193,9 @@ def wave_params(system: OscillatorSystem, delta: float, e_plus_m: float) -> tupl
 
 def fm_problem_of(system: OscillatorSystem, energy_rel: float) -> FmProblem:
     """The standard form at a trial energy E, with delta = E - m (which keeps only the ulp of a heavy m)."""
+    alg = system.algebra
     _, _, a_hat, b_hat = wave_params(system, energy_rel - system.mass, energy_rel + system.mass)
-    return _fm_problem(system.algebra.alpha, a_hat, b_hat)
+    return _fm_problem(alg.gamma / alg.eta, a_hat, b_hat)  # alpha: wave_params required eta > 0
 
 
 def _fm_problem(alpha: float, a_hat: float, b_hat: float) -> FmProblem:

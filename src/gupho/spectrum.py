@@ -172,17 +172,21 @@ def ratio_sweep(
     Uses the nonrelativistic spectrum with the Bohr-radius unit a0 = 1, so
     eta = (xi a0 / hbar)^2.  Emits one row (xi, n, E_n, E_0, E_n/E_0) per
     (xi, n) pair; at xi = 0 the ratio column is exactly 2n + 1, and for large
-    xi it approaches (n + 1)^2.  E_n and E_0 equal `energy_nonrel` at that
-    eta bit for bit.  mass, omega, hbar, gamma and n_values are checked once
-    per call, with the errors `OscillatorSystem`, `DeformedAlgebra` and
-    `energy_nonrel` raise, so an empty xi_grid is checked too; a negative or
-    NaN xi raises ``ValueError``, and an xi whose eta or level leaves the
-    double range raises `SolverError`.
+    xi it approaches (n + 1)^2.  Each n's factors 1/2 + n + n^2 and n + 1/2
+    are formed once per call, and E_n inline from them in `_nr_level`'s float
+    operations, so E_n and E_0 equal `energy_nonrel` at that eta bit for bit
+    (`test_rows_equal_energy_nonrel`).  mass, omega, hbar, gamma and n_values
+    are checked once per call, with the errors `OscillatorSystem`,
+    `DeformedAlgebra` and `energy_nonrel` raise, so an empty xi_grid is
+    checked too; a negative or NaN xi raises ``ValueError``, and an xi whose
+    eta or level leaves the double range raises `SolverError`.
     """
     # built only for its checks of mass, omega, hbar and gamma
     OscillatorSystem(mass, omega, DeformedAlgebra(eta=0.0, gamma=gamma, hbar=hbar))
+    factors = []
     for n in n_values:
         _require_n(n)
+        factors.append((n, int(n), 0.5 + n + n * n, n + 0.5))
     hw = hbar * omega
     rows = []
     for xi in xi_grid:
@@ -196,7 +200,9 @@ def ratio_sweep(
         root = math.hypot(half, 1.0)
         e0 = _nr_level(hw, half, root, 0)
         xi = float(xi)
-        for n in n_values:
-            en = _nr_level(hw, half, root, n)
-            rows.append((xi, int(n), en, e0, en / e0))
+        for n, col, quad, lin in factors:
+            en = hw * (quad * half + lin * root)
+            if not en < math.inf:
+                raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
+            rows.append((xi, col, en, e0, en / e0))
     return rows

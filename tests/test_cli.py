@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gupho import checks, cli, gup, spectrum
+from gupho import checks, cli, fm, gup, spectrum
 from test_plants import DEFORMED_ROWS, UNDEFORMED_ROWS, _scaled, expected_rows, plant
 
 
@@ -374,6 +374,23 @@ class TestVerifyCommand:
             mapped.clear()
             checks.run_suite(mass, omega, hbar, eta, gamma, n_max=8)
             assert len(mapped) == len(set(mapped)) == (rows + 1) * 4 * (9 + 2)
+
+    def test_wave_map_forms_each_exponent_pair_once(self, monkeypatch):
+        # the standard-form residual reads the (k4, k5) that fm_exponent_consistency formed; a
+        # residual that formed them again made 240 calls (132 distinct) at the defaults and 320 (176)
+        # at the second configuration
+        exact, formed = fm.fm_exponents, []
+
+        def counted(problem):
+            formed.append(dataclasses.astuple(problem))
+            return exact(problem)
+
+        for module in ("fm", "checks"):
+            monkeypatch.setattr(f"gupho.{module}.fm_exponents", counted)
+        for mass, omega, hbar, eta, gamma, rows in ((1.0, 1.0, 1.0, 0.1, 0.0, 2), (2.0, 0.5, 3.0, 0.3, 0.15, 3)):
+            formed.clear()
+            checks.run_suite(mass, omega, hbar, eta, gamma, n_max=8)
+            assert len(formed) == len(set(formed)) == (rows + 1) * 4 * (9 + 2)
 
     def test_zero_kappa_is_eta_0_at_any_scale(self):
         # hbar m omega = 1e-325 underflows to 0; kappa / 0 is not eta, but kappa = 0 is eta = 0

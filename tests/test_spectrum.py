@@ -223,26 +223,36 @@ class TestRatioSweep:
             ratio_sweep(1.0, 1.0, 1e-300, 0.0, [3], [1e10])  # xi / hbar overflows
 
     def test_rows_equal_energy_nonrel(self):
-        # every row is energy_nonrel's level at eta = (xi a0 / hbar)^2, bit for bit
+        # every row is energy_nonrel's level at eta = (xi a0 / hbar)^2, bit for bit; numpy integer n
+        # values (each n's factors are formed once, from the numpy integer) over a np.linspace grid give
+        # the same rows, with the n column a Python int
         rng = random.Random(15)
         for _ in range(200):
             mass = 10.0 ** rng.uniform(-3.0, 300.0)
             omega, hbar = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
             gamma = rng.uniform(-1.0, 1.0)
             n_values = rng.sample([0, 1, 2, 3, 7, 40], rng.randint(1, 4))
+
+            def expected(xi_grid):
+                rows = []
+                for xi in xi_grid:
+                    scaled = xi / hbar
+                    sys = system(mass=mass, omega=omega, eta=scaled * scaled, gamma=gamma, hbar=hbar)
+                    e0 = energy_nonrel(sys, 0).energy
+                    for n in n_values:
+                        en = energy_nonrel(sys, n).energy
+                        rows.append((xi, n, en, e0, en / e0))
+                return rows
+
             # eta up to where the largest level, or eta itself, nears the double range
             eta_top = min(1e306 / hbar, 1e306 / mass / (hbar * omega) ** 2 / 41**2)
             xi_top = hbar * math.sqrt(eta_top)
             xi_grid = [0.0, xi_top] + [xi_top * 10.0 ** rng.uniform(-12.0, 0.0) for _ in range(4)]
-            expected = []
-            for xi in xi_grid:
-                scaled = xi / hbar
-                sys = system(mass=mass, omega=omega, eta=scaled * scaled, gamma=gamma, hbar=hbar)
-                e0 = energy_nonrel(sys, 0).energy
-                for n in n_values:
-                    en = energy_nonrel(sys, n).energy
-                    expected.append((xi, n, en, e0, en / e0))
-            assert ratio_sweep(mass, omega, hbar, gamma, n_values, xi_grid) == expected
+            assert ratio_sweep(mass, omega, hbar, gamma, n_values, xi_grid) == expected(xi_grid)
+            linspace = np.linspace(0.0, xi_top, 7)
+            rows = ratio_sweep(mass, omega, hbar, gamma, [np.int64(n) for n in n_values], linspace)
+            assert rows == expected(linspace)
+            assert all(type(row[1]) is int for row in rows)
 
     @pytest.mark.parametrize("xi_grid", [[1.0], []])
     @pytest.mark.parametrize("mass, omega, hbar, gamma", [
@@ -271,9 +281,10 @@ class TestRatioSweep:
             ratio_sweep(1e300, 1.0, 1.0, 0.0, [3, 40], [0.0, 1e3])
 
     def test_constructions_do_not_grow_with_the_grid(self, monkeypatch):
-        # the parameters are checked once per call; no object is built per xi or per row
+        # the parameters are checked once per call; no object is built per xi or per row, and E_0 is
+        # the one `_nr_level` call per xi: each row's level is formed inline from its n's factors
         counts = collections.Counter()
-        for name in ("OscillatorSystem", "DeformedAlgebra", "SpectrumResult"):
+        for name in ("OscillatorSystem", "DeformedAlgebra", "SpectrumResult", "_nr_level"):
             def counting(*args, _cls=getattr(spectrum, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _cls(*args, **kwargs)
@@ -284,6 +295,7 @@ class TestRatioSweep:
             counts.clear()
             rows = ratio_sweep(1.0, 1.0, 1.0, 0.0, [0, 1, 2], [0.1 * i for i in range(steps)])
             assert len(rows) == 3 * steps
+            assert counts.pop("_nr_level", 0) <= steps
             return dict(counts)
 
         assert built(200) == built(2)
