@@ -202,7 +202,7 @@ def ratio_sweep(
         xi = float(xi)
         for n, col, quad, lin in factors:
             en = hw * (quad * half + lin * root)
-            if not en < math.inf:
+            if not math.isfinite(en):
                 raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
             rows.append((xi, col, en, e0, en / e0))
     return rows

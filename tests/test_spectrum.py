@@ -279,6 +279,9 @@ class TestRatioSweep:
         assert math.isfinite(ratio_sweep(1e300, 1.0, 1.0, 0.0, [3], [1e3])[0][2])
         with pytest.raises(SolverError):
             ratio_sweep(1e300, 1.0, 1.0, 0.0, [3, 40], [0.0, 1e3])
+        # a numpy n whose n * n wraps to a negative int64 sends the level to -inf, which must raise too
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="n=4000000000"):
+            ratio_sweep(1.0, 1.0, 1.0, 0.0, [np.int64(4_000_000_000)], [1e146])
 
     def test_constructions_do_not_grow_with_the_grid(self, monkeypatch):
         # the parameters are checked once per call; no object is built per xi or per row, and E_0 is
