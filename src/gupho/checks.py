@@ -34,7 +34,7 @@ from .gup import (
     _fm_problem,
     wave_params,
 )
-from .fm import _quantization_target, fm_exponents
+from .fm import _quantization_target, _require_n, fm_exponents
 from .spectrum import SolverError, energy_nonrel, energy_relativistic
 from .states import (
     NONRELATIVISTIC,
@@ -336,14 +336,17 @@ def run_suite(
     states go up to max(n_max, 1), so the ladder identity always compares
     at least the 0 <-> 1 pair.
     """
-    if not eta > 0.0:
+    system = _system(mass, omega, hbar, eta, gamma)
+    n_max = _require_n(n_max)
+    alg = system.algebra
+    mass, omega, hbar, eta, gamma = system.mass, system.omega, alg.hbar, alg.eta, alg.gamma
+    if eta == 0.0:
         table = _level_table(mass, omega, hbar, 0.0, (0.0,), n_max)
         return [_check_solver_cross_validation(table), _check_nr_limit(omega, hbar, 0.0),
                 *_check_su11_algebra(), _check_undeformed_continuity(mass, omega, hbar, 0.0)]
     alpha = gamma / eta
     kappa = mass * omega * eta * hbar
     table = _level_table(mass, omega, hbar, alpha, [k for k in _KAPPA_GRID if k != kappa], n_max)
-    system = _system(mass, omega, hbar, eta, gamma)
     rel_states = [make_state(system, n, RELATIVISTIC) for n in range(n_max + 1)]
     table.append((system, rel_states))  # a level row reads only n and delta, which a state carries
     residual, *standard_form = _check_wave_map(table, alpha)

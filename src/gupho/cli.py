@@ -176,7 +176,7 @@ def _cmd_figure1(args) -> int:
         n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"invalid n-list: {args.n_list!r}") from exc
-    if not n_list or any(n < 0 for n in n_list):
+    if not n_list:
         raise UsageError("n-list must contain nonnegative integers")
     xi_grid = [
         args.xi_min + i * (args.xi_max - args.xi_min) / (args.steps - 1)
@@ -195,8 +195,6 @@ def _cmd_state(args) -> int:
 
     if args.samples < 2:
         raise UsageError("samples must be >= 2")
-    if args.n < 0:
-        raise UsageError("n must be >= 0")
     system = args.system
     branch = RELATIVISTIC if args.branch == "rel" else NONRELATIVISTIC
     state = make_state(system, args.n, branch)

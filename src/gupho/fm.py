@@ -16,6 +16,7 @@ the deformed oscillator: the mapping onto this form lives in `gup`, and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 __all__ = [
@@ -78,10 +79,15 @@ def fm_exponents(problem: FmProblem) -> tuple[float, float]:
     return k4, k5
 
 
-def _require_n(n) -> None:
-    """The one check of a quantum number: an integer >= 0, numpy integers included, floats not."""
-    if not (hasattr(n, "__index__") and n >= 0):
-        raise ValueError("n must be a nonnegative integer")
+def _require_n(n) -> int:
+    """The one check of a quantum number: any integer, numpy's included, 0 <= n < 2**53, returned as a Python int."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError("n must be a nonnegative integer") from None
+    if not 0 <= n < 2**53:
+        raise ValueError("n must be a nonnegative integer" + (" below 2**53" if n > 0 else ""))
+    return n
 
 
 def _quantization_target(problem: FmProblem, n: int) -> float:
@@ -97,6 +103,6 @@ def fm_quantization_residual(problem: FmProblem, n: int) -> float:
     Shifting n -> n + 1 raises the residual by exactly 1, so roots in the
     energy-like parameters hidden in (A, B, C) separate cleanly by n.
     """
-    _require_n(n)
+    n = _require_n(n)
     k4, k5 = fm_exponents(problem)
     return (k4 + k5) - _quantization_target(problem, n)

@@ -55,21 +55,27 @@ class QuadratureAccuracyError(RuntimeError):
     """A norm integral or overlap is not a finite normal double, chiefly where 4^(-2v) underflows."""
 
 
+def _store_float(record, name: str, sign: str = "") -> None:
+    """Check a model record's field, finite as a double and of `sign` ("> 0", ">= 0" or any); store it as a float."""
+    value = getattr(record, name)
+    value = float(value) if math.isfinite(value) else math.nan  # any real number, numpy's included; a str raises
+    if not (value > 0.0 or (value == 0.0 and sign != "> 0") or (value < 0.0 and not sign)):
+        raise ValueError(f"{name} must be finite" + (f" and {sign}" if sign else ""))
+    object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class DeformedAlgebra:
-    """Deformation parameter eta (1/momentum^2), representation parameter gamma, hbar."""
+    """Deformation parameter eta (1/momentum^2), representation parameter gamma, hbar; each held as a Python float."""
 
     eta: float
     gamma: float = 0.0
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.eta >= 0.0 and math.isfinite(self.eta)):
-            raise ValueError("eta must be finite and >= 0")
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise ValueError("hbar must be finite and > 0")
-        if not math.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
+        _store_float(self, "eta", ">= 0")
+        _store_float(self, "hbar", "> 0")
+        _store_float(self, "gamma")
 
     @property
     def alpha(self) -> float:
@@ -86,17 +92,15 @@ class DeformedAlgebra:
 
 @dataclass(frozen=True)
 class OscillatorSystem:
-    """Oscillator of a given mass (reduced mass in the nonrelativistic case) and frequency."""
+    """Oscillator of a given mass (reduced mass in the nonrelativistic case) and frequency, held as Python floats."""
 
     mass: float
     omega: float
     algebra: DeformedAlgebra
 
     def __post_init__(self) -> None:
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise ValueError("mass must be finite and > 0")
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise ValueError("omega must be finite and > 0")
+        _store_float(self, "mass", "> 0")
+        _store_float(self, "omega", "> 0")
 
 
 def minimal_length(algebra: DeformedAlgebra) -> float:

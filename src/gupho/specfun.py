@@ -47,10 +47,11 @@ def as_float(x):
     return arr
 
 
-def _require_order(lam, name: str) -> None:
-    """The one check of a Gegenbauer order: finite and positive, NaN rejected."""
-    if not 0.0 < lam < math.inf:
+def _require_order(lam, name: str) -> float:
+    """The one check of a Gegenbauer order: finite and positive as a double, NaN rejected; returns a Python float."""
+    if not (math.isfinite(lam) and (lam := float(lam)) > 0.0):
         raise ValueError(f"{name} must be positive")
+    return lam
 
 
 def _connection_column(n: int, lam: float, mu: float, top: int) -> list[float]:
@@ -124,11 +125,11 @@ def gegenbauer_product_integral(mu: float, n_a: int, lam_a: float, n_b: int, lam
     numpy and no cache.  An odd n_a + n_b gives exactly 0.0 by parity.  A sum
     that is not finite (T or h_j out of range) raises `QuadratureAccuracyError`.
     """
-    _require_order(mu, "mu")
-    _require_n(n_a)
-    _require_n(n_b)
-    _require_order(lam_a, "lam_a")
-    _require_order(lam_b, "lam_b")
+    mu = _require_order(mu, "mu")
+    n_a = _require_n(n_a)
+    n_b = _require_n(n_b)
+    lam_a = _require_order(lam_a, "lam_a")
+    lam_b = _require_order(lam_b, "lam_b")
     if (n_a + n_b) % 2:
         return 0.0
     top = min(n_a, n_b)
@@ -151,8 +152,8 @@ def _gegenbauer(n: int, lam: float, x):
     states.  n and lam are validated here; x must already be what
     `as_float` returns, as every caller coerces it once.
     """
-    _require_n(n)
-    _require_order(lam, "lam")
+    n = _require_n(n)
+    lam = _require_order(lam, "lam")
     if n == 0:
         return x ** 0  # C_0 = 1 of x's kind and dtype, NaN included
     c_prev, c = 1.0, 2.0 * lam * x

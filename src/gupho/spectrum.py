@@ -86,7 +86,7 @@ def energy_relativistic(system: OscillatorSystem, n: int) -> SpectrumResult:
     or sigma leaves the double range, which includes rest masses below about
     4e-78 (2n + 1) hbar omega, so no level or residual is ever inf or NaN.
     """
-    _require_n(n)
+    n = _require_n(n)
     m = system.mass
     hw = system.algebra.hbar * system.omega
     b = hw * system.algebra.eta
@@ -152,7 +152,7 @@ def energy_nonrel(system: OscillatorSystem, n: int) -> SpectrumResult:
     which is hbar omega (n + 1/2) at eta = 0 and grows like (n + 1)^2 for
     large deformation.
     """
-    _require_n(n)
+    n = _require_n(n)
     alg = system.algebra
     half = 0.5 * alg.hbar * alg.eta * system.mass * system.omega
     energy = _nr_level(alg.hbar * system.omega, half, math.hypot(half, 1.0), n)
@@ -175,23 +175,22 @@ def ratio_sweep(
     xi it approaches (n + 1)^2.  Each n's factors 1/2 + n + n^2 and n + 1/2
     are formed once per call, and E_n inline from them in `_nr_level`'s float
     operations, so E_n and E_0 equal `energy_nonrel` at that eta bit for bit
-    (`test_rows_equal_energy_nonrel`).  mass, omega, hbar, gamma and n_values
-    are checked once per call, with the errors `OscillatorSystem`,
-    `DeformedAlgebra` and `energy_nonrel` raise, so an empty xi_grid is
-    checked too; a negative or NaN xi raises ``ValueError``, and an xi whose
-    eta or level leaves the double range raises `SolverError`.
+    (`test_rows_equal_energy_nonrel`).  mass, omega, hbar and gamma are
+    checked once per call by the system it builds, and read back from it as
+    Python floats, and each n by `fm._require_n` as a Python int, so an empty
+    xi_grid is checked too; a negative or NaN xi raises ``ValueError``, each
+    xi is taken as a float, and one whose eta or level leaves the double
+    range raises `SolverError`.
     """
-    # built only for its checks of mass, omega, hbar and gamma
-    OscillatorSystem(mass, omega, DeformedAlgebra(eta=0.0, gamma=gamma, hbar=hbar))
-    factors = []
-    for n in n_values:
-        _require_n(n)
-        factors.append((n, int(n), 0.5 + n + n * n, n + 0.5))
+    system = OscillatorSystem(mass, omega, DeformedAlgebra(eta=0.0, gamma=gamma, hbar=hbar))
+    mass, omega, hbar = system.mass, system.omega, system.algebra.hbar
+    factors = [(n, 0.5 + n + n * n, n + 0.5) for n in map(_require_n, n_values)]
     hw = hbar * omega
     rows = []
     for xi in xi_grid:
         if not xi >= 0.0:
             raise ValueError("xi values must be nonnegative")
+        xi = float(xi)
         scaled = xi / hbar
         eta = scaled * scaled
         if math.isinf(eta):
@@ -199,10 +198,9 @@ def ratio_sweep(
         half = 0.5 * hbar * eta * mass * omega
         root = math.hypot(half, 1.0)
         e0 = _nr_level(hw, half, root, 0)
-        xi = float(xi)
-        for n, col, quad, lin in factors:
+        for n, quad, lin in factors:
             en = hw * (quad * half + lin * root)
             if not math.isfinite(en):
                 raise SolverError(f"closed-form level n={n} overflows: hbar eta m omega / 2 = {half!r}")
-            rows.append((xi, col, en, e0, en / e0))
+            rows.append((xi, n, en, e0, en / e0))
     return rows

@@ -120,10 +120,10 @@ def make_state(system: OscillatorSystem, n: int, branch: str) -> OscillatorState
         raise DegenerateModelError(f"prefactor exponent v = {v!r} must be positive")
     weight = 4.0 ** (-2.0 * v)
     # a subnormal 4^(-2v) has lost digits
-    raw = weight / math.sqrt(alg.eta) * specfun._weight_norms(lam, n)[-1] if weight >= sys.float_info.min else 0.0
+    raw = weight / math.sqrt(alg.eta) * specfun._weight_norms(lam, level.n)[-1] if weight >= sys.float_info.min else 0.0
     if not sys.float_info.min <= raw < math.inf:
         raise QuadratureAccuracyError(f"raw norm integral is not a normal double: {raw!r}")
-    return OscillatorState(system, branch, n, v, lam, 1.0 / math.sqrt(raw), level.energy, level.delta)
+    return OscillatorState(system, branch, level.n, v, lam, 1.0 / math.sqrt(raw), level.energy, level.delta)
 
 
 def _e_plus_m(system: OscillatorSystem, branch: str, delta: float) -> float:
@@ -224,8 +224,8 @@ inner_product = weighted_overlap
 
 def ladder_coeffs(n: int, lam: float) -> LadderCoefficients:
     """l- = sqrt(n (2 lam + n - 1)), l+ = sqrt((n+1) (2 lam + n)), l0 = lam + n."""
-    _require_n(n)
-    specfun._require_order(lam, "lam")
+    n = _require_n(n)
+    lam = specfun._require_order(lam, "lam")
     return LadderCoefficients(math.sqrt(n * (2.0 * lam + n - 1.0)), math.sqrt((n + 1.0) * (2.0 * lam + n)), lam + n)
 
 
@@ -293,8 +293,8 @@ def su11_check(lam: float, n_max: int) -> Su11Report:
     operators.  [L0, L+-] = +-L+- is not read: l0 = lam + n shifts by
     exactly +-1 with n by definition.
     """
-    specfun._require_order(lam, "lam")
-    _require_n(n_max)
+    lam = specfun._require_order(lam, "lam")
+    n_max = _require_n(n_max)
     casimir_target = lam * (lam - 1.0)
     dev_comm = dev_cas = dev_cc = 0.0
     casimir_prev = None

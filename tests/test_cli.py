@@ -325,6 +325,20 @@ class TestVerifyCommand:
         _, rows = data_rows(capsys.readouterr().out)
         assert len(rows) == len(DEFORMED_ROWS) and all(r[3] == "pass" for r in rows)
 
+    @pytest.mark.parametrize("params, message", [
+        (dict(eta=math.nan), "eta must be finite and >= 0"),
+        (dict(eta=-0.1), "eta must be finite and >= 0"),
+        (dict(mass=-1.0), "mass must be finite and > 0"),
+        (dict(n_max=-1), "n must be a nonnegative integer"),
+        (dict(n_max=2.0), "n must be a nonnegative integer"),
+    ], ids=["eta-nan", "eta-negative", "mass-negative", "nmax-negative", "nmax-float"])
+    def test_invalid_inputs_raise_value_error(self, params, message):
+        # the user's system and n_max are checked before any row: a NaN or negative eta returned five
+        # passing undeformed rows, a negative mass raised SolverError, and n_max = -1 or 2.0 no typed error
+        with pytest.raises(ValueError) as raised:
+            checks.run_suite(**params)
+        assert str(raised.value) == message
+
     def test_exponent_row_reads_the_users_alpha(self):
         # the row read gamma / eta in {0, 1/2, 1} alone, so its reading was 7.1e-15 at all three; read
         # absolutely at alpha = 500 it would be 6.3e-12, so it reads relative to v's terms
@@ -540,11 +554,6 @@ class TestFmCommand:
             assert result.stdout == ""
             assert "k1 must be finite" in result.stderr
 
-    def test_negative_n_exits_64(self):
-        result = run_cli("fm", "--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2", "--n=-1")
-        assert result.returncode == 64
-        assert result.stdout == ""
-
     def test_nan_model_parameter_exits_64(self):
         # fm reads no oscillator parameter, so it takes none
         for flag in ("--eta=nan", "--mass=nan", "--gamma=nan"):
@@ -555,6 +564,18 @@ class TestFmCommand:
 
 
 FM_COEFFS = ["--k1=0.5", "--k2=1", "--k3=1", "--A=-3", "--B=3", "--C=-2"]
+
+
+@pytest.mark.parametrize("n", ["-1", str(2**53), "9" * 401], ids=["negative", "2**53", "401-digits"])
+@pytest.mark.parametrize("command", [["fm", *FM_COEFFS, "--n={n}"], ["state", "--n={n}"],
+                                     ["figure1", "--n-list=1,{n}"]], ids=lambda command: command[0])
+def test_quantum_number_outside_its_domain_exits_64(command, n):
+    # one check, `fm._require_n`, for every command; n = 2**53 printed rows from an n rounded to a double
+    # (`state` ran past 120 s), and a 401-digit n exited 1 with an OverflowError traceback
+    result = run_cli(*(arg.format(n=n) for arg in command))
+    assert (result.returncode, result.stdout) == (64, "")
+    assert "n must be a nonnegative integer" in result.stderr and "Traceback" not in result.stderr
+
 
 # the options each command takes: exactly those its handler reads
 COMMAND_OPTIONS = {

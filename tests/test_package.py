@@ -1,4 +1,4 @@
-"""The package namespace, each submodule's `__all__`, and which commands load numpy.
+"""The package namespace, each submodule's `__all__`, which commands load numpy, and how inputs are checked.
 
 No command imports numpy, and every command and module runs where numpy
 cannot be imported at all; the states exports resolve on first access.  Each
@@ -6,10 +6,12 @@ check runs in a fresh interpreter, because this test process has numpy
 loaded already.
 """
 
+import ast
 import dataclasses
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +206,17 @@ def test_commands_run_with_numpy_blocked():
         "import gupho.specfun, gupho.states, gupho.checks\n"
     )
     assert out == EXPECTED + ["True"]
+
+
+def test_every_input_check_result_is_used():
+    # `_require_n` and `_require_order` return the converted value: a call whose result is dropped
+    # checks its input but leaves the formulas running in the caller's scalar type
+    dropped = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "gupho").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                func = node.value.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("_require_n", "_require_order"):
+                    dropped.append(f"{path.name}:{node.lineno}")
+    assert dropped == []

@@ -537,6 +537,65 @@ def test_non_integer_n_rejected(call):
     assert call(np.int64(2)) == call(2)  # numpy integers are integers
 
 
+# numpy integer n whose own arithmetic wraps, a bool n, and float32 and float16 parameters and orders
+_LOOPED_NS = (np.uint8(200), np.int16(300), True)
+_CLOSED_NS = _LOOPED_NS + (np.int64(4_000_000_000),)
+_NUMPY_INPUTS = {"mass": np.float16(1.5), "omega": np.float32(0.7), "hbar": np.float32(1.3),
+                 "eta": np.float32(0.1), "gamma": np.float16(0.03), "lam": np.float32(1.61803),
+                 "mu": np.float16(1.3)}
+
+
+def _numpy_system(p):
+    return OscillatorSystem(p["mass"], p["omega"], DeformedAlgebra(eta=p["eta"], gamma=p["gamma"], hbar=p["hbar"]))
+
+
+# each entry point that takes n, a model parameter or an order: (its quantum numbers, call(n, inputs))
+_ENTRY_POINTS = {
+    "energy_relativistic": (_CLOSED_NS, lambda n, p: energy_relativistic(_numpy_system(p), n)),
+    "energy_nonrel": (_CLOSED_NS, lambda n, p: energy_nonrel(_numpy_system(p), n)),
+    "make_state_rel": (_LOOPED_NS, lambda n, p: make_state(_numpy_system(p), n, RELATIVISTIC)),
+    "make_state_nr": (_LOOPED_NS, lambda n, p: make_state(_numpy_system(p), n, NONRELATIVISTIC)),
+    "fm_quantization_residual": (
+        _CLOSED_NS, lambda n, p: fm_quantization_residual(FmProblem(0.5, 1.0, 1.0, -3.0, 3.0, -2.0), n)),
+    "gegenbauer": (_LOOPED_NS, lambda n, p: gegenbauer(n, p["lam"], 0.4)),
+    "gegenbauer_product_integral": (
+        _LOOPED_NS, lambda n, p: gegenbauer_product_integral(p["mu"], n, p["lam"], 4, p["mu"])),
+    "ladder_coeffs": (_CLOSED_NS, lambda n, p: ladder_coeffs(n, p["lam"])),
+    "su11_check": (_LOOPED_NS, lambda n, p: su11_check(p["lam"], n)),
+    "ratio_sweep": (_CLOSED_NS, lambda n, p: ratio_sweep(
+        p["mass"], p["omega"], p["hbar"], p["gamma"], [0, n, 3], [0.0, p["eta"], 2.5])),
+    "run_suite": (_LOOPED_NS, lambda n, p: checks.run_suite(
+        p["mass"], p["omega"], p["hbar"], p["eta"], p["gamma"], n)),
+}
+
+
+def _leaves(value):
+    """The scalars a result holds, through records, tuples and lists."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            yield from _leaves(getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_numpy_inputs_compute_as_python_numbers(name):
+    # each input is converted where it is checked, so the result is the Python-typed call's, bit for bit,
+    # and holds Python ints and floats only
+    quantum_numbers, call = _ENTRY_POINTS[name]
+    python_inputs = {key: float(value) for key, value in _NUMPY_INPUTS.items()}
+    for n in quantum_numbers:
+        got = call(n, _NUMPY_INPUTS)
+        assert repr(got) == repr(call(int(n), python_inputs)), n
+        assert {type(leaf) for leaf in _leaves(got)} <= {int, float, str}, n
+    for n in (2**53, 10**400):  # beyond the integers a double holds exactly
+        with pytest.raises(ValueError, match=r"n must be a nonnegative integer below 2\*\*53"):
+            call(n, python_inputs)
+
+
 def _tildes(state):
     """(A~, B~) of the state's wave equation, written from its energy E, independently of `wave_params`."""
     system = state.system
